@@ -10,18 +10,7 @@ import argparse
 import sys
 import time
 
-from sybilcost import costs, oracle, resources
-
-
-def closed_form(spec, s, T):
-    kind = resources.classify(spec).resource_class
-    if kind is resources.ResourceClass.PARALLELIZABLE:
-        return costs.cost_parallelizable(s, T, spec.r_min).total
-    if kind is resources.ResourceClass.THROUGHPUT_BOUNDED:
-        return costs.cost_throughput_bounded(s, T, spec.r_min).total
-    if spec.alpha is not None:
-        return costs.cost_partial_transferability(s, T, spec.r_min, spec.alpha).model_cost
-    return costs.cost_bounded_reuse(s, T, spec.r_min, spec.k).total
+from sybilcost import oracle, resources
 
 
 def main(argv=None):
@@ -29,7 +18,6 @@ def main(argv=None):
     parser.add_argument("--spec", default="pos-stake", help="preset name (default: pos-stake)")
     parser.add_argument("--max-s", type=int, default=4)
     parser.add_argument("--max-T", type=int, default=4)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
 
     spec = resources.preset(args.spec)
@@ -40,9 +28,9 @@ def main(argv=None):
         for T in range(1, args.max_T + 1):
             scenario = oracle.OracleScenario(s=s, T=T, spec=spec)
             start = time.perf_counter()
-            result = oracle.min_cost(scenario, workers=args.workers)
+            result = oracle.min_cost(scenario)
             elapsed = time.perf_counter() - start
-            expected = closed_form(spec, s, T)
+            expected = oracle.closed_form(scenario)
             mark = "" if result.min_cost == expected else "  <-- MISMATCH"
             if mark:
                 mismatches += 1

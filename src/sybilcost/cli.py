@@ -19,8 +19,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import calibration, costs, oracle, resources, simulation
@@ -81,8 +80,8 @@ def _nonnegative_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
     return value
 
 
@@ -95,9 +94,12 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _float_list(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in text.split(",") if part != "")
+        values = tuple(float(part) for part in text.split(",") if part != "")
+        if all(math.isfinite(value) for value in values):
+            return values
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers, got {text!r}")
 
 
 def _coord_list(text: str) -> tuple[str, ...]:
@@ -113,16 +115,23 @@ def _coord_list(text: str) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _csv_text(header: list[str], rows: list[list[object]]) -> str:
+def _json_text(payload: object) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _table_text(fmt: str, rows: list[dict[str, object]], /, **payload: object) -> str:
+    """A table of row dicts as CSV, or as the JSON object of the keyword arguments.
+
+    The CSV header is the first row's keys, and a None cell is left empty.
+    The JSON object names the rows itself, so it can hold them under any key.
+    """
+    if fmt == "json":
+        return _json_text(payload)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(rows[0])
+    writer.writerows(row.values() for row in rows)
     return buffer.getvalue()
-
-
-def _json_text(payload: object) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _meta(args: argparse.Namespace) -> dict[str, object]:
@@ -139,10 +148,17 @@ def _resolve_out(path_text: str) -> Path:
 
 
 def _write_text(path: Path, text: str) -> None:
+    """Write through a scratch file of this call's own, then rename it over path.
+
+    The scratch name is random and opened exclusively, so a concurrent writer's
+    file is never reused or clobbered.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    scratch = path.with_name(path.name + ".tmp")
+    scratch = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    handle = open(scratch, "x")
     try:
-        scratch.write_text(text)
+        with handle:
+            handle.write(text)
         os.replace(scratch, path)
     except BaseException:
         scratch.unlink(missing_ok=True)
@@ -173,71 +189,6 @@ def _resolve_spec(token: str) -> resources.ResourceSpec:
     raise _UsageError(f"{token!r} is neither a built-in preset nor a spec file")
 
 
-_COST_HEADER = [
-    "law",
-    "s",
-    "T",
-    "r_min",
-    "alpha",
-    "k",
-    "total",
-    "stock",
-    "flow",
-    "coordination",
-    "marginal",
-    "normalized",
-]
-
-
-def _report_row(
-    law: str,
-    r_min: float,
-    report: costs.CostReport,
-    alpha: float | None = None,
-    k: int | None = None,
-) -> list[object]:
-    return [
-        law,
-        report.s,
-        report.T,
-        r_min,
-        alpha,
-        k,
-        report.total,
-        report.stock,
-        report.flow,
-        report.coordination,
-        report.marginal,
-        report.normalized,
-    ]
-
-
-def _report_payload(
-    law: str,
-    r_min: float,
-    report: costs.CostReport,
-    alpha: float | None = None,
-    k: int | None = None,
-) -> dict[str, object]:
-    payload: dict[str, object] = {
-        "law": law,
-        "s": report.s,
-        "T": report.T,
-        "r_min": r_min,
-        "total": report.total,
-        "stock": report.stock,
-        "flow": report.flow,
-        "coordination": report.coordination,
-        "marginal": report.marginal,
-        "normalized": report.normalized,
-    }
-    if alpha is not None:
-        payload["alpha"] = alpha
-    if k is not None:
-        payload["k"] = k
-    return payload
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -245,11 +196,7 @@ def _report_payload(
 
 def _cmd_taxonomy(args: argparse.Namespace) -> int:
     rows = [dict(row) for row in resources.taxonomy_rows()]
-    if args.format == "json":
-        _emit(args, _json_text({"meta": _meta(args), "rows": rows}))
-    else:
-        header = list(rows[0].keys())
-        _emit(args, _csv_text(header, [[row[key] for key in header] for row in rows]))
+    _emit(args, _table_text(args.format, rows, meta=_meta(args), rows=rows))
     return EXIT_OK
 
 
@@ -278,54 +225,37 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     if args.k is not None and law != "bounded-reuse":
         raise _UsageError("--k applies only to --class bounded-reuse")
 
+    row: dict[str, object] = {
+        "law": law, "s": args.s, "T": args.T, "r_min": args.rmin, "alpha": args.alpha
+    }
     if law == "partial":
         bound = costs.cost_partial_transferability(args.s, args.T, args.rmin, args.alpha, coordination)
-        if args.format == "json":
-            payload = {
-                "law": law,
-                "s": args.s,
-                "T": args.T,
-                "r_min": args.rmin,
-                "alpha": args.alpha,
-                "lower_bound": bound.lower_bound,
-                "model_cost": bound.model_cost,
-            }
-            _emit(args, _json_text({"meta": _meta(args), "report": payload}))
+        row.update(bound._asdict())
+    else:
+        if law == "par":
+            report = costs.cost_parallelizable(args.s, args.T, args.rmin, coordination)
+        elif law == "bnd":
+            report = costs.cost_throughput_bounded(args.s, args.T, args.rmin)
+        elif law == "hybrid":
+            # One r_min for both components; the composed law keeps the renewal floor.
+            report = costs.governance_hybrid(args.s, args.T, args.rmin, args.rmin, coordination)
         else:
-            header = ["law", "s", "T", "r_min", "alpha", "lower_bound", "model_cost"]
-            row = [law, args.s, args.T, args.rmin, args.alpha, bound.lower_bound, bound.model_cost]
-            _emit(args, _csv_text(header, [row]))
-        return EXIT_OK
-
-    if law == "par":
-        report = costs.cost_parallelizable(args.s, args.T, args.rmin, coordination)
-    elif law == "bnd":
-        report = costs.cost_throughput_bounded(args.s, args.T, args.rmin)
-    elif law == "hybrid":
-        # One r_min for both components; the composed law keeps the renewal floor.
-        report = costs.governance_hybrid(args.s, args.T, args.rmin, args.rmin, coordination)
-    else:
-        report = costs.cost_bounded_reuse(args.s, args.T, args.rmin, args.k)
-
-    if args.format == "json":
-        payload = _report_payload(law, args.rmin, report, alpha=None, k=args.k)
-        _emit(args, _json_text({"meta": _meta(args), "report": payload}))
-    else:
-        _emit(args, _csv_text(_COST_HEADER, [_report_row(law, args.rmin, report, None, args.k)]))
+            report = costs.cost_bounded_reuse(args.s, args.T, args.rmin, args.k)
+        row["k"] = args.k
+        row.update(asdict(report))
+    # JSON leaves out an unused alpha or k; CSV keeps its empty cell.
+    payload = {
+        key: value for key, value in row.items() if value is not None or key not in ("alpha", "k")
+    }
+    _emit(args, _table_text(args.format, [row], meta=_meta(args), report=payload))
     return EXIT_OK
 
 
 def _cmd_crossover(args: argparse.Namespace) -> int:
     if args.table:
         table = costs.crossover_table()
-        if args.format == "json":
-            rows = [{"T": T, "r_min": r_min, "s_star": value} for T, r_min, value in table]
-            _emit(args, _json_text({"meta": _meta(args), "rows": rows}))
-        else:
-            csv_rows: list[list[object]] = [
-                [T, r_min, "" if value is None else value] for T, r_min, value in table
-            ]
-            _emit(args, _csv_text(["T", "r_min", "s_star"], csv_rows))
+        rows = [{"T": T, "r_min": r_min, "s_star": value} for T, r_min, value in table]
+        _emit(args, _table_text(args.format, rows, meta=_meta(args), rows=rows))
         return EXIT_OK
     if args.T is None or args.rmin is None:
         raise _UsageError("crossover needs --table, or both --T and --rmin")
@@ -340,31 +270,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         s=args.s, T=args.T, spec=spec, coordination=_COORDINATION[args.coord]
     )
     grid = oracle.PlanGrid.for_scenario(scenario, step=args.grid_step, ceiling=args.ceiling)
-    result = oracle.min_cost(scenario, grid=grid, workers=args.workers)
+    result = oracle.min_cost(scenario, grid=grid)
     report = oracle.verify_bounds(result, scenario)
     payload = {
         "meta": _meta(args),
         "scenario": {"spec": spec.name, "s": args.s, "T": args.T, "coordination": args.coord},
-        "min_cost": result.min_cost,
-        "plans_examined": result.plans_examined,
-        "grid": {
-            "step": result.grid.step,
-            "max_value": result.grid.max_value,
-            "max_identities": result.grid.max_identities,
-            "ceiling": result.grid.ceiling,
-        },
-        "witness": {
-            "windows": result.witness.windows,
-            "identities": [list(row) for row in result.witness.identities],
-            "acquisitions": list(result.witness.acquisitions),
-        },
-        "verification": {
-            "passed": report.passed,
-            "checks": [
-                {"name": check.name, "passed": check.passed, "detail": check.detail}
-                for check in report.checks
-            ],
-        },
+        **asdict(result),
+        "verification": {"passed": report.passed, **asdict(report)},
     }
     _emit(args, _json_text(payload))
     return EXIT_OK if report.passed else EXIT_VERIFICATION
@@ -374,40 +286,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = _resolve_spec(args.spec)
     config = simulation.ScenarioConfig(n_honest=args.n, m=args.m, s=args.s, T=args.T, spec=spec)
     trace = simulation.run(config)
-    if args.format == "json":
-        windows = [
-            {
-                "window": row.window,
-                "active_identities": row.active_identities,
-                "adversary_influence": row.adversary_influence,
-                "total_influence": row.total_influence,
-                "share": row.share,
-                "window_cost": row.window_cost,
-            }
-            for row in trace.per_window
-        ]
-        _emit(args, _json_text({"meta": _meta(args), "total_cost": trace.total_cost, "windows": windows}))
-    else:
-        header = [
-            "window",
-            "active_identities",
-            "adversary_influence",
-            "total_influence",
-            "share",
-            "window_cost",
-        ]
-        rows = [
-            [
-                row.window,
-                row.active_identities,
-                row.adversary_influence,
-                row.total_influence,
-                row.share,
-                row.window_cost,
-            ]
-            for row in trace.per_window
-        ]
-        _emit(args, _csv_text(header, rows))
+    rows = [asdict(row) for row in trace.per_window]
+    text = _table_text(
+        args.format, rows, meta=_meta(args), total_cost=trace.total_cost, windows=rows
+    )
+    _emit(args, text)
     return EXIT_OK
 
 
@@ -415,23 +298,13 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
     m_values = range(args.m_min, args.m_max + 1, args.m_step)
     table = simulation.non_amplification_experiment(m_values, args.s_values, args.n)
     share_names = [f"share_s{s}" for s in table.s_values]
-    if args.format == "json":
-        rows = [
-            {"m": m, **dict(zip(share_names, shares))}
-            for m, shares in zip(table.m_values, table.rows)
-        ]
-        payload = {
-            "meta": _meta(args),
-            "n": args.n,
-            "s_values": list(table.s_values),
-            "rows": rows,
-        }
-        _emit(args, _json_text(payload))
-    else:
-        csv_rows: list[list[object]] = [
-            [m, *shares] for m, shares in zip(table.m_values, table.rows)
-        ]
-        _emit(args, _csv_text(["m", *share_names], csv_rows))
+    rows = [
+        {"m": m, **dict(zip(share_names, shares))} for m, shares in zip(table.m_values, table.rows)
+    ]
+    text = _table_text(
+        args.format, rows, meta=_meta(args), n=args.n, s_values=list(table.s_values), rows=rows
+    )
+    _emit(args, text)
     return EXIT_OK
 
 
@@ -454,14 +327,12 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     left_name, right_name = _PANEL_FILES[args.scenario]
 
     def panel(metric: str) -> str:
-        header = ["T"] + [f"{metric}_{one.law}_{one.tier}" for one in series]
-        rows = []
-        for index, T in enumerate(scenario.T_range):
-            row: list[object] = [T]
-            for one in series:
-                row.append(getattr(one.reports[index], metric))
-            rows.append(row)
-        return _csv_text(header, rows)
+        columns = {f"{metric}_{one.law}_{one.tier}": one.reports for one in series}
+        rows = [
+            {"T": T, **{name: getattr(reports[index], metric) for name, reports in columns.items()}}
+            for index, T in enumerate(scenario.T_range)
+        ]
+        return _table_text("csv", rows)
 
     # Left panel: totals for the staking scenario, normalized ratios for the
     # mining scenario; right panel: normalized ratios vs marginal costs.
@@ -492,7 +363,6 @@ class SweepSpec:
     coordination_kinds: tuple[str, ...] = ("zero",)
     out: Path | None = None
     fmt: str = "csv"
-    jobs: int = 1
     seed: int | None = None
 
     def __post_init__(self) -> None:
@@ -507,22 +377,6 @@ class SweepSpec:
             raise ValueError(f"unknown coordination kinds: {unknown}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
-
-
-_SWEEP_HEADER = [
-    "s",
-    "T",
-    "r_min",
-    "coord",
-    "total_par",
-    "normalized_par",
-    "marginal_par",
-    "total_bnd",
-    "normalized_bnd",
-    "marginal_bnd",
-]
 
 
 def _sweep_row(point: tuple[int, int, float, str]) -> dict[str, object]:
@@ -546,22 +400,14 @@ def _sweep_row(point: tuple[int, int, float, str]) -> dict[str, object]:
 def sweep(spec: SweepSpec) -> str:
     """Evaluate both closed-form laws over the grid; return the emitted text.
 
-    Grid points may be computed concurrently (``jobs``), but rows are always
-    assembled in nested grid order (s, then T, then r_min, then coordination),
+    Rows follow nested grid order (s, then T, then r_min, then coordination),
     so output is deterministic and re-running is byte-stable.
     """
-    points = list(
-        itertools.product(spec.s_values, spec.T_values, spec.r_min_values, spec.coordination_kinds)
+    points = itertools.product(
+        spec.s_values, spec.T_values, spec.r_min_values, spec.coordination_kinds
     )
-    if spec.jobs > 1:
-        with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-            rows = list(pool.map(_sweep_row, points))
-    else:
-        rows = [_sweep_row(point) for point in points]
-    if spec.fmt == "json":
-        text = _json_text({"meta": {"seed": spec.seed}, "rows": rows})
-    else:
-        text = _csv_text(list(_SWEEP_HEADER), [[row[key] for key in _SWEEP_HEADER] for row in rows])
+    rows = [_sweep_row(point) for point in points]
+    text = _table_text(spec.fmt, rows, meta={"seed": spec.seed}, rows=rows)
     if spec.out is not None:
         _write_text(spec.out, text)
     return text
@@ -603,9 +449,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     grids.setdefault("coordination_kinds", ("zero",))
     out = _resolve_out(args.out) if args.out else None
     try:
-        spec = SweepSpec(
-            out=out, fmt=args.format, jobs=args.jobs, seed=args.seed, **grids
-        )
+        spec = SweepSpec(out=out, fmt=args.format, seed=args.seed, **grids)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     text = sweep(spec)
@@ -649,7 +493,7 @@ def _bounded_reuse_spec(k: int, r_min: float) -> resources.ResourceSpec:
     )
 
 
-def _run_verification(workers: int = 1) -> tuple[list[str], bool]:
+def _run_verification() -> tuple[list[str], bool]:
     """Exhaustive small-grid check of every closed-form law against the oracle."""
     lines: list[str] = []
     all_ok = True
@@ -668,7 +512,6 @@ def _run_verification(workers: int = 1) -> tuple[list[str], bool]:
     bnd_base = resources.preset("device-bound")
     par_min: dict[tuple[float, int, int], float] = {}
     bnd_min: dict[tuple[float, int, int], float] = {}
-    par_witness: dict[tuple[float, int, int], oracle.OracleResult] = {}
     par_scenarios: dict[tuple[float, int, int], oracle.OracleScenario] = {}
 
     failures: list[str] = []
@@ -678,29 +521,18 @@ def _run_verification(workers: int = 1) -> tuple[list[str], bool]:
         bnd_spec = replace(bnd_base, name=f"device-r{r_min}", r_min=r_min, tau=r_min)
         for s in _VERIFY_TARGETS:
             for T in _VERIFY_HORIZONS:
-                par_scenario = oracle.OracleScenario(s=s, T=T, spec=par_spec)
-                bnd_scenario = oracle.OracleScenario(s=s, T=T, spec=bnd_spec)
-                par_result = oracle.min_cost(par_scenario, workers=workers)
-                bnd_result = oracle.min_cost(bnd_scenario, workers=workers)
-                par_min[(r_min, s, T)] = par_result.min_cost
-                bnd_min[(r_min, s, T)] = bnd_result.min_cost
-                par_witness[(r_min, s, T)] = par_result
-                par_scenarios[(r_min, s, T)] = par_scenario
-                count += 4
-                expected_par = costs.cost_parallelizable(s, T, r_min).total
-                expected_bnd = costs.cost_throughput_bounded(s, T, r_min).total
-                if par_result.min_cost != expected_par:
-                    failures.append(
-                        f"par s={s} T={T} r_min={r_min}: oracle {par_result.min_cost} != {expected_par}"
-                    )
-                if bnd_result.min_cost != expected_bnd:
-                    failures.append(
-                        f"bnd s={s} T={T} r_min={r_min}: oracle {bnd_result.min_cost} != {expected_bnd}"
-                    )
-                if not oracle.verify_bounds(par_result, par_scenario).passed:
-                    failures.append(f"par bounds s={s} T={T} r_min={r_min}")
-                if not oracle.verify_bounds(bnd_result, bnd_scenario).passed:
-                    failures.append(f"bnd bounds s={s} T={T} r_min={r_min}")
+                par_scenarios[(r_min, s, T)] = oracle.OracleScenario(s=s, T=T, spec=par_spec)
+                for law, spec, minima in (("par", par_spec, par_min), ("bnd", bnd_spec, bnd_min)):
+                    scenario = oracle.OracleScenario(s=s, T=T, spec=spec)
+                    result = oracle.min_cost(scenario)
+                    expected = oracle.closed_form(scenario)
+                    minima[(r_min, s, T)] = result.min_cost
+                    count += 2
+                    if result.min_cost != expected:
+                        failures.append(f"{law} s={s} T={T} r_min={r_min}: "
+                                        f"oracle {result.min_cost} != {expected}")
+                    if not oracle.verify_bounds(result, scenario).passed:
+                        failures.append(f"{law} bounds s={s} T={T} r_min={r_min}")
     finish_group("closed-form-equivalence", count, failures)
 
     failures, count = [], 0
@@ -766,27 +598,19 @@ def _run_verification(workers: int = 1) -> tuple[list[str], bool]:
     for r_min in _VERIFY_THRESHOLDS:
         for s in _VERIFY_TARGETS:
             for T in _VERIFY_HORIZONS:
-                for alpha in (0.0, 0.5, 1.0):
-                    scenario = oracle.OracleScenario(s=s, T=T, spec=_partial_spec(alpha, r_min))
-                    found = oracle.min_cost(scenario, workers=workers).min_cost
-                    bound = costs.cost_partial_transferability(s, T, r_min, alpha)
+                specs = [_partial_spec(alpha, r_min) for alpha in (0.0, 0.5, 1.0)]
+                specs += [_bounded_reuse_spec(k, r_min) for k in sorted({1, 2, T})]
+                # verify_bounds holds each regime's floor.
+                for spec in specs:
+                    scenario = oracle.OracleScenario(s=s, T=T, spec=spec)
+                    result = oracle.min_cost(scenario)
+                    expected = oracle.closed_form(scenario)
                     count += 2
-                    if found + eps < bound.lower_bound:
-                        failures.append(f"partial floor alpha={alpha} s={s} T={T} r_min={r_min}")
-                    if found != bound.model_cost:
-                        failures.append(
-                            f"partial model alpha={alpha} s={s} T={T} r_min={r_min}: "
-                            f"{found} != {bound.model_cost}"
-                        )
-                for k in sorted({1, 2, T}):
-                    scenario = oracle.OracleScenario(s=s, T=T, spec=_bounded_reuse_spec(k, r_min))
-                    found = oracle.min_cost(scenario, workers=workers).min_cost
-                    expected = costs.cost_bounded_reuse(s, T, r_min, k).total
-                    count += 2
-                    if found != expected:
-                        failures.append(f"bounded-reuse k={k} s={s} T={T}: {found} != {expected}")
-                    if found + eps < (s * T) * r_min / k:
-                        failures.append(f"bounded-reuse floor k={k} s={s} T={T} r_min={r_min}")
+                    if result.min_cost != expected:
+                        failures.append(f"{spec.name} s={s} T={T} r_min={r_min}: "
+                                        f"{result.min_cost} != {expected}")
+                    if not oracle.verify_bounds(result, scenario).passed:
+                        failures.append(f"{spec.name} bounds s={s} T={T} r_min={r_min}")
     finish_group("intermediate-regimes", count, failures)
 
     failures, count = [], 0
@@ -812,7 +636,7 @@ def _run_verification(workers: int = 1) -> tuple[list[str], bool]:
 
 
 def _cmd_verify_all(args: argparse.Namespace) -> int:
-    lines, all_ok = _run_verification(workers=args.workers)
+    lines, all_ok = _run_verification()
     for line in lines:
         print(line)
     print("all checks passed" if all_ok else "verification FAILED")
@@ -869,7 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--grid-step", type=_positive_float, default=None)
     sub.add_argument("--ceiling", type=_positive_int, default=oracle.DEFAULT_PLAN_CEILING)
     sub.add_argument("--coord", choices=tuple(_COORDINATION), default="zero")
-    sub.add_argument("--workers", type=_positive_int, default=1)
     sub.add_argument("--out", default=None)
     sub.set_defaults(handler=_cmd_oracle, format="json")
 
@@ -905,12 +728,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--T", type=_int_list, default=None)
     sub.add_argument("--rmin", type=_float_list, default=None)
     sub.add_argument("--coord", type=_coord_list, default=None)
-    sub.add_argument("--jobs", type=_positive_int, default=1)
     sub.set_defaults(handler=_cmd_sweep)
 
     sub = subparsers.add_parser("verify-all", parents=[common],
                                 help="oracle vs closed-form checks on the full small grid")
-    sub.add_argument("--workers", type=_positive_int, default=1)
     sub.set_defaults(handler=_cmd_verify_all)
 
     return parser

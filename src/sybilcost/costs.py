@@ -24,7 +24,6 @@ __all__ = [
     "LINEAR_COORDINATION",
     "PartialTransferCost",
     "ZERO_COORDINATION",
-    "bounded_reuse_law",
     "cost_bounded_reuse",
     "cost_hybrid",
     "cost_parallelizable",
@@ -35,7 +34,6 @@ __all__ = [
     "governance_hybrid",
     "marginal_cost",
     "parallelizable_law",
-    "partial_transfer_law",
     "throughput_law",
     "zero_report",
 ]
@@ -293,26 +291,6 @@ def throughput_law(r_min: float) -> Callable[[int, int], float]:
 
     def law(s: int, T: int) -> float:
         return cost_throughput_bounded(s, T, r_min).total
-
-    return law
-
-
-def bounded_reuse_law(r_min: float, k: int) -> Callable[[int, int], float]:
-    """Total-cost law handle for stock with a k-window lifetime."""
-
-    def law(s: int, T: int) -> float:
-        return cost_bounded_reuse(s, T, r_min, k).total
-
-    return law
-
-
-def partial_transfer_law(
-    r_min: float, alpha: float, coordination: CoordinationModel = ZERO_COORDINATION
-) -> Callable[[int, int], float]:
-    """Total-cost law handle for the partial-transferability model strategy."""
-
-    def law(s: int, T: int) -> float:
-        return cost_partial_transferability(s, T, r_min, alpha, coordination).model_cost
 
     return law
 

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Sequence
 
+from . import costs
 from .costs import ZERO_COORDINATION, CoordinationModel
 from .resources import (
     InfluenceFunction,
@@ -40,6 +39,7 @@ __all__ = [
     "VerificationCheck",
     "VerificationReport",
     "allocation_semantics",
+    "closed_form",
     "min_cost",
     "oracle_marginal",
     "plan_cost",
@@ -203,15 +203,18 @@ class OracleResult:
 _ConfigKey = tuple[float, int, tuple[float, ...]]
 
 
-def _scan_configs(
-    combos: Iterable[tuple[float, ...]],
-    influence: InfluenceFunction,
-    r_min: float,
-    target: float,
-    tau: float | None,
-) -> _ConfigKey | None:
+def _best_window_config(
+    scenario: OracleScenario, grid: PlanGrid
+) -> tuple[_ConfigKey | None, int]:
+    configuration_count = grid.configuration_count()
+    if configuration_count > grid.ceiling:
+        raise PlanBudgetExceeded(
+            f"{configuration_count} window configurations exceed the ceiling of {grid.ceiling}"
+        )
+    influence, target = scenario.influence, scenario.target
+    r_min, tau = scenario.spec.r_min, scenario.spec.tau
     best: _ConfigKey | None = None
-    for combo in combos:
+    for combo in itertools.combinations_with_replacement(grid.levels(), grid.max_identities):
         # combinations_with_replacement yields nondecreasing tuples, so the
         # last entry is the per-identity maximum.
         if tau is not None and combo[-1] > tau + FEASIBILITY_EPS:
@@ -227,28 +230,6 @@ def _scan_configs(
         key: _ConfigKey = (sum(combo), active, combo[::-1])
         if best is None or key < best:
             best = key
-    return best
-
-
-def _best_window_config(
-    scenario: OracleScenario, grid: PlanGrid, workers: int
-) -> tuple[_ConfigKey | None, int]:
-    configuration_count = grid.configuration_count()
-    if configuration_count > grid.ceiling:
-        raise PlanBudgetExceeded(
-            f"{configuration_count} window configurations exceed the ceiling of {grid.ceiling}"
-        )
-    spec = scenario.spec
-    combos = itertools.combinations_with_replacement(grid.levels(), grid.max_identities)
-    scan_args = (scenario.influence, spec.r_min, scenario.target, spec.tau)
-    if workers <= 1:
-        return _scan_configs(combos, *scan_args), configuration_count
-    all_combos = list(combos)
-    chunks = [all_combos[offset::workers] for offset in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        partials = list(pool.map(lambda chunk: _scan_configs(chunk, *scan_args), chunks))
-    candidates = [key for key in partials if key is not None]
-    best = min(candidates) if candidates else None
     return best, configuration_count
 
 
@@ -271,22 +252,16 @@ def _acquisition_schedule(
     )
 
 
-def min_cost(
-    scenario: OracleScenario,
-    grid: PlanGrid | None = None,
-    workers: int = 1,
-) -> OracleResult:
+def min_cost(scenario: OracleScenario, grid: PlanGrid | None = None) -> OracleResult:
     """Exhaustive minimum plan cost on the grid, with a witness plan.
 
     Ties between equally cheap configurations resolve toward fewer active
     identities, then lexicographically on the descending allocation tuple,
-    so results are deterministic for any worker count.  Raises
-    PlanBudgetExceeded before enumerating a grid whose configuration count
-    exceeds the ceiling, and ValueError when no grid configuration can reach
-    the per-window influence target.
+    so results are deterministic.  Raises PlanBudgetExceeded before
+    enumerating a grid whose configuration count exceeds the ceiling, and
+    ValueError when no grid configuration can reach the per-window influence
+    target.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     semantics = allocation_semantics(scenario.spec)
     effective_grid = grid if grid is not None else PlanGrid.for_scenario(scenario)
     if scenario.s == 0:
@@ -294,7 +269,7 @@ def min_cost(
             scenario.T, ((),) * scenario.T, (0.0,) * scenario.T
         )
         return OracleResult(0.0, empty, 0, effective_grid)
-    best, examined = _best_window_config(scenario, effective_grid, workers)
+    best, examined = _best_window_config(scenario, effective_grid)
     if best is None:
         raise ValueError("no feasible window configuration on this grid")
     aggregate, _active, descending = best
@@ -311,9 +286,7 @@ def min_cost(
     return OracleResult(total, witness, examined, effective_grid)
 
 
-def oracle_marginal(
-    scenario: OracleScenario, grid: PlanGrid | None = None, workers: int = 1
-) -> float:
+def oracle_marginal(scenario: OracleScenario, grid: PlanGrid | None = None) -> float:
     """Search-level marginal cost: min cost at s minus min cost at s - 1.
 
     Each target uses its own default grid unless one is supplied explicitly.
@@ -321,9 +294,32 @@ def oracle_marginal(
     if scenario.s < 1:
         raise ValueError(f"marginal cost needs s >= 1, got {scenario.s}")
     smaller = replace(scenario, s=scenario.s - 1)
-    at_s = min_cost(scenario, grid=grid, workers=workers).min_cost
-    below = min_cost(smaller, grid=grid, workers=workers).min_cost if scenario.s > 1 else 0.0
+    at_s = min_cost(scenario, grid=grid).min_cost
+    below = min_cost(smaller, grid=grid).min_cost if scenario.s > 1 else 0.0
     return at_s - below
+
+
+def closed_form(scenario: OracleScenario) -> float:
+    """The closed-form cost law the grid optimum is checked against.
+
+    Keyed on the scenario's allocation semantics.  Every plan the search
+    prices pays the coordination overhead h(s, T), so the renewal laws,
+    which carry no coordination term of their own, are quoted with h added.
+    """
+    s, T, spec = scenario.s, scenario.T, scenario.spec
+    coordination = scenario.coordination
+    semantics = allocation_semantics(spec)
+    if semantics is AllocationSemantics.REUSABLE:
+        return costs.cost_parallelizable(s, T, spec.r_min, coordination).total
+    if semantics is AllocationSemantics.PARTIAL_TRANSFER:
+        assert spec.alpha is not None
+        law = costs.cost_partial_transferability(s, T, spec.r_min, spec.alpha, coordination)
+        return law.model_cost
+    overhead = coordination.evaluate(s, T)
+    if semantics is AllocationSemantics.WINDOW_LOCAL:
+        return costs.cost_throughput_bounded(s, T, spec.r_min).total + overhead
+    assert spec.k is not None
+    return costs.cost_bounded_reuse(s, T, spec.r_min, spec.k).total + overhead
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ resource-to-influence mappings.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
@@ -404,18 +405,28 @@ def validate_influence_function(
 # JSON import/export
 # ---------------------------------------------------------------------------
 
-_FIELDS = (
-    "name",
-    "divisible",
-    "additive_influence",
-    "temporally_reusable",
-    "identity_transferable",
-    "throughput_bounded",
-    "r_min",
-    "tau",
-    "alpha",
-    "k",
-)
+# Each field's JSON type, and whether it may be null.
+_FIELD_TYPES: dict[str, tuple[type, bool]] = {
+    "name": (str, False),
+    "divisible": (bool, False),
+    "additive_influence": (bool, False),
+    "temporally_reusable": (bool, True),
+    "identity_transferable": (bool, True),
+    "throughput_bounded": (bool, False),
+    "r_min": (float, False),
+    "tau": (float, True),
+    "alpha": (float, True),
+    "k": (int, True),
+}
+_TYPE_NAMES = {str: "a string", bool: "true or false", float: "a finite number", int: "an integer"}
+
+
+def _has_type(value: object, expected: type) -> bool:
+    if expected is float:
+        return type(value) is int or (type(value) is float and math.isfinite(value))
+    if expected is int:
+        return type(value) is int
+    return isinstance(value, expected)
 
 
 def spec_to_dict(spec: ResourceSpec) -> dict[str, object]:
@@ -425,10 +436,15 @@ def spec_to_dict(spec: ResourceSpec) -> dict[str, object]:
 
 def spec_from_dict(data: Mapping[str, object]) -> ResourceSpec:
     """Build a spec from a dict with the same keys as the dataclass fields."""
-    unknown = set(data) - set(_FIELDS)
+    unknown = set(data) - set(_FIELD_TYPES)
     if unknown:
         raise ValueError(f"unknown resource fields: {sorted(unknown)}")
-    kwargs = {key: data[key] for key in _FIELDS if key in data}
+    for key, value in data.items():
+        expected, nullable = _FIELD_TYPES[key]
+        if not (_has_type(value, expected) or (nullable and value is None)):
+            kind = _TYPE_NAMES[expected]
+            raise ValueError(f"resource field {key!r} must be {kind}, got {value!r}")
+    kwargs = {key: data[key] for key in _FIELD_TYPES if key in data}
     kwargs.setdefault("temporally_reusable", None)
     kwargs.setdefault("identity_transferable", None)
     try:
@@ -442,6 +458,6 @@ def load_specs(source: str | Path) -> tuple[ResourceSpec, ...]:
     data = json.loads(Path(source).read_text())
     if isinstance(data, Mapping):
         data = [data]
-    if not isinstance(data, list):
+    if not isinstance(data, list) or not all(isinstance(entry, Mapping) for entry in data):
         raise ValueError("spec file must hold an object or an array of objects")
     return tuple(spec_from_dict(entry) for entry in data)

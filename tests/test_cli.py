@@ -282,12 +282,12 @@ def test_sweep_rows_follow_grid_order(capsys):
     assert rows == ["2", "1"]  # declared order, not sorted
 
 
-def test_sweep_jobs_do_not_change_output(tmp_path, capsys):
-    one = tmp_path / "one.csv"
-    four = tmp_path / "four.csv"
-    run_cli(capsys, "sweep", "--preset", "fig2", "--out", str(one))
-    run_cli(capsys, "sweep", "--preset", "fig2", "--jobs", "4", "--out", str(four))
-    assert one.read_bytes() == four.read_bytes()
+def test_sweep_rerun_is_byte_identical(tmp_path, capsys):
+    first = tmp_path / "first.csv"
+    second = tmp_path / "second.csv"
+    run_cli(capsys, "sweep", "--preset", "fig2", "--out", str(first))
+    run_cli(capsys, "sweep", "--preset", "fig2", "--out", str(second))
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_sweep_preset_flags_can_be_overridden(capsys):
@@ -317,6 +317,16 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_write_leaves_a_strangers_scratch_file_alone(tmp_path):
+    target = tmp_path / "data.csv"
+    stranger = tmp_path / "data.csv.tmp"
+    stranger.write_text("another writer's bytes\n")
+    cli._write_text(target, "header\n")
+    assert target.read_text() == "header\n"
+    assert stranger.read_text() == "another writer's bytes\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["data.csv", "data.csv.tmp"]
+
+
 def test_write_failure_surfaces_as_nonzero_exit(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory")
@@ -331,3 +341,42 @@ def test_verify_all_passes(capsys):
     assert "all checks passed" in out
     assert out.count("ok   ") == 7
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cost", "--class", "par", "--s", "10", "--T", "10", "--rmin", "nan"),
+        ("crossover", "--T", "10", "--rmin", "inf"),
+        ("sweep", "--s", "1", "--T", "2", "--rmin", "nan", "--format", "json"),
+        # Finite input whose total overflows: the JSON emitter refuses inf.
+        ("cost", "--class", "par", "--s", "10", "--T", "10", "--rmin", "1e308"),
+    ],
+    ids=["cost-nan", "crossover-inf", "sweep-nan", "cost-overflow"],
+)
+def test_non_finite_numbers_are_a_one_line_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
+def test_spec_file_with_non_object_entries_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text("[1, 2]")
+    code, out, err = run_cli(capsys, "classify", "--spec", str(path))
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == "error: spec file must hold an object or an array of objects\n"
+
+
+def test_spec_file_with_a_wrongly_typed_field_names_it(tmp_path, capsys):
+    data = resources.spec_to_dict(resources.preset("pos-stake"))
+    data["r_min"] = "1"
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "classify", "--spec", str(path))
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == "error: resource field 'r_min' must be a finite number, got '1'\n"

@@ -12,6 +12,7 @@ from sybilcost.oracle import (
     PlanBudgetExceeded,
     PlanGrid,
     allocation_semantics,
+    closed_form,
     min_cost,
     oracle_marginal,
     plan_cost,
@@ -82,15 +83,6 @@ def test_device_witness_respects_channel_capacity():
     result = min_cost(OracleScenario(s=3, T=2, spec=DEVICE))
     for window in result.witness.identities:
         assert all(value <= DEVICE.tau for value in window)
-
-
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_result_is_identical_for_any_worker_count(workers):
-    baseline = min_cost(OracleScenario(s=4, T=3, spec=STAKE))
-    result = min_cost(OracleScenario(s=4, T=3, spec=STAKE), workers=workers)
-    assert result.min_cost == baseline.min_cost
-    assert result.witness == baseline.witness
-    assert result.plans_examined == baseline.plans_examined
 
 
 def test_plan_budget_ceiling_is_enforced():
@@ -271,6 +263,29 @@ def test_oracle_marginal_matches_closed_forms():
     assert oracle_marginal(OracleScenario(s=3, T=4, spec=STAKE)) == 1.0
     assert oracle_marginal(OracleScenario(s=3, T=4, spec=DEVICE)) == 4.0
     assert oracle_marginal(OracleScenario(s=3, T=4, spec=bounded_spec(2))) == 2.0
+
+
+@pytest.mark.parametrize(
+    "spec, law",
+    [
+        (STAKE, lambda s, T: costs.cost_parallelizable(s, T, 1.0).total),
+        (DEVICE, lambda s, T: costs.cost_throughput_bounded(s, T, 1.0).total),
+        (partial_spec(0.5), lambda s, T: costs.cost_partial_transferability(s, T, 1.0, 0.5).model_cost),
+        (bounded_spec(2), lambda s, T: costs.cost_bounded_reuse(s, T, 1.0, 2).total),
+    ],
+    ids=["reusable", "window-local", "partial-transfer", "bounded-reuse"],
+)
+def test_closed_form_is_each_semantics_law(spec, law):
+    for s, T in ((0, 2), (2, 3), (3, 4)):
+        scenario = OracleScenario(s=s, T=T, spec=spec)
+        assert closed_form(scenario) == law(s, T) == min_cost(scenario).min_cost
+
+
+@pytest.mark.parametrize("spec", [STAKE, DEVICE, partial_spec(0.5), bounded_spec(2)])
+def test_closed_form_carries_the_overhead_every_plan_pays(spec):
+    scenario = OracleScenario(s=2, T=3, spec=spec, coordination=costs.LINEAR_COORDINATION)
+    free = dataclasses.replace(scenario, coordination=costs.ZERO_COORDINATION)
+    assert closed_form(scenario) == closed_form(free) + 5.0 == min_cost(scenario).min_cost
 
 
 def test_verify_bounds_passes_on_witnesses():

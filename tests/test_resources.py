@@ -226,6 +226,24 @@ def test_spec_from_dict_rejects_unknown_keys():
         resources.spec_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("name", 3), ("divisible", 1), ("r_min", "1"), ("r_min", float("nan")), ("tau", True), ("k", 2.0)],
+)
+def test_spec_from_dict_names_a_wrongly_typed_field(field, value):
+    data = resources.spec_to_dict(preset("pos-stake"))
+    data[field] = value
+    with pytest.raises(ValueError, match=f"resource field '{field}' must be"):
+        resources.spec_from_dict(data)
+
+
+def test_load_specs_rejects_non_object_entries(tmp_path):
+    path = tmp_path / "specs.json"
+    path.write_text(json.dumps([resources.spec_to_dict(preset("pos-stake")), 2]))
+    with pytest.raises(ValueError, match="array of objects"):
+        resources.load_specs(path)
+
+
 def test_load_specs_single_object(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(resources.spec_to_dict(preset("pos-stake"))))
