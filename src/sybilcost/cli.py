@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import calibration, costs, oracle, resources, simulation
@@ -124,9 +124,14 @@ def _table_text(fmt: str, rows: list[dict[str, object]], /, **payload: object) -
 
     The CSV header is the first row's keys, and a None cell is left empty.
     The JSON object names the rows itself, so it can hold them under any key.
+    Both formats refuse a non-finite number.
     """
     if fmt == "json":
         return _json_text(payload)
+    for row in rows:
+        for key, value in row.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"non-finite value {value} in column {key!r} is not CSV compliant")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(rows[0])
@@ -464,181 +469,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # verify-all
 # ---------------------------------------------------------------------------
 
-_VERIFY_THRESHOLDS = (0.5, 1.0, 2.0)
-_VERIFY_TARGETS = (1, 2, 3, 4)
-_VERIFY_HORIZONS = (1, 2, 3, 4)
-
-
-def _partial_spec(alpha: float, r_min: float) -> resources.ResourceSpec:
-    return resources.ResourceSpec(
-        name=f"partial-a{alpha}",
-        divisible=True,
-        additive_influence=True,
-        temporally_reusable=True,
-        identity_transferable=None,
-        alpha=alpha,
-        r_min=r_min,
-    )
-
-
-def _bounded_reuse_spec(k: int, r_min: float) -> resources.ResourceSpec:
-    return resources.ResourceSpec(
-        name=f"bounded-k{k}",
-        divisible=True,
-        additive_influence=True,
-        temporally_reusable=None,
-        identity_transferable=True,
-        k=k,
-        r_min=r_min,
-    )
-
-
-def _run_verification() -> tuple[list[str], bool]:
-    """Exhaustive small-grid check of every closed-form law against the oracle."""
-    lines: list[str] = []
+def _cmd_verify_all(args: argparse.Namespace) -> int:
     all_ok = True
-    eps = oracle.FEASIBILITY_EPS
-
-    def finish_group(name: str, count: int, failures: list[str]) -> None:
-        nonlocal all_ok
+    for group, count, failures in oracle.verify_all():
         if failures:
             all_ok = False
-            lines.append(f"FAIL {name}: {len(failures)} of {count} checks failed")
-            lines.extend(f"  {failure}" for failure in failures[:8])
+            print(f"FAIL {group}: {len(failures)} of {count} checks failed")
+            for failure in failures[:8]:
+                print(f"  {failure}")
         else:
-            lines.append(f"ok   {name}: {count} checks")
-
-    par_base = resources.preset("pos-stake")
-    bnd_base = resources.preset("device-bound")
-    par_min: dict[tuple[float, int, int], float] = {}
-    bnd_min: dict[tuple[float, int, int], float] = {}
-    par_scenarios: dict[tuple[float, int, int], oracle.OracleScenario] = {}
-
-    failures: list[str] = []
-    count = 0
-    for r_min in _VERIFY_THRESHOLDS:
-        par_spec = replace(par_base, name=f"stake-r{r_min}", r_min=r_min)
-        bnd_spec = replace(bnd_base, name=f"device-r{r_min}", r_min=r_min, tau=r_min)
-        for s in _VERIFY_TARGETS:
-            for T in _VERIFY_HORIZONS:
-                par_scenarios[(r_min, s, T)] = oracle.OracleScenario(s=s, T=T, spec=par_spec)
-                for law, spec, minima in (("par", par_spec, par_min), ("bnd", bnd_spec, bnd_min)):
-                    scenario = oracle.OracleScenario(s=s, T=T, spec=spec)
-                    result = oracle.min_cost(scenario)
-                    expected = oracle.closed_form(scenario)
-                    minima[(r_min, s, T)] = result.min_cost
-                    count += 2
-                    if result.min_cost != expected:
-                        failures.append(f"{law} s={s} T={T} r_min={r_min}: "
-                                        f"oracle {result.min_cost} != {expected}")
-                    if not oracle.verify_bounds(result, scenario).passed:
-                        failures.append(f"{law} bounds s={s} T={T} r_min={r_min}")
-    finish_group("closed-form-equivalence", count, failures)
-
-    failures, count = [], 0
-    for r_min in _VERIFY_THRESHOLDS:
-        for s in _VERIFY_TARGETS:
-            for T in _VERIFY_HORIZONS:
-                below_par = par_min[(r_min, s - 1, T)] if s > 1 else 0.0
-                below_bnd = bnd_min[(r_min, s - 1, T)] if s > 1 else 0.0
-                count += 2
-                if par_min[(r_min, s, T)] - below_par != r_min:
-                    failures.append(f"par marginal s={s} T={T} r_min={r_min}")
-                if bnd_min[(r_min, s, T)] - below_bnd != r_min * T:
-                    failures.append(f"bnd marginal s={s} T={T} r_min={r_min}")
-    finish_group("marginal-separation", count, failures)
-
-    failures, count = [], 0
-    for r_min in _VERIFY_THRESHOLDS:
-        for s in _VERIFY_TARGETS:
-            baseline = par_min[(r_min, s, _VERIFY_HORIZONS[0])]
-            for T in _VERIFY_HORIZONS[1:]:
-                count += 1
-                if par_min[(r_min, s, T)] != baseline:
-                    failures.append(f"par horizon dependence s={s} r_min={r_min}")
-    finish_group("horizon-independence", count, failures)
-
-    failures, count = [], 0
-    for r_min in _VERIFY_THRESHOLDS:
-        for s in _VERIFY_TARGETS:
-            key = (r_min, s, 2)
-            scenario = par_scenarios[key]
-            stock = s * r_min
-            for identity_count in range(1, s + 1):
-                share = stock / identity_count
-                plan = oracle.AllocationPlan(
-                    windows=2,
-                    identities=((share,) * identity_count,) * 2,
-                    acquisitions=(stock, 0.0),
-                )
-                count += 2
-                if not oracle.plan_feasible(plan, scenario):
-                    failures.append(f"re-partition infeasible s={s} j={identity_count} r_min={r_min}")
-                if abs(oracle.plan_cost(plan, scenario) - par_min[key]) > eps:
-                    failures.append(f"re-partition cost drift s={s} j={identity_count} r_min={r_min}")
-    finish_group("partition-invariance", count, failures)
-
-    failures, count = [], 0
-    for r_min in _VERIFY_THRESHOLDS:
-        for T in _VERIFY_HORIZONS:
-            for s in _VERIFY_TARGETS[1:]:
-                count += 2
-                if par_min[(r_min, s, T)] < par_min[(r_min, s - 1, T)]:
-                    failures.append(f"par not monotone in s at s={s} T={T} r_min={r_min}")
-                if bnd_min[(r_min, s, T)] < bnd_min[(r_min, s - 1, T)]:
-                    failures.append(f"bnd not monotone in s at s={s} T={T} r_min={r_min}")
-        for s in _VERIFY_TARGETS:
-            for T in _VERIFY_HORIZONS[1:]:
-                count += 1
-                if bnd_min[(r_min, s, T)] < bnd_min[(r_min, s, T - 1)]:
-                    failures.append(f"bnd not monotone in T at s={s} T={T} r_min={r_min}")
-    finish_group("monotonicity", count, failures)
-
-    failures, count = [], 0
-    for r_min in _VERIFY_THRESHOLDS:
-        for s in _VERIFY_TARGETS:
-            for T in _VERIFY_HORIZONS:
-                specs = [_partial_spec(alpha, r_min) for alpha in (0.0, 0.5, 1.0)]
-                specs += [_bounded_reuse_spec(k, r_min) for k in sorted({1, 2, T})]
-                # verify_bounds holds each regime's floor.
-                for spec in specs:
-                    scenario = oracle.OracleScenario(s=s, T=T, spec=spec)
-                    result = oracle.min_cost(scenario)
-                    expected = oracle.closed_form(scenario)
-                    count += 2
-                    if result.min_cost != expected:
-                        failures.append(f"{spec.name} s={s} T={T} r_min={r_min}: "
-                                        f"{result.min_cost} != {expected}")
-                    if not oracle.verify_bounds(result, scenario).passed:
-                        failures.append(f"{spec.name} bounds s={s} T={T} r_min={r_min}")
-    finish_group("intermediate-regimes", count, failures)
-
-    failures, count = [], 0
-    for T in costs.CROSSOVER_HORIZONS:
-        for r_min in costs.CROSSOVER_THRESHOLDS:
-            threshold = costs.crossover(T, r_min)
-            if threshold is None:
-                continue
-            par_law = costs.parallelizable_law(r_min, costs.LINEAR_COORDINATION)
-            bnd_law = costs.throughput_law(r_min)
-            for s in range(1, math.floor(threshold)):
-                count += 1
-                if not bnd_law(s, T) < par_law(s, T):
-                    failures.append(f"sign below crossover fails at s={s} T={T} r_min={r_min}")
-            top = math.ceil(threshold)
-            for s in range(top + 1, top + 11):
-                count += 1
-                if not bnd_law(s, T) > par_law(s, T):
-                    failures.append(f"sign above crossover fails at s={s} T={T} r_min={r_min}")
-    finish_group("crossover-sign", count, failures)
-
-    return lines, all_ok
-
-
-def _cmd_verify_all(args: argparse.Namespace) -> int:
-    lines, all_ok = _run_verification()
-    for line in lines:
-        print(line)
+            print(f"ok   {group}: {count} checks")
     print("all checks passed" if all_ok else "verification FAILED")
     return EXIT_OK if all_ok else EXIT_VERIFICATION
 
@@ -756,3 +596,7 @@ def dispatch(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -11,6 +11,7 @@ Degenerate targets cost nothing: C(0, T) = C(s, 0) = 0 by convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping, NamedTuple
@@ -143,8 +144,8 @@ def _check_args(s: int, T: int, r_min: float) -> None:
         raise ValueError(f"s must be nonnegative, got {s}")
     if T < 0:
         raise ValueError(f"T must be nonnegative, got {T}")
-    if r_min <= 0:
-        raise ValueError(f"r_min must be positive, got {r_min}")
+    if not (math.isfinite(r_min) and r_min > 0):
+        raise ValueError(f"r_min must be finite and positive, got {r_min}")
 
 
 def cost_parallelizable(
@@ -313,8 +314,8 @@ def crossover(T: int, r_min: float) -> float | None:
     """
     if T < 1:
         raise ValueError(f"T must be at least 1, got {T}")
-    if r_min <= 0:
-        raise ValueError(f"r_min must be positive, got {r_min}")
+    if not (math.isfinite(r_min) and r_min > 0):
+        raise ValueError(f"r_min must be finite and positive, got {r_min}")
     denominator = T * r_min - r_min - 1.0
     if denominator <= 0:
         return None

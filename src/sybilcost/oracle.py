@@ -25,6 +25,7 @@ from .resources import (
     ResourceClass,
     ResourceSpec,
     classify,
+    preset,
 )
 
 __all__ = [
@@ -38,12 +39,15 @@ __all__ = [
     "PlanGrid",
     "VerificationCheck",
     "VerificationReport",
+    "acquisition_schedule",
     "allocation_semantics",
+    "carry_over",
     "closed_form",
     "min_cost",
     "oracle_marginal",
     "plan_cost",
     "plan_feasible",
+    "verify_all",
     "verify_bounds",
 ]
 
@@ -233,23 +237,29 @@ def _best_window_config(
     return best, configuration_count
 
 
-def _acquisition_schedule(
-    semantics: AllocationSemantics, spec: ResourceSpec, T: int, aggregate: float
-) -> tuple[float, ...]:
-    """Cheapest acquisition events that keep `aggregate` deployed each window."""
-    if semantics is AllocationSemantics.REUSABLE:
-        return (aggregate,) + (0.0,) * (T - 1)
+def carry_over(spec: ResourceSpec, T: int) -> tuple[float, int]:
+    """The spec's carry-over rule as an (alpha, k) pair.
+
+    An acquisition's alpha share stays usable for k windows, counting the one
+    it is bought in; the remaining (1 - alpha) share of every deployment is
+    spent for good.  Reusable stock is (1, T), window-local flow (1, 1),
+    partial transfer (alpha, T) and bounded reuse (1, k).
+    """
+    semantics = allocation_semantics(spec)
     if semantics is AllocationSemantics.WINDOW_LOCAL:
-        return (aggregate,) * T
-    if semantics is AllocationSemantics.PARTIAL_TRANSFER:
-        assert spec.alpha is not None
-        per_window_flow = (1.0 - spec.alpha) * aggregate
-        first = spec.alpha * aggregate + per_window_flow
-        return (first,) + (per_window_flow,) * (T - 1)
-    assert spec.k is not None
-    return tuple(
-        aggregate if window % spec.k == 0 else 0.0 for window in range(T)
-    )
+        return 1.0, 1
+    alpha = 1.0 if spec.alpha is None else spec.alpha
+    return alpha, T if spec.k is None else spec.k
+
+
+def acquisition_schedule(alpha: float, k: int, T: int, aggregate: float) -> tuple[float, ...]:
+    """Cheapest acquisition events that keep `aggregate` deployed each window.
+
+    Under the carry-over rule (alpha, k): a full purchase every k windows, and
+    in between only the (1 - alpha) share the previous window spent.
+    """
+    kept, spent = alpha * aggregate, (1.0 - alpha) * aggregate
+    return tuple(kept + spent if window % k == 0 else spent for window in range(T))
 
 
 def min_cost(scenario: OracleScenario, grid: PlanGrid | None = None) -> OracleResult:
@@ -262,26 +272,19 @@ def min_cost(scenario: OracleScenario, grid: PlanGrid | None = None) -> OracleRe
     ValueError when no grid configuration can reach the per-window influence
     target.
     """
-    semantics = allocation_semantics(scenario.spec)
+    alpha, k = carry_over(scenario.spec, scenario.T)
     effective_grid = grid if grid is not None else PlanGrid.for_scenario(scenario)
     if scenario.s == 0:
-        empty = AllocationPlan(
-            scenario.T, ((),) * scenario.T, (0.0,) * scenario.T
-        )
-        return OracleResult(0.0, empty, 0, effective_grid)
-    best, examined = _best_window_config(scenario, effective_grid)
-    if best is None:
-        raise ValueError("no feasible window configuration on this grid")
-    aggregate, _active, descending = best
-    fielded = tuple(value for value in descending if value > 0.0)
-    acquisitions = _acquisition_schedule(
-        semantics, scenario.spec, scenario.T, aggregate
-    )
-    witness = AllocationPlan(
-        scenario.T,
-        tuple(fielded for _ in range(scenario.T)),
-        acquisitions,
-    )
+        fielded: tuple[float, ...] = ()
+        aggregate, examined = 0.0, 0
+    else:
+        best, examined = _best_window_config(scenario, effective_grid)
+        if best is None:
+            raise ValueError("no feasible window configuration on this grid")
+        aggregate, _active, descending = best
+        fielded = tuple(value for value in descending if value > 0.0)
+    acquisitions = acquisition_schedule(alpha, k, scenario.T, aggregate)
+    witness = AllocationPlan(scenario.T, (fielded,) * scenario.T, acquisitions)
     total = sum(acquisitions) + scenario.coordination.evaluate(scenario.s, scenario.T)
     return OracleResult(total, witness, examined, effective_grid)
 
@@ -336,66 +339,35 @@ def plan_feasible(plan: AllocationPlan, scenario: OracleScenario) -> bool:
     """Whether a plan meets the influence target and the carry-over accounting.
 
     Every window must reach s * f(r_min) of influence counting only identities
-    at or above the activation threshold, and the acquisition events must
-    cover each window's aggregate under the spec's semantics: fully reusable
-    stock accumulates, window-local flow must be bought anew every window,
-    partially transferable stock carries only its alpha fraction forward, and
-    k-bounded stock expires after k windows.
+    at or above the activation threshold, no identity may exceed the rate
+    limit tau, and the acquisition events must cover each window's aggregate
+    under the spec's carry-over rule (see `carry_over`): fully reusable stock
+    accumulates, window-local flow must be bought anew every window, partially
+    transferable stock carries only its alpha fraction forward, and k-bounded
+    stock expires after k windows.
     """
     if plan.windows != scenario.T:
         raise ValueError(
             f"plan covers {plan.windows} windows but the scenario has T={scenario.T}"
         )
     spec = scenario.spec
-    semantics = allocation_semantics(spec)
+    alpha, k = carry_over(spec, plan.windows)
     influence = scenario.influence
     target = scenario.target
-    aggregates = [plan.aggregate(t) for t in range(plan.windows)]
-
-    for row in plan.identities:
+    cap = math.inf if spec.tau is None else spec.tau
+    consumed = 0.0
+    for t, row in enumerate(plan.identities):
         reached = sum(influence(value) for value in row if value >= spec.r_min - FEASIBILITY_EPS)
-        if reached + FEASIBILITY_EPS < target:
+        over_cap = any(value > cap + FEASIBILITY_EPS for value in row)
+        if over_cap or reached + FEASIBILITY_EPS < target:
             return False
-
-    if semantics is AllocationSemantics.WINDOW_LOCAL:
-        assert spec.tau is not None
-        for row in plan.identities:
-            if any(value > spec.tau + FEASIBILITY_EPS for value in row):
-                return False
-        # Nothing carries over: each window is paid for in full, no banking.
-        return all(
-            acquisition + FEASIBILITY_EPS >= aggregate
-            for acquisition, aggregate in zip(plan.acquisitions, aggregates)
-        )
-
-    if semantics is AllocationSemantics.REUSABLE:
-        acquired = 0.0
-        for t in range(plan.windows):
-            acquired += plan.acquisitions[t]
-            if acquired + FEASIBILITY_EPS < aggregates[t]:
-                return False
-        return True
-
-    if semantics is AllocationSemantics.PARTIAL_TRANSFER:
-        assert spec.alpha is not None
-        acquired = 0.0
-        consumed = 0.0
-        for t in range(plan.windows):
-            acquired += plan.acquisitions[t]
-            # The (1 - alpha) share of every past deployment is spent for
-            # good; only the alpha share is available again this window.
-            needed = (1.0 - spec.alpha) * consumed + aggregates[t]
-            if acquired + FEASIBILITY_EPS < needed:
-                return False
-            consumed += aggregates[t]
-        return True
-
-    assert spec.k is not None
-    for t in range(plan.windows):
-        window_start = max(0, t - spec.k + 1)
-        alive = sum(plan.acquisitions[window_start : t + 1])
-        if alive + FEASIBILITY_EPS < aggregates[t]:
+        # What the last k windows bought must cover this window's aggregate
+        # plus the (1 - alpha) share every earlier deployment spent for good.
+        alive = sum(plan.acquisitions[max(0, t - k + 1) : t + 1])
+        aggregate = plan.aggregate(t)
+        if alive + FEASIBILITY_EPS < (1.0 - alpha) * consumed + aggregate:
             return False
+        consumed += aggregate
     return True
 
 
@@ -423,8 +395,11 @@ class VerificationReport:
 def verify_bounds(result: OracleResult, scenario: OracleScenario) -> VerificationReport:
     """Compare a search result against the closed-form bounds for its regime.
 
-    Violations come back as failed checks in the report rather than as
-    exceptions, so callers can render them.
+    The bounds are those `costs` states: the parallelizable total as a ceiling,
+    the throughput-bounded total as a floor and, with h(s, T), as the exact
+    value, and the partial-transfer lower bound; bounded reuse is held to its
+    k-renewal floor s * T * r_min / k.  Violations come back as failed checks
+    in the report rather than as exceptions, so callers can render them.
     """
     checks: list[VerificationCheck] = []
     spec = scenario.spec
@@ -457,7 +432,7 @@ def verify_bounds(result: OracleResult, scenario: OracleScenario) -> Verificatio
 
     semantics = allocation_semantics(spec)
     if semantics is AllocationSemantics.REUSABLE:
-        ceiling_value = s * r_min + overhead
+        ceiling_value = costs.cost_parallelizable(s, T, r_min).total + overhead
         checks.append(
             VerificationCheck(
                 "stock-upper-bound",
@@ -466,7 +441,7 @@ def verify_bounds(result: OracleResult, scenario: OracleScenario) -> Verificatio
             )
         )
     elif semantics is AllocationSemantics.WINDOW_LOCAL:
-        floor_value = (s * T) * r_min
+        floor_value = costs.cost_throughput_bounded(s, T, r_min).total
         checks.append(
             VerificationCheck(
                 "flow-lower-bound",
@@ -484,7 +459,7 @@ def verify_bounds(result: OracleResult, scenario: OracleScenario) -> Verificatio
         )
     elif semantics is AllocationSemantics.PARTIAL_TRANSFER:
         assert spec.alpha is not None
-        floor_value = (1.0 - spec.alpha) * ((s * T) * r_min)
+        floor_value = costs.cost_partial_transferability(s, T, r_min, spec.alpha).lower_bound
         checks.append(
             VerificationCheck(
                 "partial-transfer-floor",
@@ -503,3 +478,113 @@ def verify_bounds(result: OracleResult, scenario: OracleScenario) -> Verificatio
             )
         )
     return VerificationReport(tuple(checks))
+
+
+# ---------------------------------------------------------------------------
+# The small-grid verification behind `sybilcost verify-all`
+# ---------------------------------------------------------------------------
+
+_VERIFY_THRESHOLDS = (0.5, 1.0, 2.0)
+_VERIFY_TARGETS = (1, 2, 3, 4)
+_VERIFY_HORIZONS = (1, 2, 3, 4)
+# Check groups in report order.
+_VERIFY_GROUPS = (
+    "closed-form-equivalence",
+    "marginal-separation",
+    "horizon-independence",
+    "partition-invariance",
+    "monotonicity",
+    "intermediate-regimes",
+    "crossover-sign",
+)
+
+# A check is a (passed, failure description) pair.
+_Checks = list[tuple[bool, str]]
+
+
+def _search(label: str, scenario: OracleScenario, checks: _Checks) -> float:
+    """Search one instance, check it against its closed form and bounds, return its minimum."""
+    result = min_cost(scenario)
+    expected = closed_form(scenario)
+    where = f"s={scenario.s} T={scenario.T} r_min={scenario.spec.r_min}"
+    mismatch = f"{label} {where}: oracle {result.min_cost} != {expected}"
+    checks.append((result.min_cost == expected, mismatch))
+    checks.append((verify_bounds(result, scenario).passed, f"{label} bounds {where}"))
+    return result.min_cost
+
+
+def verify_all() -> list[tuple[str, int, list[str]]]:
+    """Exhaustive small-grid check of every closed-form law against the oracle.
+
+    Returns one (group, check count, failure descriptions) triple per check
+    group, in a fixed order; the grid passes when every failure list is empty.
+    """
+    groups: dict[str, _Checks] = {group: [] for group in _VERIFY_GROUPS}
+    equivalence, marginal, horizon, partition, monotone, intermediate, sign = groups.values()
+    par_min: dict[tuple[float, int, int], float] = {}
+    bnd_min: dict[tuple[float, int, int], float] = {}
+    for r_min in _VERIFY_THRESHOLDS:
+        par_spec = replace(preset("pos-stake"), name=f"stake-r{r_min}", r_min=r_min)
+        bnd_spec = replace(preset("device-bound"), name=f"device-r{r_min}", r_min=r_min, tau=r_min)
+        for s in _VERIFY_TARGETS:
+            for T in _VERIFY_HORIZONS:
+                key = (r_min, s, T)
+                par_min[key] = _search("par", OracleScenario(s, T, par_spec), equivalence)
+                bnd_min[key] = _search("bnd", OracleScenario(s, T, bnd_spec), equivalence)
+                # The intermediate regimes are the stake resource with its
+                # transfer cut to an alpha share or its reuse to k windows.
+                specs = [
+                    replace(par_spec, name=f"partial-a{a}", identity_transferable=None, alpha=a)
+                    for a in (0.0, 0.5, 1.0)
+                ]
+                specs += [
+                    replace(par_spec, name=f"bounded-k{k}", temporally_reusable=None, k=k)
+                    for k in sorted({1, 2, T})
+                ]
+                for spec in specs:
+                    _search(spec.name, OracleScenario(s, T, spec), intermediate)
+                if T != 2:
+                    continue
+                # The same stock split among any j <= s identities is feasible at the same cost.
+                scenario = OracleScenario(s, T, par_spec)
+                stock = s * r_min
+                for j in range(1, s + 1):
+                    plan = AllocationPlan(T, ((stock / j,) * j,) * T, (stock, 0.0))
+                    feasible = plan_feasible(plan, scenario)
+                    drift = abs(plan_cost(plan, scenario) - par_min[key])
+                    at = f"s={s} j={j} r_min={r_min}"
+                    partition.append((feasible, f"re-partition infeasible {at}"))
+                    partition.append((drift <= FEASIBILITY_EPS, f"re-partition cost drift {at}"))
+
+    for (r_min, s, T), par in par_min.items():
+        bnd = bnd_min[(r_min, s, T)]
+        below = (r_min, s - 1, T)
+        at = f"s={s} T={T} r_min={r_min}"
+        marginal.append((par - par_min.get(below, 0.0) == r_min, f"par marginal {at}"))
+        marginal.append((bnd - bnd_min.get(below, 0.0) == r_min * T, f"bnd marginal {at}"))
+        if s > 1:
+            monotone.append((par >= par_min[below], f"par not monotone in s at {at}"))
+            monotone.append((bnd >= bnd_min[below], f"bnd not monotone in s at {at}"))
+        if T > 1:
+            flat = par == par_min[(r_min, s, 1)]
+            horizon.append((flat, f"par horizon dependence s={s} r_min={r_min}"))
+            monotone.append((bnd >= bnd_min[(r_min, s, T - 1)], f"bnd not monotone in T at {at}"))
+
+    for T in costs.CROSSOVER_HORIZONS:
+        for r_min in costs.CROSSOVER_THRESHOLDS:
+            threshold = costs.crossover(T, r_min)
+            if threshold is None:
+                continue
+            par_law = costs.parallelizable_law(r_min, costs.LINEAR_COORDINATION)
+            bnd_law = costs.throughput_law(r_min)
+            for s in range(1, math.floor(threshold)):
+                at = f"s={s} T={T} r_min={r_min}"
+                sign.append((bnd_law(s, T) < par_law(s, T), f"sign below crossover fails at {at}"))
+            top = math.ceil(threshold)
+            for s in range(top + 1, top + 11):
+                at = f"s={s} T={T} r_min={r_min}"
+                sign.append((bnd_law(s, T) > par_law(s, T), f"sign above crossover fails at {at}"))
+    return [
+        (group, len(checks), [failure for passed, failure in checks if not passed])
+        for group, checks in groups.items()
+    ]

@@ -78,13 +78,13 @@ class ResourceSpec:
     k: int | None = None
 
     def __post_init__(self) -> None:
-        if self.r_min <= 0:
-            raise ValueError(f"r_min must be positive, got {self.r_min}")
+        if not (math.isfinite(self.r_min) and self.r_min > 0):
+            raise ValueError(f"r_min must be finite and positive, got {self.r_min}")
         if (self.tau is not None) != self.throughput_bounded:
             raise ValueError("tau must be present exactly when throughput_bounded is set")
         if self.tau is not None:
-            if self.tau <= 0:
-                raise ValueError(f"tau must be positive, got {self.tau}")
+            if not (math.isfinite(self.tau) and self.tau > 0):
+                raise ValueError(f"tau must be finite and positive, got {self.tau}")
             if self.r_min > self.tau:
                 raise ValueError(
                     f"activation threshold r_min={self.r_min} exceeds rate limit tau={self.tau}"

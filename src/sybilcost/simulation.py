@@ -12,6 +12,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
+from . import oracle
 from .resources import InfluenceFunction, ResourceClass, ResourceSpec, classify
 
 __all__ = [
@@ -84,58 +85,41 @@ def run(config: ScenarioConfig) -> SimTrace:
     """Simulate the horizon window by window.
 
     Channel-backed (throughput-bounded) resources cap active identities at
-    min(m, s) and pay the per-window allocation anew in every window.
-    Parallelizable resources activate all s identities from a single stock
-    acquisition charged in the first window.  Other resource classes have no
-    defined per-window dynamics here.
+    min(m, s); parallelizable resources activate all s identities.  Either
+    way each active identity holds the threshold, and the windows are paid
+    for by the oracle's acquisition schedule for that aggregate: anew every
+    window for a window-local resource, once up front for reusable stock.
+    Other resource classes have no defined per-window dynamics here.
     """
     spec = config.spec
     resource_class = classify(spec).resource_class
-    influence = InfluenceFunction(r_min=spec.r_min)
-    unit = influence.w_unit
-    honest = config.n_honest * unit
-
+    if resource_class not in (ResourceClass.PARALLELIZABLE, ResourceClass.THROUGHPUT_BOUNDED):
+        raise ValueError(
+            "simulation is defined for parallelizable or throughput-bounded resources, "
+            f"not {resource_class.value}"
+        )
     if resource_class is ResourceClass.THROUGHPUT_BOUNDED:
         active = min(config.m, config.s)
-        per_window_spend = active * spec.r_min
-        rows = []
-        for window in range(1, config.T + 1):
-            adversary = active * unit
-            total = adversary + honest
-            rows.append(
-                WindowRow(
-                    window=window,
-                    active_identities=active,
-                    adversary_influence=adversary,
-                    total_influence=total,
-                    share=adversary / total if total > 0 else 0.0,
-                    window_cost=per_window_spend,
-                )
-            )
-        return SimTrace(tuple(rows), sum(row.window_cost for row in rows))
-
-    if resource_class is ResourceClass.PARALLELIZABLE:
-        stock = config.s * spec.r_min
-        adversary = influence(stock)
-        total = adversary + honest
-        share = adversary / total if total > 0 else 0.0
-        rows = tuple(
-            WindowRow(
-                window=window,
-                active_identities=config.s,
-                adversary_influence=adversary,
-                total_influence=total,
-                share=share,
-                window_cost=stock if window == 1 else 0.0,
-            )
-            for window in range(1, config.T + 1)
+    else:
+        active = config.s
+    influence = InfluenceFunction(r_min=spec.r_min)
+    aggregate = active * spec.r_min
+    adversary = influence(aggregate)
+    total = adversary + config.n_honest * influence.w_unit
+    share = adversary / total if total > 0 else 0.0
+    schedule = oracle.acquisition_schedule(*oracle.carry_over(spec, config.T), config.T, aggregate)
+    rows = tuple(
+        WindowRow(
+            window=window,
+            active_identities=active,
+            adversary_influence=adversary,
+            total_influence=total,
+            share=share,
+            window_cost=cost,
         )
-        return SimTrace(rows, stock)
-
-    raise ValueError(
-        "simulation is defined for parallelizable or throughput-bounded resources, "
-        f"not {resource_class.value}"
+        for window, cost in enumerate(schedule, start=1)
     )
+    return SimTrace(rows, sum(schedule))
 
 
 # Unit channel resource for the identity-vs-channel sweep below.
@@ -178,6 +162,8 @@ def non_amplification_experiment(
     s_tuple = tuple(s_values)
     if not m_values or not s_tuple:
         raise ValueError("m_range and s_values must be nonempty")
+    if len(set(s_tuple)) != len(s_tuple):
+        raise ValueError(f"s_values must not repeat an identity count, got {list(s_tuple)}")
     if min(s_tuple) <= max(m_values):
         warnings.warn(
             "identity counts do not all exceed the channel range; share columns may differ",

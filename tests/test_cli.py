@@ -1,5 +1,9 @@
+import itertools
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +204,13 @@ def test_fig3_default_grid(capsys):
         assert cells[1] == cells[2] == cells[3]
 
 
+def test_fig3_rejects_a_repeated_identity_count(capsys):
+    code, out, err = run_cli(capsys, "fig3", "--s-values", "400,400")
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == "error: s_values must not repeat an identity count, got [400, 400]\n"
+
+
 def test_fig3_respects_out_file(tmp_path, capsys):
     target = tmp_path / "fig3.csv"
     code, out, _ = run_cli(capsys, "fig3", "--out", str(target))
@@ -343,16 +354,49 @@ def test_verify_all_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_all_reports_a_failing_group(capsys, monkeypatch):
+    closed_form = oracle.closed_form
+
+    def off_by_one_for_bounded_reuse(scenario):
+        semantics = oracle.allocation_semantics(scenario.spec)
+        bump = 1.0 if semantics is oracle.AllocationSemantics.BOUNDED_REUSE else 0.0
+        return closed_form(scenario) + bump
+
+    monkeypatch.setattr(oracle, "closed_form", off_by_one_for_bounded_reuse)
+    code, out, _ = run_cli(capsys, "verify-all")
+    lines = out.splitlines()
+    assert code == cli.EXIT_VERIFICATION
+    # 120 bounded-reuse instances, each failing its closed-form check once.
+    header = lines.index("FAIL intermediate-regimes: 120 of 528 checks failed")
+    listed = list(itertools.takewhile(lambda line: line.startswith("  "), lines[header + 1 :]))
+    assert len(listed) == 8
+    assert all(" bounded-k" in line for line in listed)
+    assert out.count("ok   ") == 6
+    assert lines[-1] == "verification FAILED"
+
+
+def test_module_entry_point_runs_a_command():
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = [sys.executable, "-m", "sybilcost.cli", "crossover", "--T", "10", "--rmin", "1"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1.25\n", "")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("cost", "--class", "par", "--s", "10", "--T", "10", "--rmin", "nan"),
         ("crossover", "--T", "10", "--rmin", "inf"),
         ("sweep", "--s", "1", "--T", "2", "--rmin", "nan", "--format", "json"),
-        # Finite input whose total overflows: the JSON emitter refuses inf.
+        # Finite input whose total overflows: the JSON and CSV emitters refuse inf.
         ("cost", "--class", "par", "--s", "10", "--T", "10", "--rmin", "1e308"),
+        ("cost", "--class", "par", "--s", "10", "--T", "10", "--rmin", "1e308", "--format", "csv"),
+        ("sweep", "--s", "10", "--T", "10", "--rmin", "1e308"),
     ],
-    ids=["cost-nan", "crossover-inf", "sweep-nan", "cost-overflow"],
+    ids=["cost-nan", "crossover-inf", "sweep-nan", "cost-overflow", "cost-overflow-csv",
+         "sweep-overflow-csv"],
 )
 def test_non_finite_numbers_are_a_one_line_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

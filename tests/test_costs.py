@@ -250,3 +250,17 @@ def test_negative_arguments_rejected():
         cost_parallelizable(5, 5, 0.0)
     with pytest.raises(ValueError):
         cost_bounded_reuse(5, 5, 1.0, 0)
+
+
+@pytest.mark.parametrize("r_min", [math.nan, math.inf, -math.inf])
+def test_non_finite_threshold_rejected(r_min):
+    laws = [
+        lambda: cost_parallelizable(3, 3, r_min),
+        lambda: cost_throughput_bounded(3, 3, r_min),
+        lambda: cost_partial_transferability(3, 3, r_min, 0.5),
+        lambda: cost_bounded_reuse(3, 3, r_min, 2),
+        lambda: crossover(10, r_min),
+    ]
+    for law in laws:
+        with pytest.raises(ValueError, match="r_min must be finite and positive"):
+            law()

@@ -10,6 +10,7 @@ coordination models) are pinned below by the sha256 of their stdout.
 import hashlib
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -83,3 +84,12 @@ def test_output_matches_its_pinned_digest(command, capsys):
     out = capsys.readouterr().out
     assert code == cli.EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED[command]
+
+
+def test_benchmark_smoke_mode_runs_every_workload():
+    # Two ops per workload, untraced and traced: the tracer looks its wrapped
+    # names up in the package, so renaming one breaks the traced runs.
+    argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--smoke"]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert sum(line.endswith(": ok") for line in proc.stdout.splitlines()) == 8

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given
@@ -116,6 +117,16 @@ def test_classes_are_mutually_exclusive_over_all_flag_combinations():
 def test_throughput_bounded_requires_window_locality():
     with pytest.raises(ValueError):
         make_spec(throughput_bounded=True, tau=2.0, temporally_reusable=True)
+
+
+@pytest.mark.parametrize("field", ["r_min", "tau"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_threshold_and_rate_limit_must_be_finite(field, value):
+    bounded = dict(
+        throughput_bounded=True, temporally_reusable=False, identity_transferable=False, tau=2.0
+    )
+    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        make_spec(**{**bounded, field: value})
 
 
 def test_tau_only_with_throughput_bound():

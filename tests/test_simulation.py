@@ -108,6 +108,12 @@ def test_experiment_rejects_empty_ranges():
         non_amplification_experiment([10], (), 200)
 
 
+def test_experiment_rejects_a_repeated_identity_count():
+    # Shares are keyed by identity count, so a repeat would collapse a column.
+    with pytest.raises(ValueError, match="must not repeat"):
+        non_amplification_experiment([10], (400, 400), 200)
+
+
 def test_experiment_column_accessor():
     table = non_amplification_experiment([10, 20], (400, 700), 200)
     assert table.column(0) == (table.rows[0][0], table.rows[1][0])
