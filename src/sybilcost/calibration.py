@@ -8,6 +8,7 @@ renewal, not a market model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .costs import (
@@ -74,8 +75,12 @@ class CalibrationScenario:
     window_minutes: float | None = None
 
     def __post_init__(self) -> None:
-        if self.r_min <= 0:
-            raise ValueError(f"r_min must be positive, got {self.r_min}")
+        if not (math.isfinite(self.r_min) and self.r_min > 0):
+            raise ValueError(f"r_min must be finite and positive, got {self.r_min}")
+        for field in ("supply_reference", "window_minutes"):
+            value = getattr(self, field)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{field} must be finite and positive, got {value}")
         if not self.s_tiers:
             raise ValueError("scenario needs at least one tier")
         sizes = [size for _, size in self.s_tiers]

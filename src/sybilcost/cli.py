@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -22,7 +23,9 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from . import calibration, costs, oracle, resources, simulation
+# calibration and simulation are imported by the handlers that use them, so
+# the other commands never load them.
+from . import costs, oracle, resources
 
 __all__ = [
     "EXIT_BUDGET",
@@ -288,6 +291,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import simulation
+
     spec = _resolve_spec(args.spec)
     config = simulation.ScenarioConfig(n_honest=args.n, m=args.m, s=args.s, T=args.T, spec=spec)
     trace = simulation.run(config)
@@ -300,6 +305,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig3(args: argparse.Namespace) -> int:
+    from . import simulation
+
     m_values = range(args.m_min, args.m_max + 1, args.m_step)
     table = simulation.non_amplification_experiment(m_values, args.s_values, args.n)
     share_names = [f"share_s{s}" for s in table.s_values]
@@ -320,6 +327,8 @@ _PANEL_FILES = {
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
+    from . import calibration
+
     if args.scenario == "eth":
         scenario = calibration.eth_scenario()
         coord_name = args.coord or "zero"
@@ -489,6 +498,7 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the whole command line."""
     parser = _Parser(prog="sybilcost", description=__doc__)
     subparsers = parser.add_subparsers(dest="command", metavar="command", required=True)
 
@@ -577,11 +587,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # Parsing stores nothing on the parser (each call fills a new namespace),
+    # so every dispatch in a process can reuse the one built here.
+    return build_parser()
+
+
 def dispatch(argv: list[str] | None = None) -> int:
     """Parse arguments and run one subcommand, mapping failures to exit codes."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return args.handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

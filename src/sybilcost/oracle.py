@@ -68,9 +68,16 @@ class AllocationSemantics(Enum):
     BOUNDED_REUSE = "bounded-reuse"
 
 
-def allocation_semantics(spec: ResourceSpec) -> AllocationSemantics:
-    """Map a classified spec onto its plan-accounting rules."""
-    resource_class = classify(spec).resource_class
+def allocation_semantics(
+    spec: ResourceSpec, resource_class: ResourceClass | None = None
+) -> AllocationSemantics:
+    """Map a classified spec onto its plan-accounting rules.
+
+    A caller that has classified the spec already passes its resource class,
+    so the spec is not classified twice.
+    """
+    if resource_class is None:
+        resource_class = classify(spec).resource_class
     if resource_class is ResourceClass.PARALLELIZABLE:
         return AllocationSemantics.REUSABLE
     if resource_class is ResourceClass.THROUGHPUT_BOUNDED:
@@ -157,10 +164,10 @@ class PlanGrid:
     ceiling: int = DEFAULT_PLAN_CEILING
 
     def __post_init__(self) -> None:
-        if self.step <= 0:
-            raise ValueError(f"step must be positive, got {self.step}")
-        if self.max_value < 0:
-            raise ValueError(f"max_value must be nonnegative, got {self.max_value}")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"step must be finite and positive, got {self.step}")
+        if not (math.isfinite(self.max_value) and self.max_value >= 0):
+            raise ValueError(f"max_value must be finite and nonnegative, got {self.max_value}")
         if self.max_identities < 1:
             raise ValueError(f"max_identities must be at least 1, got {self.max_identities}")
         if self.ceiling < 1:
@@ -237,15 +244,18 @@ def _best_window_config(
     return best, configuration_count
 
 
-def carry_over(spec: ResourceSpec, T: int) -> tuple[float, int]:
+def carry_over(
+    spec: ResourceSpec, T: int, resource_class: ResourceClass | None = None
+) -> tuple[float, int]:
     """The spec's carry-over rule as an (alpha, k) pair.
 
     An acquisition's alpha share stays usable for k windows, counting the one
     it is bought in; the remaining (1 - alpha) share of every deployment is
     spent for good.  Reusable stock is (1, T), window-local flow (1, 1),
-    partial transfer (alpha, T) and bounded reuse (1, k).
+    partial transfer (alpha, T) and bounded reuse (1, k).  `resource_class`
+    is the spec's class, when the caller has classified it already.
     """
-    semantics = allocation_semantics(spec)
+    semantics = allocation_semantics(spec, resource_class)
     if semantics is AllocationSemantics.WINDOW_LOCAL:
         return 1.0, 1
     alpha = 1.0 if spec.alpha is None else spec.alpha

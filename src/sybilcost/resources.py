@@ -138,10 +138,10 @@ class InfluenceFunction:
     coefficient: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.r_min <= 0:
-            raise ValueError(f"r_min must be positive, got {self.r_min}")
-        if self.coefficient <= 0:
-            raise ValueError(f"coefficient must be positive, got {self.coefficient}")
+        if not (math.isfinite(self.r_min) and self.r_min > 0):
+            raise ValueError(f"r_min must be finite and positive, got {self.r_min}")
+        if not (math.isfinite(self.coefficient) and self.coefficient > 0):
+            raise ValueError(f"coefficient must be finite and positive, got {self.coefficient}")
 
     def __call__(self, allocation: float) -> float:
         return self.coefficient * allocation

@@ -107,7 +107,8 @@ def run(config: ScenarioConfig) -> SimTrace:
     adversary = influence(aggregate)
     total = adversary + config.n_honest * influence.w_unit
     share = adversary / total if total > 0 else 0.0
-    schedule = oracle.acquisition_schedule(*oracle.carry_over(spec, config.T), config.T, aggregate)
+    alpha, k = oracle.carry_over(spec, config.T, resource_class)
+    schedule = oracle.acquisition_schedule(alpha, k, config.T, aggregate)
     rows = tuple(
         WindowRow(
             window=window,

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from sybilcost import calibration, costs
@@ -116,3 +118,11 @@ def test_scenario_requires_positive_parameters():
         CalibrationScenario(name="bad", r_min=1.0, s_tiers=(("a", 0),), T_range=(1,))
     with pytest.raises(ValueError):
         CalibrationScenario(name="bad", r_min=1.0, s_tiers=(("a", 10),), T_range=(0,))
+
+
+@pytest.mark.parametrize("field", ["r_min", "supply_reference", "window_minutes"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_scenario_numbers_must_be_finite(field, value):
+    fields = {**dict(name="bad", r_min=1.0, s_tiers=(("a", 10),), T_range=(1,)), field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        CalibrationScenario(**fields)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +91,14 @@ def test_plan_budget_ceiling_is_enforced():
     grid = PlanGrid.for_scenario(scenario, ceiling=10)
     with pytest.raises(PlanBudgetExceeded):
         min_cost(scenario, grid=grid)
+
+
+@pytest.mark.parametrize("field", ["step", "max_value"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_plan_grid_numbers_must_be_finite(field, value):
+    fields = {**dict(step=0.5, max_value=2.0, max_identities=3), field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        PlanGrid(**fields)
 
 
 def test_infeasible_grid_is_reported():

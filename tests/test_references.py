@@ -93,3 +93,19 @@ def test_benchmark_smoke_mode_runs_every_workload():
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert sum(line.endswith(": ok") for line in proc.stdout.splitlines()) == 8
+
+
+def test_reused_parser_carries_no_state_between_dispatches(capsys, monkeypatch):
+    builds = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    without_alpha = "cost --class partial --s 4 --T 10 --rmin 1"
+    command = without_alpha + " --alpha 0.5"
+    assert cli.dispatch(without_alpha.split()) == cli.EXIT_USAGE
+    assert cli.dispatch("cost --class par --s 1 --T 1 --rmin nan".split()) == cli.EXIT_USAGE
+    capsys.readouterr()
+    assert cli.dispatch(command.split()) == cli.EXIT_OK
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == REFERENCES["cli-cold"][command]["stdout_sha256"]
+    assert len(builds) <= 1  # one parser serves every dispatch in a process
+    assert build_parser() is not build_parser()

@@ -129,6 +129,13 @@ def test_threshold_and_rate_limit_must_be_finite(field, value):
         make_spec(**{**bounded, field: value})
 
 
+@pytest.mark.parametrize("field", ["r_min", "coefficient"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_influence_function_numbers_must_be_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        InfluenceFunction(**{"r_min": 1.0, "coefficient": 1.0, field: value})
+
+
 def test_tau_only_with_throughput_bound():
     with pytest.raises(ValueError):
         make_spec(tau=3.0)
