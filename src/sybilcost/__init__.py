@@ -42,18 +42,14 @@ _EXPORTS = {
         "verify_bounds",
     ),
     "resources": (
-        "ChannelSpec",
-        "InfluenceFunction",
         "ResourceClass",
         "ResourceClassification",
         "ResourceSpec",
-        "channel_resource",
         "classify",
         "is_parallelizable",
         "is_throughput_bounded",
         "preset",
         "taxonomy_presets",
-        "validate_influence_function",
     ),
     "simulation": (
         "ScenarioConfig",

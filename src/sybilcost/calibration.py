@@ -84,12 +84,14 @@ class CalibrationScenario:
         if not self.s_tiers:
             raise ValueError("scenario needs at least one tier")
         sizes = [size for _, size in self.s_tiers]
-        if any(size < 1 for size in sizes):
-            raise ValueError("tier sizes must be positive")
+        if not all(type(size) is int and size >= 1 for size in sizes):
+            raise ValueError(f"s_tiers sizes must be positive integers, got {sizes}")
         if sizes != sorted(sizes, reverse=True):
             raise ValueError("tiers must be ordered from largest to smallest")
-        if not self.T_range or any(T < 1 for T in self.T_range):
-            raise ValueError("T_range must be nonempty with positive horizons")
+        if not self.T_range or not all(type(T) is int and T >= 1 for T in self.T_range):
+            raise ValueError(
+                f"T_range must be a nonempty tuple of positive integers, got {self.T_range}"
+            )
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, NamedTuple
 
 __all__ = [
     "CoordinationKind",
@@ -43,22 +43,19 @@ __all__ = [
 class CoordinationKind(Enum):
     ZERO = "zero"
     LINEAR_SUM = "linear"
-    TABLE = "table"
 
 
 @dataclass(frozen=True)
 class CoordinationModel:
     """Overhead h(s, T) of operating s identities for T windows.
 
-    Built-in kinds are Zero (h = 0) and LinearSum (h = s + T, with the empty
-    cases h(0, T) = h(s, 0) = 0 so degenerate targets stay free).  Arbitrary
-    nonnegative lookup tables are supported for experiments.  Both built-ins
-    grow strictly slower than s*T, which is what keeps stock acquisition
+    The two kinds are Zero (h = 0) and LinearSum (h = s + T, with the empty
+    cases h(0, T) = h(s, 0) = 0 so degenerate targets stay free).  Both grow
+    strictly slower than s*T, which is what keeps stock acquisition
     asymptotically cheap.
     """
 
     kind: CoordinationKind
-    table: tuple[tuple[tuple[int, int], float], ...] = ()
 
     @classmethod
     def zero(cls) -> "CoordinationModel":
@@ -68,29 +65,12 @@ class CoordinationModel:
     def linear_sum(cls) -> "CoordinationModel":
         return cls(CoordinationKind.LINEAR_SUM)
 
-    @classmethod
-    def from_table(cls, entries: Mapping[tuple[int, int], float]) -> "CoordinationModel":
-        items = []
-        for key, value in entries.items():
-            value = float(value)
-            if value < 0:
-                raise ValueError(f"coordination overhead must be nonnegative, got h{key} = {value}")
-            items.append(((int(key[0]), int(key[1])), value))
-        return cls(CoordinationKind.TABLE, tuple(sorted(items)))
-
     def evaluate(self, s: int, T: int) -> float:
         if s < 0 or T < 0:
             raise ValueError(f"s and T must be nonnegative, got ({s}, {T})")
-        if self.kind is CoordinationKind.ZERO:
-            return 0.0
-        if self.kind is CoordinationKind.LINEAR_SUM:
-            return float(s + T) if s >= 1 and T >= 1 else 0.0
-        if s == 0 or T == 0:
-            return 0.0
-        for key, value in self.table:
-            if key == (s, T):
-                return value
-        raise ValueError(f"no coordination table entry for (s={s}, T={T})")
+        if self.kind is CoordinationKind.LINEAR_SUM and s >= 1 and T >= 1:
+            return float(s + T)
+        return 0.0
 
 
 ZERO_COORDINATION = CoordinationModel.zero()
@@ -220,8 +200,8 @@ def cost_bounded_reuse(s: int, T: int, r_min: float, k: int) -> CostReport:
     indefinitely.
     """
     _check_args(s, T, r_min)
-    if k < 1:
-        raise ValueError(f"k must be a positive window count, got {k}")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be a positive integer window count, got {k!r}")
     if s == 0 or T == 0:
         return zero_report(s, T)
     renewals = -(-T // k)

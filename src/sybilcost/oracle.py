@@ -1,6 +1,8 @@
 """Brute-force minimum-cost search over discretized allocation plans.
 
-The oracle enumerates every way of filling one window from a finite grid of
+Influence is additive: an identity at or above the activation threshold r_min
+contributes its allocation, and one below it contributes nothing.  The oracle
+enumerates every way of filling one window from a finite grid of
 per-identity allocations, then combines windows through the cheapest
 acquisition schedule the resource's carry-over rules admit.  Plan cost is
 monotone in each window's aggregate allocation for every supported
@@ -20,13 +22,7 @@ from enum import Enum
 
 from . import costs
 from .costs import ZERO_COORDINATION, CoordinationModel
-from .resources import (
-    InfluenceFunction,
-    ResourceClass,
-    ResourceSpec,
-    classify,
-    preset,
-)
+from .resources import ResourceClass, ResourceSpec, classify, preset
 
 __all__ = [
     "AllocationPlan",
@@ -44,7 +40,6 @@ __all__ = [
     "carry_over",
     "closed_form",
     "min_cost",
-    "oracle_marginal",
     "plan_cost",
     "plan_feasible",
     "verify_all",
@@ -122,12 +117,11 @@ class AllocationPlan:
 
 @dataclass(frozen=True)
 class OracleScenario:
-    """A search instance: target s, horizon T, resource, influence map, overhead."""
+    """A search instance: target s, horizon T, resource, coordination overhead."""
 
     s: int
     T: int
     spec: ResourceSpec
-    f: InfluenceFunction | None = None
     coordination: CoordinationModel = ZERO_COORDINATION
 
     def __post_init__(self) -> None:
@@ -135,17 +129,11 @@ class OracleScenario:
             raise ValueError(f"s must be nonnegative, got {self.s}")
         if self.T < 1:
             raise ValueError(f"T must be at least 1, got {self.T}")
-        if self.f is not None and self.f.r_min != self.spec.r_min:
-            raise ValueError("influence-function threshold must match the resource spec")
-
-    @property
-    def influence(self) -> InfluenceFunction:
-        return self.f if self.f is not None else InfluenceFunction(r_min=self.spec.r_min)
 
     @property
     def target(self) -> float:
         """Per-window influence the plan must reach: s identities at the threshold."""
-        return self.s * self.influence.w_unit
+        return self.s * self.spec.r_min
 
 
 @dataclass(frozen=True)
@@ -168,10 +156,10 @@ class PlanGrid:
             raise ValueError(f"step must be finite and positive, got {self.step}")
         if not (math.isfinite(self.max_value) and self.max_value >= 0):
             raise ValueError(f"max_value must be finite and nonnegative, got {self.max_value}")
-        if self.max_identities < 1:
-            raise ValueError(f"max_identities must be at least 1, got {self.max_identities}")
-        if self.ceiling < 1:
-            raise ValueError(f"ceiling must be at least 1, got {self.ceiling}")
+        for field in ("max_identities", "ceiling"):
+            value = getattr(self, field)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{field} must be an integer at least 1, got {value!r}")
 
     @classmethod
     def for_scenario(
@@ -222,7 +210,7 @@ def _best_window_config(
         raise PlanBudgetExceeded(
             f"{configuration_count} window configurations exceed the ceiling of {grid.ceiling}"
         )
-    influence, target = scenario.influence, scenario.target
+    target = scenario.target
     r_min, tau = scenario.spec.r_min, scenario.spec.tau
     best: _ConfigKey | None = None
     for combo in itertools.combinations_with_replacement(grid.levels(), grid.max_identities):
@@ -234,7 +222,7 @@ def _best_window_config(
         active = 0
         for value in combo:
             if value >= r_min - FEASIBILITY_EPS:
-                reached += influence(value)
+                reached += value
                 active += 1
         if reached + FEASIBILITY_EPS < target:
             continue
@@ -299,19 +287,6 @@ def min_cost(scenario: OracleScenario, grid: PlanGrid | None = None) -> OracleRe
     return OracleResult(total, witness, examined, effective_grid)
 
 
-def oracle_marginal(scenario: OracleScenario, grid: PlanGrid | None = None) -> float:
-    """Search-level marginal cost: min cost at s minus min cost at s - 1.
-
-    Each target uses its own default grid unless one is supplied explicitly.
-    """
-    if scenario.s < 1:
-        raise ValueError(f"marginal cost needs s >= 1, got {scenario.s}")
-    smaller = replace(scenario, s=scenario.s - 1)
-    at_s = min_cost(scenario, grid=grid).min_cost
-    below = min_cost(smaller, grid=grid).min_cost if scenario.s > 1 else 0.0
-    return at_s - below
-
-
 def closed_form(scenario: OracleScenario) -> float:
     """The closed-form cost law the grid optimum is checked against.
 
@@ -348,7 +323,7 @@ def plan_cost(plan: AllocationPlan, scenario: OracleScenario) -> float:
 def plan_feasible(plan: AllocationPlan, scenario: OracleScenario) -> bool:
     """Whether a plan meets the influence target and the carry-over accounting.
 
-    Every window must reach s * f(r_min) of influence counting only identities
+    Every window must reach s * r_min of influence counting only identities
     at or above the activation threshold, no identity may exceed the rate
     limit tau, and the acquisition events must cover each window's aggregate
     under the spec's carry-over rule (see `carry_over`): fully reusable stock
@@ -362,12 +337,11 @@ def plan_feasible(plan: AllocationPlan, scenario: OracleScenario) -> bool:
         )
     spec = scenario.spec
     alpha, k = carry_over(spec, plan.windows)
-    influence = scenario.influence
     target = scenario.target
     cap = math.inf if spec.tau is None else spec.tau
     consumed = 0.0
     for t, row in enumerate(plan.identities):
-        reached = sum(influence(value) for value in row if value >= spec.r_min - FEASIBILITY_EPS)
+        reached = sum(value for value in row if value >= spec.r_min - FEASIBILITY_EPS)
         over_cap = any(value > cap + FEASIBILITY_EPS for value in row)
         if over_cap or reached + FEASIBILITY_EPS < target:
             return False

@@ -6,8 +6,8 @@ between identities.  Those properties, rather than the protocol rules layered
 on top, determine how cheaply influence backed by the resource can be
 concentrated.  This module provides the property flags, the classification
 into the two extremal scaling classes plus the intermediate and unclassified
-buckets, a built-in taxonomy of concrete resource types, and validation of
-resource-to-influence mappings.
+buckets, a built-in taxonomy of concrete resource types, and JSON import and
+export of specs.
 """
 
 from __future__ import annotations
@@ -17,19 +17,13 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping
 
 __all__ = [
-    "ChannelSpec",
-    "InfluenceFunction",
-    "InfluenceValidation",
-    "InfluenceViolation",
     "ResourceClass",
     "ResourceClassification",
     "ResourceSpec",
     "TAXONOMY",
-    "VALIDATION_GRID",
-    "channel_resource",
     "classify",
     "is_parallelizable",
     "is_throughput_bounded",
@@ -40,7 +34,6 @@ __all__ = [
     "spec_to_dict",
     "taxonomy_presets",
     "taxonomy_rows",
-    "validate_influence_function",
 ]
 
 
@@ -95,8 +88,8 @@ class ResourceSpec:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if (self.k is None) == (self.temporally_reusable is None):
             raise ValueError("set exactly one of temporally_reusable or k")
-        if self.k is not None and self.k < 1:
-            raise ValueError(f"k must be a positive window count, got {self.k}")
+        if self.k is not None and (type(self.k) is not int or self.k < 1):
+            raise ValueError(f"k must be a positive integer window count, got {self.k!r}")
         if self.throughput_bounded and (
             self.temporally_reusable is not False or self.identity_transferable is not False
         ):
@@ -109,47 +102,6 @@ class ResourceClassification:
 
     resource_class: ResourceClass
     reasons: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    """A per-actor participation channel with a hard per-window rate limit."""
-
-    actor_id: str
-    tau: float
-
-    def __post_init__(self) -> None:
-        if not self.actor_id:
-            raise ValueError("actor_id must be nonempty")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-
-
-@dataclass(frozen=True)
-class InfluenceFunction:
-    """Linear resource-to-influence mapping ``f(r) = coefficient * r``.
-
-    Only the linear family is admitted: it is the additive case, and the cost
-    results below are stated for it.  Sublinear or superlinear mappings fail
-    ``validate_influence_function`` and are rejected by construction here.
-    """
-
-    r_min: float
-    coefficient: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.r_min) and self.r_min > 0):
-            raise ValueError(f"r_min must be finite and positive, got {self.r_min}")
-        if not (math.isfinite(self.coefficient) and self.coefficient > 0):
-            raise ValueError(f"coefficient must be finite and positive, got {self.coefficient}")
-
-    def __call__(self, allocation: float) -> float:
-        return self.coefficient * allocation
-
-    @property
-    def w_unit(self) -> float:
-        """Influence of one identity operating exactly at the activation threshold."""
-        return self.coefficient * self.r_min
 
 
 def is_parallelizable(spec: ResourceSpec) -> bool:
@@ -206,20 +158,6 @@ def classify(spec: ResourceSpec) -> ResourceClassification:
         reasons.append("not transferable between identities")
     reasons.append("no per-channel rate limit")
     return ResourceClassification(ResourceClass.OTHER, tuple(reasons))
-
-
-def channel_resource(channel: ChannelSpec, r_min: float) -> ResourceSpec:
-    """Wrap a participation channel as a throughput-bounded resource spec."""
-    return ResourceSpec(
-        name=f"channel:{channel.actor_id}",
-        divisible=False,
-        additive_influence=False,
-        temporally_reusable=False,
-        identity_transferable=False,
-        throughput_bounded=True,
-        r_min=r_min,
-        tau=channel.tau,
-    )
 
 
 def _bounded_preset(name: str) -> ResourceSpec:
@@ -322,83 +260,6 @@ def taxonomy_rows() -> tuple[dict[str, object], ...]:
         row["scaling"] = scaling_label(spec)
         rows.append(row)
     return tuple(rows)
-
-
-# ---------------------------------------------------------------------------
-# Influence-function validation
-# ---------------------------------------------------------------------------
-
-VALIDATION_GRID: tuple[float, ...] = tuple(i * 0.25 for i in range(33))  # 0.0 .. 8.0
-_REL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class InfluenceViolation:
-    check: str
-    at: tuple[float, ...]
-    detail: str
-
-
-@dataclass(frozen=True)
-class InfluenceValidation:
-    passed: bool
-    violations: tuple[InfluenceViolation, ...]
-
-
-def _tol(reference: float) -> float:
-    return _REL_TOL * max(1.0, abs(reference))
-
-
-def validate_influence_function(
-    f: Callable[[float], float], grid: tuple[float, ...] = VALIDATION_GRID
-) -> InfluenceValidation:
-    """Check a candidate mapping for the three admissibility properties.
-
-    The mapping must vanish at zero, be monotone nondecreasing, and be
-    additive (``f(a) + f(b) == f(a + b)``) on the sample grid.  The first
-    violating grid point per property is reported.
-    """
-    violations: list[InfluenceViolation] = []
-
-    value_at_zero = f(0.0)
-    if abs(value_at_zero) > _tol(0.0):
-        violations.append(
-            InfluenceViolation("zero-at-origin", (0.0,), f"f(0) = {value_at_zero!r}, expected 0")
-        )
-
-    previous_point, previous = grid[0], f(grid[0])
-    for point in grid[1:]:
-        current = f(point)
-        if current < previous - _tol(previous):
-            violations.append(
-                InfluenceViolation(
-                    "monotone",
-                    (previous_point, point),
-                    f"f({previous_point}) = {previous!r} but f({point}) = {current!r}",
-                )
-            )
-            break
-        previous_point, previous = point, current
-
-    done = False
-    for i, a in enumerate(grid):
-        if done:
-            break
-        for b in grid[i:]:
-            left = f(a) + f(b)
-            right = f(a + b)
-            if abs(left - right) > _tol(right):
-                violations.append(
-                    InfluenceViolation(
-                        "additive",
-                        (a, b),
-                        f"f({a}) + f({b}) = {left!r} but f({a + b}) = {right!r}",
-                    )
-                )
-                done = True
-                break
-
-    return InfluenceValidation(not violations, tuple(violations))
 
 
 # ---------------------------------------------------------------------------

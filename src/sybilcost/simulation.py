@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import oracle
-from .resources import InfluenceFunction, ResourceClass, ResourceSpec, classify
+from .resources import ResourceClass, ResourceSpec, classify
 
 __all__ = [
     "NonAmplificationTable",
@@ -102,13 +102,11 @@ def run(config: ScenarioConfig) -> SimTrace:
         active = min(config.m, config.s)
     else:
         active = config.s
-    influence = InfluenceFunction(r_min=spec.r_min)
-    aggregate = active * spec.r_min
-    adversary = influence(aggregate)
-    total = adversary + config.n_honest * influence.w_unit
+    adversary = active * spec.r_min
+    total = adversary + config.n_honest * spec.r_min
     share = adversary / total if total > 0 else 0.0
     alpha, k = oracle.carry_over(spec, config.T, resource_class)
-    schedule = oracle.acquisition_schedule(alpha, k, config.T, aggregate)
+    schedule = oracle.acquisition_schedule(alpha, k, config.T, adversary)
     rows = tuple(
         WindowRow(
             window=window,
@@ -143,10 +141,6 @@ class NonAmplificationTable:
     m_values: tuple[int, ...]
     s_values: tuple[int, ...]
     rows: tuple[tuple[float, ...], ...]
-
-    def column(self, index: int) -> tuple[float, ...]:
-        """All shares for one identity count, in m order."""
-        return tuple(row[index] for row in self.rows)
 
 
 def non_amplification_experiment(

@@ -120,9 +120,17 @@ def test_scenario_requires_positive_parameters():
         CalibrationScenario(name="bad", r_min=1.0, s_tiers=(("a", 10),), T_range=(0,))
 
 
-@pytest.mark.parametrize("field", ["r_min", "supply_reference", "window_minutes"])
+@pytest.mark.parametrize(
+    "field", ["r_min", "supply_reference", "window_minutes", "s_tiers", "T_range"]
+)
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_scenario_numbers_must_be_finite(field, value):
-    fields = {**dict(name="bad", r_min=1.0, s_tiers=(("a", 10),), T_range=(1,)), field: value}
-    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+    # Tier sizes and horizons are integer counts: the bad number goes inside the tuple.
+    wrapped = {"s_tiers": (("a", value),), "T_range": (value,)}.get(field, value)
+    fields = {**dict(name="bad", r_min=1.0, s_tiers=(("a", 10),), T_range=(1,)), field: wrapped}
+    message = {
+        "s_tiers": "s_tiers sizes must be positive integers",
+        "T_range": "T_range must be a nonempty tuple of positive integers",
+    }.get(field, f"{field} must be finite and positive")
+    with pytest.raises(ValueError, match=message):
         CalibrationScenario(**fields)

@@ -8,7 +8,6 @@ from sybilcost import costs
 from sybilcost.costs import (
     LINEAR_COORDINATION,
     ZERO_COORDINATION,
-    CoordinationModel,
     cost_bounded_reuse,
     cost_hybrid,
     cost_parallelizable,
@@ -54,14 +53,6 @@ def test_linear_sum_vanishes_on_empty_attack():
     assert LINEAR_COORDINATION.evaluate(0, 50) == 0.0
     assert LINEAR_COORDINATION.evaluate(50, 0) == 0.0
     assert LINEAR_COORDINATION.evaluate(3, 4) == 7.0
-
-
-def test_table_coordination_lookup():
-    model = CoordinationModel.from_table({(2, 3): 1.5})
-    assert model.evaluate(2, 3) == 1.5
-    assert model.evaluate(0, 3) == 0.0
-    with pytest.raises(ValueError):
-        model.evaluate(5, 5)
 
 
 def test_coordination_rejects_negative_args():

@@ -15,7 +15,6 @@ from sybilcost.oracle import (
     allocation_semantics,
     closed_form,
     min_cost,
-    oracle_marginal,
     plan_cost,
     plan_feasible,
     verify_bounds,
@@ -93,11 +92,13 @@ def test_plan_budget_ceiling_is_enforced():
         min_cost(scenario, grid=grid)
 
 
-@pytest.mark.parametrize("field", ["step", "max_value"])
+@pytest.mark.parametrize("field", ["step", "max_value", "max_identities", "ceiling"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_plan_grid_numbers_must_be_finite(field, value):
     fields = {**dict(step=0.5, max_value=2.0, max_identities=3), field: value}
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
+    # The two counts must be integers, which no non-finite float is.
+    kind = "an integer" if field in ("max_identities", "ceiling") else "finite"
+    with pytest.raises(ValueError, match=f"{field} must be {kind}"):
         PlanGrid(**fields)
 
 
@@ -106,12 +107,6 @@ def test_infeasible_grid_is_reported():
     grid = PlanGrid(step=0.5, max_value=0.5, max_identities=1, ceiling=10_000)
     with pytest.raises(ValueError):
         min_cost(scenario, grid=grid)
-
-
-def test_mismatched_influence_threshold_is_rejected():
-    f = resources.InfluenceFunction(r_min=2.0)
-    with pytest.raises(ValueError):
-        OracleScenario(s=1, T=1, spec=STAKE, f=f)
 
 
 def test_semantics_for_each_class():
@@ -266,12 +261,6 @@ def test_oracle_agrees_with_renewal_law(s, T, r_min):
     spec = dataclasses.replace(DEVICE, r_min=r_min, tau=r_min)
     found = min_cost(OracleScenario(s=s, T=T, spec=spec)).min_cost
     assert found == costs.cost_throughput_bounded(s, T, r_min).total
-
-
-def test_oracle_marginal_matches_closed_forms():
-    assert oracle_marginal(OracleScenario(s=3, T=4, spec=STAKE)) == 1.0
-    assert oracle_marginal(OracleScenario(s=3, T=4, spec=DEVICE)) == 4.0
-    assert oracle_marginal(OracleScenario(s=3, T=4, spec=bounded_spec(2))) == 2.0
 
 
 @pytest.mark.parametrize(

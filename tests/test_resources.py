@@ -3,22 +3,16 @@ import json
 import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from sybilcost import resources
+from sybilcost import costs, resources
 from sybilcost.resources import (
-    ChannelSpec,
-    InfluenceFunction,
     ResourceClass,
     ResourceSpec,
-    channel_resource,
     classify,
     is_parallelizable,
     is_throughput_bounded,
     preset,
     taxonomy_presets,
-    validate_influence_function,
 )
 
 
@@ -129,13 +123,6 @@ def test_threshold_and_rate_limit_must_be_finite(field, value):
         make_spec(**{**bounded, field: value})
 
 
-@pytest.mark.parametrize("field", ["r_min", "coefficient"])
-@pytest.mark.parametrize("value", [math.nan, math.inf])
-def test_influence_function_numbers_must_be_finite(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
-        InfluenceFunction(**{"r_min": 1.0, "coefficient": 1.0, field: value})
-
-
 def test_tau_only_with_throughput_bound():
     with pytest.raises(ValueError):
         make_spec(tau=3.0)
@@ -174,61 +161,13 @@ def test_alpha_out_of_range():
 
 
 def test_k_must_be_positive():
-    with pytest.raises(ValueError):
-        make_spec(temporally_reusable=None, k=0)
-
-
-def test_channel_resource_inherits_tau():
-    channel = ChannelSpec(actor_id="node-7", tau=4.0)
-    spec = channel_resource(channel, r_min=1.0)
-    assert spec.tau == 4.0
-    assert spec.throughput_bounded is True
-    assert is_throughput_bounded(spec)
-    assert "node-7" in spec.name
-
-
-def test_channel_resource_rejects_threshold_above_capacity():
-    channel = ChannelSpec(actor_id="node-7", tau=1.0)
-    with pytest.raises(ValueError):
-        channel_resource(channel, r_min=2.0)
-
-
-def test_influence_function_is_linear():
-    f = InfluenceFunction(r_min=1.0, coefficient=2.0)
-    assert f(3.0) == 6.0
-    assert f(0.0) == 0.0
-
-
-def test_validate_linear_influence_passes():
-    outcome = validate_influence_function(InfluenceFunction(r_min=1.0))
-    assert outcome.passed
-    assert outcome.violations == ()
-
-
-def test_validate_rejects_sqrt():
-    # Concave influence is not additive: f(1) + f(1) != f(2).
-    outcome = validate_influence_function(lambda r: r**0.5)
-    assert not outcome.passed
-    assert any(v.check == "additive" for v in outcome.violations)
-
-
-def test_validate_rejects_decreasing():
-    outcome = validate_influence_function(lambda r: -r)
-    assert not outcome.passed
-    checks = {v.check for v in outcome.violations}
-    assert "monotone" in checks
-
-
-def test_validate_rejects_offset_at_origin():
-    outcome = validate_influence_function(lambda r: r + 1.0)
-    assert not outcome.passed
-    assert any(v.check == "zero-at-origin" for v in outcome.violations)
-
-
-@given(st.floats(min_value=0.01, max_value=50.0, allow_nan=False))
-def test_validate_accepts_any_positive_linear_coefficient(coefficient):
-    outcome = validate_influence_function(lambda r: coefficient * r)
-    assert outcome.passed
+    # k is a window count: a fractional k made the oracle and the closed form
+    # disagree without an error.
+    for k in (0, 1.5, 2.0, math.nan, math.inf, True):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            make_spec(temporally_reusable=None, k=k)
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            costs.cost_bounded_reuse(2, 3, 1.0, k)
 
 
 def test_spec_round_trips_through_dict():

@@ -114,11 +114,6 @@ def test_experiment_rejects_a_repeated_identity_count():
         non_amplification_experiment([10], (400, 400), 200)
 
 
-def test_experiment_column_accessor():
-    table = non_amplification_experiment([10, 20], (400, 700), 200)
-    assert table.column(0) == (table.rows[0][0], table.rows[1][0])
-
-
 def test_honest_only_network_has_zero_adversary_share():
     config = ScenarioConfig(n_honest=100, m=0, s=0, T=3, spec=DEVICE)
     trace = run(config)
