@@ -16,8 +16,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="datasets", help="target directory (default: ./datasets)")
     args = parser.parse_args(argv)
+    # Each write makes its own directory, under $SYBILCOST_OUT when that is set.
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     commands = [
         ["sweep", "--preset", "fig1", "--out", str(out / "fig1.csv")],

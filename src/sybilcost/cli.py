@@ -22,10 +22,11 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Iterable
 
-# calibration and simulation are imported by the handlers that use them, so
-# the other commands never load them.
-from . import costs, oracle, resources
+# calibration, oracle and simulation are imported by the handlers that use
+# them, so the other commands never load them.
+from . import costs, resources
 
 __all__ = [
     "EXIT_BUDGET",
@@ -122,23 +123,29 @@ def _json_text(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _table_text(fmt: str, rows: list[dict[str, object]], /, **payload: object) -> str:
+def _table_text(fmt: str, rows: Iterable[dict[str, object]], /, **payload: object) -> str:
     """A table of row dicts as CSV, or as the JSON object of the keyword arguments.
 
-    The CSV header is the first row's keys, and a None cell is left empty.
-    The JSON object names the rows itself, so it can hold them under any key.
-    Both formats refuse a non-finite number.
+    `rows` may be any iterable, such as a generator: CSV writes one row at a
+    time, so the table never exists as row dicts all at once.  The CSV header
+    is the first row's keys, and a None cell is left empty.  The JSON object
+    names the rows itself, so it can hold them under any key; a payload value
+    that is `rows` itself is listed there.  Both formats refuse a non-finite
+    number.
     """
     if fmt == "json":
-        return _json_text(payload)
-    for row in rows:
+        return _json_text(
+            {key: list(rows) if value is rows else value for key, value in payload.items()}
+        )
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    for index, row in enumerate(rows):
         for key, value in row.items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"non-finite value {value} in column {key!r} is not CSV compliant")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(rows[0])
-    writer.writerows(row.values() for row in rows)
+        if index == 0:
+            writer.writerow(row)
+        writer.writerow(row.values())
     return buffer.getvalue()
 
 
@@ -273,12 +280,19 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from . import oracle
+
     spec = _resolve_spec(args.spec)
     scenario = oracle.OracleScenario(
         s=args.s, T=args.T, spec=spec, coordination=_COORDINATION[args.coord]
     )
-    grid = oracle.PlanGrid.for_scenario(scenario, step=args.grid_step, ceiling=args.ceiling)
-    result = oracle.min_cost(scenario, grid=grid)
+    ceiling = oracle.DEFAULT_PLAN_CEILING if args.ceiling is None else args.ceiling
+    grid = oracle.PlanGrid.for_scenario(scenario, step=args.grid_step, ceiling=ceiling)
+    try:
+        result = oracle.min_cost(scenario, grid=grid)
+    except oracle.PlanBudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     report = oracle.verify_bounds(result, scenario)
     payload = {
         "meta": _meta(args),
@@ -296,7 +310,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = _resolve_spec(args.spec)
     config = simulation.ScenarioConfig(n_honest=args.n, m=args.m, s=args.s, T=args.T, spec=spec)
     trace = simulation.run(config)
-    rows = [asdict(row) for row in trace.per_window]
+    rows = (asdict(row) for row in trace.per_window)
     text = _table_text(
         args.format, rows, meta=_meta(args), total_cost=trace.total_cost, windows=rows
     )
@@ -310,9 +324,9 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
     m_values = range(args.m_min, args.m_max + 1, args.m_step)
     table = simulation.non_amplification_experiment(m_values, args.s_values, args.n)
     share_names = [f"share_s{s}" for s in table.s_values]
-    rows = [
+    rows = (
         {"m": m, **dict(zip(share_names, shares))} for m, shares in zip(table.m_values, table.rows)
-    ]
+    )
     text = _table_text(
         args.format, rows, meta=_meta(args), n=args.n, s_values=list(table.s_values), rows=rows
     )
@@ -337,15 +351,15 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         coord_name = args.coord or "linear"
     series = calibration.run_calibration(scenario, law=args.law, coordination=_COORDINATION[coord_name])
 
-    out_dir = Path(args.out) if args.out else Path(os.environ.get(OUTPUT_DIR_ENV, "."))
+    out_dir = _resolve_out(args.out or ".")
     left_name, right_name = _PANEL_FILES[args.scenario]
 
     def panel(metric: str) -> str:
         columns = {f"{metric}_{one.law}_{one.tier}": one.reports for one in series}
-        rows = [
+        rows = (
             {"T": T, **{name: getattr(reports[index], metric) for name, reports in columns.items()}}
             for index, T in enumerate(scenario.T_range)
-        ]
+        )
         return _table_text("csv", rows)
 
     # Left panel: totals for the staking scenario, normalized ratios for the
@@ -420,7 +434,7 @@ def sweep(spec: SweepSpec) -> str:
     points = itertools.product(
         spec.s_values, spec.T_values, spec.r_min_values, spec.coordination_kinds
     )
-    rows = [_sweep_row(point) for point in points]
+    rows = map(_sweep_row, points)
     text = _table_text(spec.fmt, rows, meta={"seed": spec.seed}, rows=rows)
     if spec.out is not None:
         _write_text(spec.out, text)
@@ -479,6 +493,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify_all(args: argparse.Namespace) -> int:
+    from . import oracle
+
     all_ok = True
     for group, count, failures in oracle.verify_all():
         if failures:
@@ -541,7 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--s", type=_nonnegative_int, required=True)
     sub.add_argument("--T", type=_positive_int, required=True)
     sub.add_argument("--grid-step", type=_positive_float, default=None)
-    sub.add_argument("--ceiling", type=_positive_int, default=oracle.DEFAULT_PLAN_CEILING)
+    # None stands for oracle.DEFAULT_PLAN_CEILING, so building the parser loads no oracle.
+    sub.add_argument("--ceiling", type=_positive_int, default=None)
     sub.add_argument("--coord", choices=tuple(_COORDINATION), default="zero")
     sub.add_argument("--out", default=None)
     sub.set_defaults(handler=_cmd_oracle, format="json")
@@ -602,9 +619,6 @@ def dispatch(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except oracle.PlanBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

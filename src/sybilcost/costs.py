@@ -120,10 +120,10 @@ def zero_report(s: int = 0, T: int = 0) -> CostReport:
 
 
 def _check_args(s: int, T: int, r_min: float) -> None:
-    if s < 0:
-        raise ValueError(f"s must be nonnegative, got {s}")
-    if T < 0:
-        raise ValueError(f"T must be nonnegative, got {T}")
+    if type(s) is not int or s < 0:
+        raise ValueError(f"s must be a nonnegative integer, got {s!r}")
+    if type(T) is not int or T < 0:
+        raise ValueError(f"T must be a nonnegative integer, got {T!r}")
     if not (math.isfinite(r_min) and r_min > 0):
         raise ValueError(f"r_min must be finite and positive, got {r_min}")
 

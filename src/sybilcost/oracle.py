@@ -4,7 +4,8 @@ Influence is additive: an identity at or above the activation threshold r_min
 contributes its allocation, and one below it contributes nothing.  The oracle
 enumerates every way of filling one window from a finite grid of
 per-identity allocations, then combines windows through the cheapest
-acquisition schedule the resource's carry-over rules admit.  Plan cost is
+acquisition schedule under the resource's carry-over rule, which
+`resources.carry_over` states and this module only reads.  Plan cost is
 monotone in each window's aggregate allocation for every supported
 semantics, so the grid optimum is always a uniform plan built from the best
 single-window configuration and the search is exact over all grid plans
@@ -22,7 +23,14 @@ from enum import Enum
 
 from . import costs
 from .costs import ZERO_COORDINATION, CoordinationModel
-from .resources import ResourceClass, ResourceSpec, classify, preset
+from .resources import (
+    ResourceClass,
+    ResourceSpec,
+    acquisition_schedule,
+    carry_over,
+    classify,
+    preset,
+)
 
 __all__ = [
     "AllocationPlan",
@@ -35,9 +43,7 @@ __all__ = [
     "PlanGrid",
     "VerificationCheck",
     "VerificationReport",
-    "acquisition_schedule",
     "allocation_semantics",
-    "carry_over",
     "closed_form",
     "min_cost",
     "plan_cost",
@@ -73,17 +79,15 @@ def allocation_semantics(
     """
     if resource_class is None:
         resource_class = classify(spec).resource_class
+    # Raises for the specs that have no carry-over rule, and so no semantics.
+    carry_over(spec, 1, resource_class)
     if resource_class is ResourceClass.PARALLELIZABLE:
         return AllocationSemantics.REUSABLE
     if resource_class is ResourceClass.THROUGHPUT_BOUNDED:
         return AllocationSemantics.WINDOW_LOCAL
-    if resource_class is ResourceClass.INTERMEDIATE:
-        if spec.alpha is not None and spec.k is not None:
-            raise ValueError("combined partial-transfer and bounded-reuse search is not supported")
-        if spec.alpha is not None:
-            return AllocationSemantics.PARTIAL_TRANSFER
-        return AllocationSemantics.BOUNDED_REUSE
-    raise ValueError(f"no allocation semantics for unclassified resource {spec.name!r}")
+    if spec.alpha is not None:
+        return AllocationSemantics.PARTIAL_TRANSFER
+    return AllocationSemantics.BOUNDED_REUSE
 
 
 @dataclass(frozen=True)
@@ -125,10 +129,10 @@ class OracleScenario:
     coordination: CoordinationModel = ZERO_COORDINATION
 
     def __post_init__(self) -> None:
-        if self.s < 0:
-            raise ValueError(f"s must be nonnegative, got {self.s}")
-        if self.T < 1:
-            raise ValueError(f"T must be at least 1, got {self.T}")
+        if type(self.s) is not int or self.s < 0:
+            raise ValueError(f"s must be a nonnegative integer, got {self.s!r}")
+        if type(self.T) is not int or self.T < 1:
+            raise ValueError(f"T must be an integer at least 1, got {self.T!r}")
 
     @property
     def target(self) -> float:
@@ -232,34 +236,6 @@ def _best_window_config(
     return best, configuration_count
 
 
-def carry_over(
-    spec: ResourceSpec, T: int, resource_class: ResourceClass | None = None
-) -> tuple[float, int]:
-    """The spec's carry-over rule as an (alpha, k) pair.
-
-    An acquisition's alpha share stays usable for k windows, counting the one
-    it is bought in; the remaining (1 - alpha) share of every deployment is
-    spent for good.  Reusable stock is (1, T), window-local flow (1, 1),
-    partial transfer (alpha, T) and bounded reuse (1, k).  `resource_class`
-    is the spec's class, when the caller has classified it already.
-    """
-    semantics = allocation_semantics(spec, resource_class)
-    if semantics is AllocationSemantics.WINDOW_LOCAL:
-        return 1.0, 1
-    alpha = 1.0 if spec.alpha is None else spec.alpha
-    return alpha, T if spec.k is None else spec.k
-
-
-def acquisition_schedule(alpha: float, k: int, T: int, aggregate: float) -> tuple[float, ...]:
-    """Cheapest acquisition events that keep `aggregate` deployed each window.
-
-    Under the carry-over rule (alpha, k): a full purchase every k windows, and
-    in between only the (1 - alpha) share the previous window spent.
-    """
-    kept, spent = alpha * aggregate, (1.0 - alpha) * aggregate
-    return tuple(kept + spent if window % k == 0 else spent for window in range(T))
-
-
 def min_cost(scenario: OracleScenario, grid: PlanGrid | None = None) -> OracleResult:
     """Exhaustive minimum plan cost on the grid, with a witness plan.
 
@@ -326,10 +302,10 @@ def plan_feasible(plan: AllocationPlan, scenario: OracleScenario) -> bool:
     Every window must reach s * r_min of influence counting only identities
     at or above the activation threshold, no identity may exceed the rate
     limit tau, and the acquisition events must cover each window's aggregate
-    under the spec's carry-over rule (see `carry_over`): fully reusable stock
-    accumulates, window-local flow must be bought anew every window, partially
-    transferable stock carries only its alpha fraction forward, and k-bounded
-    stock expires after k windows.
+    under the spec's carry-over rule (see `resources.carry_over`): fully
+    reusable stock accumulates, window-local flow must be bought anew every
+    window, partially transferable stock carries only its alpha fraction
+    forward, and k-bounded stock expires after k windows.
     """
     if plan.windows != scenario.T:
         raise ValueError(

@@ -6,8 +6,9 @@ between identities.  Those properties, rather than the protocol rules layered
 on top, determine how cheaply influence backed by the resource can be
 concentrated.  This module provides the property flags, the classification
 into the two extremal scaling classes plus the intermediate and unclassified
-buckets, a built-in taxonomy of concrete resource types, and JSON import and
-export of specs.
+buckets, each class's carry-over rule between windows with the acquisition
+schedule it implies, a built-in taxonomy of concrete resource types, and JSON
+import and export of specs.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ __all__ = [
     "ResourceClassification",
     "ResourceSpec",
     "TAXONOMY",
+    "acquisition_schedule",
+    "carry_over",
     "classify",
     "is_parallelizable",
     "is_throughput_bounded",
@@ -158,6 +161,40 @@ def classify(spec: ResourceSpec) -> ResourceClassification:
         reasons.append("not transferable between identities")
     reasons.append("no per-channel rate limit")
     return ResourceClassification(ResourceClass.OTHER, tuple(reasons))
+
+
+def carry_over(
+    spec: ResourceSpec, T: int, resource_class: ResourceClass | None = None
+) -> tuple[float, int]:
+    """The spec's carry-over rule as an (alpha, k) pair.
+
+    An acquisition's alpha share stays usable for k windows, counting the one
+    it is bought in; the remaining (1 - alpha) share of every deployment is
+    spent for good.  Parallelizable stock is (1, T), throughput-bounded flow
+    (1, 1), partial transfer (alpha, T) and bounded reuse (1, k).
+    `resource_class` is the spec's class, when the caller has classified it
+    already.  An unclassified spec, or one with both alpha and k, has no rule.
+    """
+    if resource_class is None:
+        resource_class = classify(spec).resource_class
+    if resource_class is ResourceClass.THROUGHPUT_BOUNDED:
+        return 1.0, 1
+    if resource_class is ResourceClass.OTHER:
+        raise ValueError(f"no allocation semantics for unclassified resource {spec.name!r}")
+    if spec.alpha is not None and spec.k is not None:
+        raise ValueError("combined partial-transfer and bounded-reuse search is not supported")
+    alpha = 1.0 if spec.alpha is None else spec.alpha
+    return alpha, T if spec.k is None else spec.k
+
+
+def acquisition_schedule(alpha: float, k: int, T: int, aggregate: float) -> tuple[float, ...]:
+    """Cheapest acquisition events that keep `aggregate` deployed each window.
+
+    Under the carry-over rule (alpha, k): a full purchase every k windows, and
+    in between only the (1 - alpha) share the previous window spent.
+    """
+    kept, spent = alpha * aggregate, (1.0 - alpha) * aggregate
+    return tuple(kept + spent if window % k == 0 else spent for window in range(T))
 
 
 def _bounded_preset(name: str) -> ResourceSpec:

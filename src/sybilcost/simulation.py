@@ -4,7 +4,10 @@ Each honest validator holds exactly the activation threshold of resource, so
 its influence is one threshold unit per window.  The adversary fields s sybil
 identities backed by the configured resource; for channel-backed resources
 each identity must occupy its own channel, which caps the number of active
-identities at the channel count and makes extra identities worthless.
+identities at the channel count and makes extra identities worthless.  The
+windows are paid for under the resource's carry-over rule from `resources`,
+the same rule the oracle prices plans with, so a simulation never loads the
+oracle.
 """
 
 from __future__ import annotations
@@ -12,8 +15,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from . import oracle
-from .resources import ResourceClass, ResourceSpec, classify
+from .resources import (
+    ResourceClass,
+    ResourceSpec,
+    acquisition_schedule,
+    carry_over,
+    classify,
+)
 
 __all__ = [
     "NonAmplificationTable",
@@ -57,10 +65,10 @@ class ScenarioConfig:
             raise ValueError(f"n_honest must be nonnegative, got {self.n_honest}")
         if self.m < 0:
             raise ValueError(f"m must be nonnegative, got {self.m}")
-        if self.s < 0:
-            raise ValueError(f"s must be nonnegative, got {self.s}")
-        if self.T < 1:
-            raise ValueError(f"T must be at least 1, got {self.T}")
+        if type(self.s) is not int or self.s < 0:
+            raise ValueError(f"s must be a nonnegative integer, got {self.s!r}")
+        if type(self.T) is not int or self.T < 1:
+            raise ValueError(f"T must be an integer at least 1, got {self.T!r}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,7 @@ def run(config: ScenarioConfig) -> SimTrace:
     Channel-backed (throughput-bounded) resources cap active identities at
     min(m, s); parallelizable resources activate all s identities.  Either
     way each active identity holds the threshold, and the windows are paid
-    for by the oracle's acquisition schedule for that aggregate: anew every
+    for by the resource's acquisition schedule for that aggregate: anew every
     window for a window-local resource, once up front for reusable stock.
     Other resource classes have no defined per-window dynamics here.
     """
@@ -105,8 +113,8 @@ def run(config: ScenarioConfig) -> SimTrace:
     adversary = active * spec.r_min
     total = adversary + config.n_honest * spec.r_min
     share = adversary / total if total > 0 else 0.0
-    alpha, k = oracle.carry_over(spec, config.T, resource_class)
-    schedule = oracle.acquisition_schedule(alpha, k, config.T, adversary)
+    alpha, k = carry_over(spec, config.T, resource_class)
+    schedule = acquisition_schedule(alpha, k, config.T, adversary)
     rows = tuple(
         WindowRow(
             window=window,

@@ -1,8 +1,10 @@
 import itertools
 import json
 import os
+import runpy
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -226,6 +228,32 @@ def test_output_env_var_roots_relative_paths(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "nested" / "fig3.csv").exists()
 
 
+def test_output_env_var_roots_a_relative_calibrate_directory(tmp_path, capsys, monkeypatch):
+    base, cwd = tmp_path / "base", tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(base))
+    code, out, _ = run_cli(capsys, "calibrate", "eth", "--out", "rel")
+    assert code == cli.EXIT_OK
+    assert sorted(path.name for path in (base / "rel").iterdir()) == [
+        "fig4-left.csv", "fig4-right.csv"
+    ]
+    assert list(cwd.iterdir()) == []
+    written = [base / "rel" / name for name in ("fig4-left.csv", "fig4-right.csv")]
+    assert out == "".join(f"wrote {path}\n" for path in written)
+
+
+def test_output_env_var_roots_every_dataset_file(tmp_path, capsys, monkeypatch):
+    base, cwd = tmp_path / "base", tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(base))
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_datasets.py"
+    assert runpy.run_path(str(script))["main"](["--out", "datasets"]) == 0
+    assert len(list((base / "datasets").iterdir())) == 9
+    assert list(cwd.iterdir()) == []
+
+
 def test_calibrate_eth_writes_both_panels(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "calibrate", "eth", "--out", str(tmp_path))
     assert code == cli.EXIT_OK
@@ -313,6 +341,45 @@ def test_sweep_json_format(capsys):
                         "--coord", "linear", "--format", "json")
     payload = json.loads(out)
     assert payload["rows"][0]["total_par"] == 120.0
+
+
+def test_csv_from_a_generator_matches_csv_from_a_list():
+    rows = [{"m": m, "share": m / 7, "note": None if m % 2 else "even"} for m in range(1, 6)]
+    text = cli._table_text("csv", rows)
+    assert cli._table_text("csv", (dict(row) for row in rows)) == text
+    assert text.splitlines()[:2] == ["m,share,note", "1,0.14285714285714285,"]
+
+
+def test_sweep_csv_streams_within_a_small_multiple_of_its_text():
+    spec = cli.SweepSpec(
+        s_values=tuple(range(1, 20_001)),
+        T_values=(100,),
+        r_min_values=(1.0,),
+        coordination_kinds=("linear",),
+    )
+    cli.sweep(cli.SweepSpec(s_values=(1,), T_values=(1,), r_min_values=(1.0,)))  # warm caches
+    tracemalloc.start()
+    try:
+        text = cli.sweep(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 20_001
+    # Listing the rows as dicts before writing them peaks above 8 x the text.
+    assert peak < 4 * len(text)
+
+
+def test_non_finite_cell_mid_stream_writes_no_file(tmp_path, capsys):
+    rows = ({"s": s, "total": 1e308 * s} for s in (1, 2, 3))
+    with pytest.raises(ValueError, match="non-finite value inf in column 'total'"):
+        cli._table_text("csv", rows)
+    # (s=2, r_min=1e308) overflows in the middle of the grid.
+    target = tmp_path / "sweep.csv"
+    code, _, err = run_cli(capsys, "sweep", "--s", "1,2,3", "--T", "1", "--rmin", "1,1e308",
+                           "--out", str(target))
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: non-finite value inf")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):

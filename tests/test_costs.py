@@ -243,6 +243,25 @@ def test_negative_arguments_rejected():
         cost_bounded_reuse(5, 5, 1.0, 0)
 
 
+@pytest.mark.parametrize(
+    "law",
+    [
+        lambda s, T: cost_parallelizable(s, T, 1.0),
+        lambda s, T: cost_throughput_bounded(s, T, 1.0),
+        lambda s, T: cost_partial_transferability(s, T, 1.0, 0.5),
+        lambda s, T: cost_bounded_reuse(s, T, 1.0, 2),
+        lambda s, T: governance_hybrid(s, T),
+    ],
+    ids=["par", "bnd", "partial", "bounded-reuse", "hybrid"],
+)
+@pytest.mark.parametrize("field", ["s", "T"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True])
+def test_counts_must_be_integers(law, field, value):
+    args = {**dict(s=2, T=3), field: value}
+    with pytest.raises(ValueError, match=f"{field} must be a nonnegative integer"):
+        law(**args)
+
+
 @pytest.mark.parametrize("r_min", [math.nan, math.inf, -math.inf])
 def test_non_finite_threshold_rejected(r_min):
     laws = [

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Run in a fresh interpreter, so no module loaded by another test counts.
@@ -53,9 +55,7 @@ def test_modules_load_on_first_use():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["after_package"] == []
-    assert report["after_cli"] == [
-        "sybilcost.cli", "sybilcost.costs", "sybilcost.oracle", "sybilcost.resources"
-    ]
+    assert report["after_cli"] == ["sybilcost.cli", "sybilcost.costs", "sybilcost.resources"]
     assert len(report["all"]) == 38
     assert report["same_object"] is True
     assert report["star"] == sorted(report["all"])
@@ -64,3 +64,37 @@ def test_modules_load_on_first_use():
         "sybilcost.calibration", "sybilcost.cli", "sybilcost.costs", "sybilcost.oracle",
         "sybilcost.resources", "sybilcost.simulation",
     ]
+
+
+# Which commands load the oracle: only the two that search.
+ORACLE_PROBE = """
+import contextlib, io, json, runpy, sys
+from sybilcost import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    if sys.argv[1] == "make_datasets":
+        code = runpy.run_path(sys.argv[2])["main"](["--out", sys.argv[3]])
+    else:
+        code = cli.dispatch(sys.argv[1:])
+print(json.dumps({"exit": code, "oracle": "sybilcost.oracle" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_oracle",
+    [
+        (["make_datasets", str(SRC.parent / "scripts" / "make_datasets.py")], False),
+        (["oracle", "--spec", "device-bound", "--s", "2", "--T", "3"], True),
+        (["verify-all"], True),
+    ],
+    ids=["make_datasets", "oracle", "verify-all"],
+)
+def test_only_searching_commands_load_the_oracle(tmp_path, argv, loads_oracle):
+    if argv[0] == "make_datasets":
+        argv = [*argv, str(tmp_path / "datasets")]
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", ORACLE_PROBE, *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"exit": 0, "oracle": loads_oracle}

@@ -92,6 +92,14 @@ def test_plan_budget_ceiling_is_enforced():
         min_cost(scenario, grid=grid)
 
 
+@pytest.mark.parametrize("field", ["s", "T"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True])
+def test_scenario_counts_must_be_integers(field, value):
+    fields = {**dict(s=2, T=2), field: value}
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        OracleScenario(spec=STAKE, **fields)
+
+
 @pytest.mark.parametrize("field", ["step", "max_value", "max_identities", "ceiling"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_plan_grid_numbers_must_be_finite(field, value):

@@ -67,6 +67,14 @@ def test_config_validation():
         ScenarioConfig(n_honest=1, m=0, s=1, T=0, spec=STAKE)
 
 
+@pytest.mark.parametrize("field", ["s", "T"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True])
+def test_config_counts_must_be_integers(field, value):
+    fields = {**dict(s=2, T=2), field: value}
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        ScenarioConfig(n_honest=1, m=1, spec=STAKE, **fields)
+
+
 @given(
     st.integers(min_value=0, max_value=500),
     st.integers(min_value=0, max_value=2000),
