@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable
@@ -322,7 +323,12 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
     from . import simulation
 
     m_values = range(args.m_min, args.m_max + 1, args.m_step)
-    table = simulation.non_amplification_experiment(m_values, args.s_values, args.n)
+    # The library warns with a source location; the CLI says it in one line.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        table = simulation.non_amplification_experiment(m_values, args.s_values, args.n)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     share_names = [f"share_s{s}" for s in table.s_values]
     rows = (
         {"m": m, **dict(zip(share_names, shares))} for m, shares in zip(table.m_values, table.rows)

@@ -1,12 +1,14 @@
 """Closed-form adversary cost laws, marginal costs, and composition.
 
 The central quantity is the minimum expenditure needed to keep s units of
-influence active for T consecutive windows.  For a parallelizable resource
-this is a one-time stock acquisition plus coordination overhead; for a
-throughput-bounded resource the full amount must be re-spent every window.
-The two intermediate regimes (partial transferability, bounded reuse)
-interpolate between those extremes, and hybrid resources compose additively.
-Degenerate targets cost nothing: C(0, T) = C(s, 0) = 0 by convention.
+influence active for T consecutive windows.  One law, `cost_carry_over`,
+states it for every carry-over rule (alpha, k) of `resources.carry_over`:
+the alpha share of a purchase lasts k windows and the rest is bought anew
+every window.  The regimes are points on that scale: parallelizable stock is
+(1, None), bought once; throughput-bounded flow is (1, 1); partial
+transferability (alpha, None) and bounded reuse (1, k) lie in between.
+Hybrid resources compose additively.  Degenerate targets cost nothing:
+C(0, T) = C(s, 0) = 0 by convention.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "PartialTransferCost",
     "ZERO_COORDINATION",
     "cost_bounded_reuse",
+    "cost_carry_over",
     "cost_hybrid",
     "cost_parallelizable",
     "cost_partial_transferability",
@@ -38,6 +41,13 @@ __all__ = [
     "throughput_law",
     "zero_report",
 ]
+
+
+def _check_counts(s: int, T: int) -> None:
+    if type(s) is not int or s < 0:
+        raise ValueError(f"s must be a nonnegative integer, got {s!r}")
+    if type(T) is not int or T < 0:
+        raise ValueError(f"T must be a nonnegative integer, got {T!r}")
 
 
 class CoordinationKind(Enum):
@@ -66,8 +76,7 @@ class CoordinationModel:
         return cls(CoordinationKind.LINEAR_SUM)
 
     def evaluate(self, s: int, T: int) -> float:
-        if s < 0 or T < 0:
-            raise ValueError(f"s and T must be nonnegative, got ({s}, {T})")
+        _check_counts(s, T)
         if self.kind is CoordinationKind.LINEAR_SUM and s >= 1 and T >= 1:
             return float(s + T)
         return 0.0
@@ -83,7 +92,8 @@ class CostReport:
 
     ``total`` is always stock + flow + coordination.  ``marginal`` is the
     cost of the s-th unit, C(s, T) - C(s - 1, T).  ``normalized`` is
-    total / (s * T), or None when the target is degenerate.
+    total / (s * T), r_min itself when the whole amount is bought anew every
+    window with no overhead, or None when the target is degenerate.
     """
 
     s: int
@@ -96,36 +106,59 @@ class CostReport:
     normalized: float | None
 
 
-_AUTO = object()
-
-
-def _report(
-    s: int,
-    T: int,
-    stock: float,
-    flow: float,
-    coordination: float,
-    marginal: float,
-    normalized: object = _AUTO,
-) -> CostReport:
-    total = stock + flow + coordination
-    if normalized is _AUTO:
-        normalized = total / (s * T) if s >= 1 and T >= 1 else None
-    return CostReport(s, T, total, stock, flow, coordination, marginal, normalized)  # type: ignore[arg-type]
-
-
 def zero_report(s: int = 0, T: int = 0) -> CostReport:
     """Degenerate report: an empty target or horizon costs nothing."""
     return CostReport(s, T, 0.0, 0.0, 0.0, 0.0, 0.0, None)
 
 
 def _check_args(s: int, T: int, r_min: float) -> None:
-    if type(s) is not int or s < 0:
-        raise ValueError(f"s must be a nonnegative integer, got {s!r}")
-    if type(T) is not int or T < 0:
-        raise ValueError(f"T must be a nonnegative integer, got {T!r}")
+    _check_counts(s, T)
     if not (math.isfinite(r_min) and r_min > 0):
         raise ValueError(f"r_min must be finite and positive, got {r_min}")
+
+
+def _share(weight: float, count: int, r_min: float) -> float:
+    # A share of weight 0 adds exactly 0.0, where 0.0 times an overflowed
+    # product would be nan.
+    return weight * (count * r_min) if weight else 0.0
+
+
+def cost_carry_over(
+    s: int,
+    T: int,
+    r_min: float,
+    alpha: float,
+    k: int | None,
+    coordination: CoordinationModel = ZERO_COORDINATION,
+) -> CostReport:
+    """The one cost law, for the carry-over rule (alpha, k) of `resources.carry_over`.
+
+    C(s, T) = alpha * s * ceil(T / k) * r_min + (1 - alpha) * s * T * r_min + h(s, T):
+    the alpha share of a purchase stays usable for k windows and the rest is
+    bought again every window.  With k = None the alpha share is bought once
+    and reported as stock; with an integer k every purchase is flow, even when
+    k >= T, since nothing outlives k windows.  The marginal is the same sum
+    at one identity plus h(s, T) - h(s - 1, T).  ``normalized`` is r_min
+    itself when the whole amount is bought anew every window and h = 0.
+    """
+    _check_args(s, T, r_min)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    if k is not None and (type(k) is not int or k < 1):
+        raise ValueError(f"k must be a positive integer window count, got {k!r}")
+    if s == 0 or T == 0:
+        return zero_report(s, T)
+    renewals = 1 if k is None else -(-T // k)
+    kept = _share(alpha, s * renewals, r_min)
+    spent = _share(1.0 - alpha, s * T, r_min)
+    stock, flow = (kept, spent) if k is None else (0.0, kept + spent)
+    overhead = coordination.evaluate(s, T)
+    total = stock + flow + overhead
+    marginal = _share(alpha, renewals, r_min) + _share(1.0 - alpha, T, r_min)
+    marginal += overhead - coordination.evaluate(s - 1, T)
+    every_window = alpha == 0.0 or (k is not None and renewals == T)
+    normalized = r_min if every_window and overhead == 0.0 else total / (s * T)
+    return CostReport(s, T, total, stock, flow, overhead, marginal, normalized)
 
 
 def cost_parallelizable(
@@ -136,13 +169,7 @@ def cost_parallelizable(
     The horizon enters only through coordination overhead, so with Zero
     coordination the total is T-independent.
     """
-    _check_args(s, T, r_min)
-    if s == 0 or T == 0:
-        return zero_report(s, T)
-    stock = s * r_min
-    overhead = coordination.evaluate(s, T)
-    marginal = r_min + (overhead - coordination.evaluate(s - 1, T))
-    return _report(s, T, stock=stock, flow=0.0, coordination=overhead, marginal=marginal)
+    return cost_carry_over(s, T, r_min, 1.0, None, coordination)
 
 
 def cost_throughput_bounded(s: int, T: int, r_min: float) -> CostReport:
@@ -151,13 +178,7 @@ def cost_throughput_bounded(s: int, T: int, r_min: float) -> CostReport:
     The normalized ratio is r_min at every non-degenerate point; the bound is
     tight, so no coordination term appears.
     """
-    _check_args(s, T, r_min)
-    if s == 0 or T == 0:
-        return zero_report(s, T)
-    flow = (s * T) * r_min
-    return _report(
-        s, T, stock=0.0, flow=flow, coordination=0.0, marginal=r_min * T, normalized=r_min
-    )
+    return cost_carry_over(s, T, r_min, 1.0, 1)
 
 
 class PartialTransferCost(NamedTuple):
@@ -182,14 +203,8 @@ def cost_partial_transferability(
     the rest as flow; alpha = 1 recovers the parallelizable law and alpha = 0
     the throughput-bounded one.
     """
-    _check_args(s, T, r_min)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if s == 0 or T == 0:
-        return PartialTransferCost(0.0, 0.0)
-    bound_flow = (1.0 - alpha) * ((s * T) * r_min)
-    model = alpha * (s * r_min) + bound_flow + coordination.evaluate(s, T)
-    return PartialTransferCost(bound_flow, model)
+    report = cost_carry_over(s, T, r_min, alpha, None, coordination)
+    return PartialTransferCost(report.flow, report.total)
 
 
 def cost_bounded_reuse(s: int, T: int, r_min: float, k: int) -> CostReport:
@@ -199,14 +214,7 @@ def cost_bounded_reuse(s: int, T: int, r_min: float, k: int) -> CostReport:
     All expenditure is classified as flow because nothing survives the horizon
     indefinitely.
     """
-    _check_args(s, T, r_min)
-    if type(k) is not int or k < 1:
-        raise ValueError(f"k must be a positive integer window count, got {k!r}")
-    if s == 0 or T == 0:
-        return zero_report(s, T)
-    renewals = -(-T // k)
-    flow = (s * renewals) * r_min
-    return _report(s, T, stock=0.0, flow=flow, coordination=0.0, marginal=renewals * r_min)
+    return cost_carry_over(s, T, r_min, 1.0, k)
 
 
 def cost_hybrid(parallel_part: CostReport, bounded_part: CostReport) -> CostReport:
@@ -221,14 +229,14 @@ def cost_hybrid(parallel_part: CostReport, bounded_part: CostReport) -> CostRepo
             "component reports disagree on the target: "
             f"({parallel_part.s}, {parallel_part.T}) vs ({bounded_part.s}, {bounded_part.T})"
         )
-    return _report(
-        parallel_part.s,
-        parallel_part.T,
-        stock=parallel_part.stock + bounded_part.stock,
-        flow=parallel_part.flow + bounded_part.flow,
-        coordination=parallel_part.coordination + bounded_part.coordination,
-        marginal=parallel_part.marginal + bounded_part.marginal,
-    )
+    s, T = parallel_part.s, parallel_part.T
+    stock = parallel_part.stock + bounded_part.stock
+    flow = parallel_part.flow + bounded_part.flow
+    coordination = parallel_part.coordination + bounded_part.coordination
+    total = stock + flow + coordination
+    normalized = total / (s * T) if s >= 1 and T >= 1 else None
+    marginal = parallel_part.marginal + bounded_part.marginal
+    return CostReport(s, T, total, stock, flow, coordination, marginal, normalized)
 
 
 def governance_hybrid(

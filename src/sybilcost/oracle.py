@@ -5,7 +5,8 @@ contributes its allocation, and one below it contributes nothing.  The oracle
 enumerates every way of filling one window from a finite grid of
 per-identity allocations, then combines windows through the cheapest
 acquisition schedule under the resource's carry-over rule, which
-`resources.carry_over` states and this module only reads.  Plan cost is
+`resources.carry_over` states and this module only reads; the closed form
+it is checked against is `costs.cost_carry_over` at that rule.  Plan cost is
 monotone in each window's aggregate allocation for every supported
 semantics, so the grid optimum is always a uniform plan built from the best
 single-window configuration and the search is exact over all grid plans
@@ -264,26 +265,15 @@ def min_cost(scenario: OracleScenario, grid: PlanGrid | None = None) -> OracleRe
 
 
 def closed_form(scenario: OracleScenario) -> float:
-    """The closed-form cost law the grid optimum is checked against.
+    """The closed-form cost the grid optimum is checked against.
 
-    Keyed on the scenario's allocation semantics.  Every plan the search
-    prices pays the coordination overhead h(s, T), so the renewal laws,
-    which carry no coordination term of their own, are quoted with h added.
+    `costs.cost_carry_over` at the spec's carry-over rule, with the
+    scenario's coordination overhead h(s, T), which every plan the search
+    prices pays.
     """
     s, T, spec = scenario.s, scenario.T, scenario.spec
-    coordination = scenario.coordination
-    semantics = allocation_semantics(spec)
-    if semantics is AllocationSemantics.REUSABLE:
-        return costs.cost_parallelizable(s, T, spec.r_min, coordination).total
-    if semantics is AllocationSemantics.PARTIAL_TRANSFER:
-        assert spec.alpha is not None
-        law = costs.cost_partial_transferability(s, T, spec.r_min, spec.alpha, coordination)
-        return law.model_cost
-    overhead = coordination.evaluate(s, T)
-    if semantics is AllocationSemantics.WINDOW_LOCAL:
-        return costs.cost_throughput_bounded(s, T, spec.r_min).total + overhead
-    assert spec.k is not None
-    return costs.cost_bounded_reuse(s, T, spec.r_min, spec.k).total + overhead
+    alpha, k = carry_over(spec, T)
+    return costs.cost_carry_over(s, T, spec.r_min, alpha, k, scenario.coordination).total
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +345,16 @@ class VerificationReport:
 def verify_bounds(result: OracleResult, scenario: OracleScenario) -> VerificationReport:
     """Compare a search result against the closed-form bounds for its regime.
 
-    The bounds are those `costs` states: the parallelizable total as a ceiling,
-    the throughput-bounded total as a floor and, with h(s, T), as the exact
-    value, and the partial-transfer lower bound; bounded reuse is held to its
-    k-renewal floor s * T * r_min / k.  Violations come back as failed checks
-    in the report rather than as exceptions, so callers can render them.
+    The closed form is the ceiling on reusable stock and the exact value of
+    window-local flow.  The floors read the spec's alpha and k directly, so
+    they check `carry_over` independently: the throughput-bounded total, the
+    partial-transfer lower bound, and bounded reuse's k-renewal floor
+    s * T * r_min / k.  Violations come back as failed checks in the report
+    rather than as exceptions, so callers can render them.
     """
     checks: list[VerificationCheck] = []
     spec = scenario.spec
     s, T, r_min = scenario.s, scenario.T, spec.r_min
-    overhead = scenario.coordination.evaluate(s, T)
     eps = FEASIBILITY_EPS
 
     feasible = plan_feasible(result.witness, scenario)
@@ -392,7 +382,7 @@ def verify_bounds(result: OracleResult, scenario: OracleScenario) -> Verificatio
 
     semantics = allocation_semantics(spec)
     if semantics is AllocationSemantics.REUSABLE:
-        ceiling_value = costs.cost_parallelizable(s, T, r_min).total + overhead
+        ceiling_value = closed_form(scenario)
         checks.append(
             VerificationCheck(
                 "stock-upper-bound",
@@ -409,7 +399,7 @@ def verify_bounds(result: OracleResult, scenario: OracleScenario) -> Verificatio
                 f"minimum {result.min_cost} vs renewal floor {floor_value}",
             )
         )
-        tight_value = floor_value + overhead
+        tight_value = closed_form(scenario)
         checks.append(
             VerificationCheck(
                 "tight-plan-value",

@@ -21,6 +21,7 @@ from .resources import (
     acquisition_schedule,
     carry_over,
     classify,
+    preset,
 )
 
 __all__ = [
@@ -41,8 +42,9 @@ def influence_share(m: int, s: int, n: int) -> float:
     min(m, s) / (min(m, s) + n): spawning identities beyond the channel
     supply does not move it.
     """
-    if m < 0 or s < 0 or n < 0:
-        raise ValueError(f"m, s, n must be nonnegative, got ({m}, {s}, {n})")
+    for name, value in (("m", m), ("s", s), ("n", n)):
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
     active = min(m, s)
     denominator = active + n
     if denominator == 0:
@@ -61,12 +63,10 @@ class ScenarioConfig:
     spec: ResourceSpec
 
     def __post_init__(self) -> None:
-        if self.n_honest < 0:
-            raise ValueError(f"n_honest must be nonnegative, got {self.n_honest}")
-        if self.m < 0:
-            raise ValueError(f"m must be nonnegative, got {self.m}")
-        if type(self.s) is not int or self.s < 0:
-            raise ValueError(f"s must be a nonnegative integer, got {self.s!r}")
+        for field in ("n_honest", "m", "s"):
+            value = getattr(self, field)
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{field} must be a nonnegative integer, got {value!r}")
         if type(self.T) is not int or self.T < 1:
             raise ValueError(f"T must be an integer at least 1, got {self.T!r}")
 
@@ -129,19 +129,6 @@ def run(config: ScenarioConfig) -> SimTrace:
     return SimTrace(rows, sum(schedule))
 
 
-# Unit channel resource for the identity-vs-channel sweep below.
-_UNIT_CHANNEL = ResourceSpec(
-    name="unit-channel",
-    divisible=False,
-    additive_influence=False,
-    temporally_reusable=False,
-    identity_transferable=False,
-    throughput_bounded=True,
-    r_min=1.0,
-    tau=1.0,
-)
-
-
 @dataclass(frozen=True)
 class NonAmplificationTable:
     """Influence shares over channel counts (rows) and identity counts (columns)."""
@@ -151,10 +138,8 @@ class NonAmplificationTable:
     rows: tuple[tuple[float, ...], ...]
 
 
-def non_amplification_experiment(
-    m_range, s_values, n: int, spec: ResourceSpec = _UNIT_CHANNEL
-) -> NonAmplificationTable:
-    """Sweep channel count against identity count for a channel-backed resource.
+def non_amplification_experiment(m_range, s_values, n: int) -> NonAmplificationTable:
+    """Sweep channel count against identity count on unit rate-limited channels.
 
     When every identity count exceeds the whole channel range, the share
     depends on channels alone and the columns coincide.  A sweep where some
@@ -172,6 +157,7 @@ def non_amplification_experiment(
             "identity counts do not all exceed the channel range; share columns may differ",
             stacklevel=2,
         )
+    spec = preset("rate-limited")
     table_rows = []
     for m in m_values:
         row = tuple(

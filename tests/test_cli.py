@@ -53,6 +53,15 @@ def test_cost_records_seed_in_metadata(capsys):
     assert json.loads(out)["meta"]["seed"] == 7
 
 
+def test_cost_partial_at_full_alpha_survives_an_overflowing_renewal(capsys):
+    # The renewed share has weight 0, so its overflowing product adds 0.0, not nan.
+    code, out, _ = run_cli(capsys, "cost", "--class", "partial", "--s", "1", "--T", "2",
+                           "--rmin", "1e308", "--alpha", "1")
+    assert code == cli.EXIT_OK
+    report = json.loads(out)["report"]
+    assert (report["lower_bound"], report["model_cost"]) == (0.0, 1e308)
+
+
 def test_cost_partial_requires_alpha(capsys):
     code, _, err = run_cli(capsys, "cost", "--class", "partial", "--s", "2", "--T", "3", "--rmin", "1")
     assert code == cli.EXIT_USAGE
@@ -204,6 +213,15 @@ def test_fig3_default_grid(capsys):
     for line in lines[1:]:
         cells = line.split(",")
         assert cells[1] == cells[2] == cells[3]
+
+
+def test_fig3_warns_in_one_stderr_line(capsys):
+    code, out, err = run_cli(capsys, "fig3", "--s-values", "5,10", "--m-min", "1", "--m-max", "20")
+    assert code == cli.EXIT_OK
+    assert out.startswith("m,share_s5,share_s10\n")
+    assert err == (
+        "warning: identity counts do not all exceed the channel range; share columns may differ\n"
+    )
 
 
 def test_fig3_rejects_a_repeated_identity_count(capsys):

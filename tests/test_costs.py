@@ -9,6 +9,7 @@ from sybilcost.costs import (
     LINEAR_COORDINATION,
     ZERO_COORDINATION,
     cost_bounded_reuse,
+    cost_carry_over,
     cost_hybrid,
     cost_parallelizable,
     cost_partial_transferability,
@@ -18,6 +19,7 @@ from sybilcost.costs import (
     governance_hybrid,
     marginal_cost,
 )
+from sybilcost.resources import acquisition_schedule
 
 # Dyadic thresholds keep every product below exactly representable, so the
 # closed forms can be compared with == rather than a tolerance.
@@ -251,8 +253,12 @@ def test_negative_arguments_rejected():
         lambda s, T: cost_partial_transferability(s, T, 1.0, 0.5),
         lambda s, T: cost_bounded_reuse(s, T, 1.0, 2),
         lambda s, T: governance_hybrid(s, T),
+        lambda s, T: cost_carry_over(s, T, 1.0, 0.5, 2),
+        ZERO_COORDINATION.evaluate,
+        LINEAR_COORDINATION.evaluate,
     ],
-    ids=["par", "bnd", "partial", "bounded-reuse", "hybrid"],
+    ids=["par", "bnd", "partial", "bounded-reuse", "hybrid", "carry-over", "zero-coordination",
+         "linear-coordination"],
 )
 @pytest.mark.parametrize("field", ["s", "T"])
 @pytest.mark.parametrize("value", [2.5, 3.0, True])
@@ -274,3 +280,38 @@ def test_non_finite_threshold_rejected(r_min):
     for law in laws:
         with pytest.raises(ValueError, match="r_min must be finite and positive"):
             law()
+
+
+@pytest.mark.parametrize("k", [None, 1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0])
+def test_carry_over_law_sums_its_acquisition_schedule(alpha, k):
+    # The closed form against the window-by-window purchases it stands for;
+    # k = None keeps the alpha share for the whole horizon.
+    for r_min in (0.25, 0.5, 1.0, 2.0):
+        for s in range(7):
+            for T in range(7):
+                report = cost_carry_over(s, T, r_min, alpha, k)
+                schedule = acquisition_schedule(alpha, k or T, T, s * r_min)
+                assert report.total == sum(schedule), (r_min, s, T)
+
+
+@pytest.mark.parametrize("k", [None, 1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_carry_over_law_splits_stock_from_flow(alpha, k):
+    report = cost_carry_over(4, 5, 1.0, alpha, k, LINEAR_COORDINATION)
+    assert report.total == report.stock + report.flow + report.coordination
+    assert report.coordination == 9.0
+    # Only a share bought once for the whole horizon is stock.
+    assert report.stock == (4.0 * alpha if k is None else 0.0)
+
+
+@pytest.mark.parametrize("s, T", [(1, 3), (3, 1)])
+def test_renewal_every_window_normalizes_to_r_min_exactly(s, T):
+    # (s * T) * 0.1 / (s * T) is 0.10000000000000002, not 0.1.
+    assert cost_throughput_bounded(s, T, 0.1).normalized == 0.1
+    assert cost_bounded_reuse(s, T, 0.1, 1).normalized == 0.1
+
+
+def test_zero_weight_share_of_an_overflowing_product_costs_nothing():
+    # At alpha = 1 the renewed share is empty, so its inf product must not turn into nan.
+    assert cost_partial_transferability(1, 2, 1e308, 1.0) == (0.0, 1e308)

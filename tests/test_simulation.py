@@ -67,12 +67,20 @@ def test_config_validation():
         ScenarioConfig(n_honest=1, m=0, s=1, T=0, spec=STAKE)
 
 
-@pytest.mark.parametrize("field", ["s", "T"])
+@pytest.mark.parametrize("field", ["s", "T", "n_honest", "m"])
 @pytest.mark.parametrize("value", [2.5, 2.0, True])
 def test_config_counts_must_be_integers(field, value):
-    fields = {**dict(s=2, T=2), field: value}
-    with pytest.raises(ValueError, match=f"{field} must be"):
-        ScenarioConfig(n_honest=1, m=1, spec=STAKE, **fields)
+    fields = {**dict(n_honest=1, m=1, s=2, T=2), field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ScenarioConfig(spec=STAKE, **fields)
+
+
+@pytest.mark.parametrize("field", ["m", "s", "n"])
+@pytest.mark.parametrize("value", [0.5, 2.0, True])
+def test_share_counts_must_be_integers(field, value):
+    args = {**dict(m=2, s=2, n=2), field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be a nonnegative integer"):
+        influence_share(**args)
 
 
 @given(
