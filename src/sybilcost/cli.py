@@ -558,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--rmin", type=_positive_float, default=None)
     sub.set_defaults(handler=_cmd_crossover)
 
-    sub = subparsers.add_parser("oracle", parents=[common], help="brute-force minimum plan cost")
+    sub = subparsers.add_parser("oracle", parents=[common], help="exact minimum plan cost on a grid")
     sub.add_argument("--spec", required=True)
     sub.add_argument("--s", type=_nonnegative_int, required=True)
     sub.add_argument("--T", type=_positive_int, required=True)

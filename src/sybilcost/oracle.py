@@ -1,22 +1,24 @@
-"""Brute-force minimum-cost search over discretized allocation plans.
+"""Minimum-cost search over discretized allocation plans.
 
 Influence is additive: an identity at or above the activation threshold r_min
 contributes its allocation, and one below it contributes nothing.  The oracle
-enumerates every way of filling one window from a finite grid of
-per-identity allocations, then combines windows through the cheapest
-acquisition schedule under the resource's carry-over rule, which
-`resources.carry_over` states and this module only reads; the closed form
-it is checked against is `costs.cost_carry_over` at that rule.  Plan cost is
-monotone in each window's aggregate allocation for every supported
-semantics, so the grid optimum is always a uniform plan built from the best
-single-window configuration and the search is exact over all grid plans
-despite never materializing the cross-window product.  Results come with a
-feasible witness plan and are used to check the closed-form laws on small
-instances.
+scans, in integer units of the grid step, every way of filling one window
+from a finite grid of per-identity allocations up to the rate limit tau,
+then combines windows through the cheapest acquisition schedule under the
+resource's carry-over rule, which `resources.carry_over` states and this
+module only reads; the closed form it is checked against is
+`costs.cost_carry_over` at that rule.  Plan cost is monotone in each window's
+aggregate allocation for every supported semantics, so the grid optimum is
+always a uniform plan built from the best single-window configuration and
+the search is exact over all grid plans despite never materializing the
+cross-window product.  The minimum is computed in exact rationals and
+rounded to a float once.  Results come with a feasible witness plan and are
+used to check the closed-form laws on small instances.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -161,6 +163,8 @@ class PlanGrid:
             raise ValueError(f"step must be finite and positive, got {self.step}")
         if not (math.isfinite(self.max_value) and self.max_value >= 0):
             raise ValueError(f"max_value must be finite and nonnegative, got {self.max_value}")
+        if not math.isfinite(self.max_value / self.step):
+            raise ValueError(f"step {self.step} is too fine to count levels up to {self.max_value}")
         for field in ("max_identities", "ceiling"):
             value = getattr(self, field)
             if type(value) is not int or value < 1:
@@ -183,18 +187,23 @@ class PlanGrid:
             ceiling=ceiling,
         )
 
-    def levels(self) -> tuple[float, ...]:
-        count = int(math.floor(self.max_value / self.step + FEASIBILITY_EPS)) + 1
-        return tuple(index * self.step for index in range(count))
+    def level_count(self) -> int:
+        """Number of allocation levels: 0, step, 2 * step, ... up to max_value."""
+        return math.floor(self.max_value / self.step + FEASIBILITY_EPS) + 1
 
     def configuration_count(self) -> int:
         """Number of per-window allocation multisets the grid admits."""
-        return math.comb(len(self.levels()) + self.max_identities - 1, self.max_identities)
+        return math.comb(self.level_count() + self.max_identities - 1, self.max_identities)
 
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Minimum plan cost on the grid, with the witness that attains it."""
+    """Minimum plan cost on the grid, with the witness that attains it.
+
+    ``plans_examined`` is the grid's configuration count: configurations with
+    an identity over the rate limit tau are ruled out without being
+    enumerated.
+    """
 
     min_cost: float
     witness: AllocationPlan
@@ -203,8 +212,16 @@ class OracleResult:
 
 
 # A window configuration is kept as (aggregate, active count, allocations in
-# descending order); tuple comparison gives the deterministic tie-break.
-_ConfigKey = tuple[float, int, tuple[float, ...]]
+# descending order), all in grid units; tuple comparison gives the
+# deterministic tie-break.
+_ConfigKey = tuple[int, int, tuple[int, ...]]
+_EPS_RATIO = FEASIBILITY_EPS.as_integer_ratio()
+
+
+def _floor_units(value: float, count: int, step: float) -> int:
+    """floor((count * value + FEASIBILITY_EPS) / step) in exact rationals."""
+    (n, d), (p, q), (e, f) = value.as_integer_ratio(), step.as_integer_ratio(), _EPS_RATIO
+    return (count * n * f + e * d) * q // (d * f * p)
 
 
 def _best_window_config(
@@ -215,52 +232,61 @@ def _best_window_config(
         raise PlanBudgetExceeded(
             f"{configuration_count} window configurations exceed the ceiling of {grid.ceiling}"
         )
-    target = scenario.target
-    r_min, tau = scenario.spec.r_min, scenario.spec.tau
+    spec, step, m = scenario.spec, grid.step, grid.max_identities
+    # In grid units, within the grid's tolerance: the lowest active level,
+    # the target, and the highest level the rate limit admits, so no level
+    # over tau is enumerated.  floor(-x) = -ceil(x) gives the first two.
+    lo = -_floor_units(spec.r_min, -1, step)
+    need = -_floor_units(spec.r_min, -scenario.s, step)
+    hi = grid.level_count() - 1
+    if spec.tau is not None:
+        hi = min(hi, _floor_units(spec.tau, 1, step))
     best: _ConfigKey | None = None
-    for combo in itertools.combinations_with_replacement(grid.levels(), grid.max_identities):
-        # combinations_with_replacement yields nondecreasing tuples, so the
-        # last entry is the per-identity maximum.
-        if tau is not None and combo[-1] > tau + FEASIBILITY_EPS:
+    for combo in itertools.combinations_with_replacement(range(hi + 1), m):
+        # Combos are nondecreasing, so the active identities are a suffix.
+        first = bisect.bisect_left(combo, lo)
+        if sum(combo[first:]) < need:
             continue
-        reached = 0.0
-        active = 0
-        for value in combo:
-            if value >= r_min - FEASIBILITY_EPS:
-                reached += value
-                active += 1
-        if reached + FEASIBILITY_EPS < target:
-            continue
-        key: _ConfigKey = (sum(combo), active, combo[::-1])
+        key: _ConfigKey = (sum(combo), m - first, combo[::-1])
         if best is None or key < best:
             best = key
     return best, configuration_count
 
 
 def min_cost(scenario: OracleScenario, grid: PlanGrid | None = None) -> OracleResult:
-    """Exhaustive minimum plan cost on the grid, with a witness plan.
+    """Minimum plan cost on the grid, exact and rounded once, with a witness plan.
 
     Ties between equally cheap configurations resolve toward fewer active
     identities, then lexicographically on the descending allocation tuple,
     so results are deterministic.  Raises PlanBudgetExceeded before
-    enumerating a grid whose configuration count exceeds the ceiling, and
+    scanning a grid whose configuration count exceeds the ceiling, and
     ValueError when no grid configuration can reach the per-window influence
     target.
     """
-    alpha, k = carry_over(scenario.spec, scenario.T)
+    s, T = scenario.s, scenario.T
+    alpha, k = carry_over(scenario.spec, T)
     effective_grid = grid if grid is not None else PlanGrid.for_scenario(scenario)
-    if scenario.s == 0:
+    step = effective_grid.step
+    if s == 0:
         fielded: tuple[float, ...] = ()
-        aggregate, examined = 0.0, 0
+        units, examined = 0, 0
     else:
         best, examined = _best_window_config(scenario, effective_grid)
         if best is None:
             raise ValueError("no feasible window configuration on this grid")
-        aggregate, _active, descending = best
-        fielded = tuple(value for value in descending if value > 0.0)
-    acquisitions = acquisition_schedule(alpha, k, scenario.T, aggregate)
-    witness = AllocationPlan(scenario.T, (fielded,) * scenario.T, acquisitions)
-    total = sum(acquisitions) + scenario.coordination.evaluate(scenario.s, scenario.T)
+        units, _active, descending = best
+        fielded = tuple([value * step for value in descending if value])
+    acquisitions = acquisition_schedule(alpha, k, T, units * step)
+    witness = AllocationPlan(T, (fielded,) * T, acquisitions)
+    # The alpha share of units * step is bought every k windows and the rest
+    # every window, plus h(s, T); alpha = a / b, step = p / q, h = c / d.
+    (a, b), (p, q) = alpha.as_integer_ratio(), step.as_integer_ratio()
+    c, d = scenario.coordination.evaluate(s, T).as_integer_ratio()
+    bought = units * (a * -(-T // k) + (b - a) * T)
+    try:
+        total = (bought * p * d + c * b * q) / (b * q * d)
+    except OverflowError:
+        total = math.inf
     return OracleResult(total, witness, examined, effective_grid)
 
 

@@ -194,7 +194,7 @@ def acquisition_schedule(alpha: float, k: int, T: int, aggregate: float) -> tupl
     in between only the (1 - alpha) share the previous window spent.
     """
     kept, spent = alpha * aggregate, (1.0 - alpha) * aggregate
-    return tuple(kept + spent if window % k == 0 else spent for window in range(T))
+    return tuple([kept + spent if window % k == 0 else spent for window in range(T)])
 
 
 def _bounded_preset(name: str) -> ResourceSpec:

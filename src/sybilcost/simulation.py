@@ -115,7 +115,7 @@ def run(config: ScenarioConfig) -> SimTrace:
     share = adversary / total if total > 0 else 0.0
     alpha, k = carry_over(spec, config.T, resource_class)
     schedule = acquisition_schedule(alpha, k, config.T, adversary)
-    rows = tuple(
+    rows = [
         WindowRow(
             window=window,
             active_identities=active,
@@ -125,8 +125,8 @@ def run(config: ScenarioConfig) -> SimTrace:
             window_cost=cost,
         )
         for window, cost in enumerate(schedule, start=1)
-    )
-    return SimTrace(rows, sum(schedule))
+    ]
+    return SimTrace(tuple(rows), sum(schedule))
 
 
 @dataclass(frozen=True)
@@ -160,9 +160,9 @@ def non_amplification_experiment(m_range, s_values, n: int) -> NonAmplificationT
     spec = preset("rate-limited")
     table_rows = []
     for m in m_values:
-        row = tuple(
+        row = [
             run(ScenarioConfig(n_honest=n, m=m, s=s, T=1, spec=spec)).per_window[0].share
             for s in s_tuple
-        )
-        table_rows.append(row)
+        ]
+        table_rows.append(tuple(row))
     return NonAmplificationTable(m_values, s_tuple, tuple(table_rows))

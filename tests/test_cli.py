@@ -176,6 +176,27 @@ def test_oracle_budget_exhaustion_is_exit_three(capsys):
     assert err.startswith("error:")
 
 
+def test_oracle_budget_guard_counts_without_building_the_grid(capsys):
+    argv = ["oracle", "--spec", "pos-stake", "--s", "2", "--T", "3", "--grid-step", "1e-6"]
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, *argv)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_BUDGET
+    assert "exceed the ceiling" in err
+    assert peak < 1_000_000
+
+
+def test_oracle_grid_too_fine_to_count_is_a_usage_error(capsys):
+    code, _, err = run_cli(capsys, "oracle", "--spec", "pos-stake", "--s", "2", "--T", "3",
+                           "--grid-step", "5e-324")
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: step 5e-324 is too fine")
+    assert err.count("\n") == 1
+
+
 def test_oracle_verification_failure_is_exit_two(capsys, monkeypatch):
     forced = oracle.VerificationReport(
         checks=(oracle.VerificationCheck(name="forced", passed=False, detail="test hook"),)

@@ -1,0 +1,283 @@
+"""The integer-unit window scan against the float scan it replaced, and exactness.
+
+`reference_best_window` is the float brute-force scan the oracle used before
+it counted in grid units: it enumerates every multiset of float levels and
+compares within FEASIBILITY_EPS.  The integer scan must pick the same
+configuration and build the same witness.  Off the dyadic grids the float
+sums of rounded levels can differ in the last bit where the unit totals tie:
+there the reference breaks the tie on rounding error, the integer scan by the
+documented rule, and the witness's acquisitions, priced from the exact unit
+total, may differ in the last bit.
+"""
+
+import dataclasses
+import gc
+import itertools
+import math
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sybilcost import costs, oracle, resources
+from sybilcost.oracle import (
+    FEASIBILITY_EPS,
+    AllocationPlan,
+    OracleScenario,
+    PlanGrid,
+    closed_form,
+    min_cost,
+    plan_feasible,
+    verify_bounds,
+)
+from sybilcost.resources import acquisition_schedule, carry_over
+
+STAKE = resources.preset("pos-stake")
+DEVICE = resources.preset("device-bound")
+
+
+def reference_best_window(scenario, grid):
+    """The float scan: (aggregate, active count, descending allocations) or None."""
+    count = int(math.floor(grid.max_value / grid.step + FEASIBILITY_EPS)) + 1
+    levels = tuple(index * grid.step for index in range(count))
+    target = scenario.target
+    r_min, tau = scenario.spec.r_min, scenario.spec.tau
+    best = None
+    for combo in itertools.combinations_with_replacement(levels, grid.max_identities):
+        if tau is not None and combo[-1] > tau + FEASIBILITY_EPS:
+            continue
+        reached = 0.0
+        active = 0
+        for value in combo:
+            if value >= r_min - FEASIBILITY_EPS:
+                reached += value
+                active += 1
+        if reached + FEASIBILITY_EPS < target:
+            continue
+        key = (sum(combo), active, combo[::-1])
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def reference_witness(scenario, key):
+    aggregate, _active, descending = key
+    alpha, k = carry_over(scenario.spec, scenario.T)
+    fielded = tuple(value for value in descending if value > 0.0)
+    acquisitions = acquisition_schedule(alpha, k, scenario.T, aggregate)
+    return AllocationPlan(scenario.T, (fielded,) * scenario.T, acquisitions)
+
+
+def in_units(key, step):
+    """A reference key in grid units, whose levels are exactly units * step."""
+    _aggregate, active, descending = key
+    units = tuple(round(value / step) for value in descending)
+    assert tuple(value * step for value in units) == descending
+    return sum(units), active, units
+
+
+def stake(r_min):
+    return dataclasses.replace(STAKE, name=f"stake-r{r_min}", r_min=r_min)
+
+
+def device(r_min, tau):
+    return dataclasses.replace(DEVICE, name=f"device-r{r_min}-t{tau}", r_min=r_min, tau=tau)
+
+
+def window_specs(r_min):
+    """Specs whose window scans differ: no cap, tau = r_min and tau = 2.5 * r_min."""
+    return (stake(r_min), device(r_min, r_min), device(r_min, 2.5 * r_min))
+
+
+def carry_over_specs(r_min, T):
+    """The specs `verify_all` searches at one threshold and horizon."""
+    base = stake(r_min)
+    specs = [
+        dataclasses.replace(base, name=f"partial-a{a}", identity_transferable=None, alpha=a)
+        for a in (0.0, 0.5, 1.0)
+    ]
+    specs += [
+        dataclasses.replace(base, name=f"bounded-k{k}", temporally_reusable=None, k=k)
+        for k in sorted({1, 2, T})
+    ]
+    return specs
+
+
+@pytest.mark.parametrize("r_min", oracle._VERIFY_THRESHOLDS)
+def test_scan_matches_the_float_reference_on_every_verify_all_instance(r_min):
+    for s in oracle._VERIFY_TARGETS:
+        for T in oracle._VERIFY_HORIZONS:
+            for spec in (*window_specs(r_min), *carry_over_specs(r_min, T)):
+                scenario = OracleScenario(s, T, spec)
+                grid = PlanGrid.for_scenario(scenario)
+                expected = reference_best_window(scenario, grid)
+                key, _count = oracle._best_window_config(scenario, grid)
+                assert key == in_units(expected, grid.step)
+                assert min_cost(scenario).witness == reference_witness(scenario, expected)
+
+
+# The float reference takes about 3 us a configuration, so the finer grids
+# stop at this many.
+REFERENCE_SCAN_LIMIT = 60_000
+
+
+@pytest.mark.parametrize("step", [0.25, 0.3])
+@pytest.mark.parametrize("r_min", oracle._VERIFY_THRESHOLDS)
+def test_scan_matches_the_float_reference_on_other_grid_steps(step, r_min):
+    compared = 0
+    for s in range(1, 6):
+        for spec in window_specs(r_min):
+            scenario = OracleScenario(s, 3, spec)
+            grid = PlanGrid.for_scenario(scenario, step=step)
+            if grid.configuration_count() > REFERENCE_SCAN_LIMIT:
+                continue
+            expected = reference_best_window(scenario, grid)
+            if expected is None:
+                with pytest.raises(ValueError, match="no feasible window"):
+                    min_cost(scenario, grid)
+                continue
+            compared += 1
+            key, _count = oracle._best_window_config(scenario, grid)
+            units = in_units(expected, step)
+            assert key[:2] == units[:2]
+            if key != units:
+                # An exact tie in units that the float sums broke on rounding
+                # error; the integer scan takes the documented tie-break.
+                assert key[2] < units[2]
+                assert sum(value * step for value in key[2]) != expected[0]
+                continue
+            found = min_cost(scenario, grid).witness
+            witness = reference_witness(scenario, expected)
+            assert found.identities == witness.identities
+            assert found.acquisitions == pytest.approx(witness.acquisitions, rel=1e-15, abs=0)
+    assert compared >= 5
+
+
+def test_repeated_verification_does_not_grow_the_heap():
+    # A full collection empties the free lists, so none may run in between.
+    gc.collect()
+    gc.disable()
+    try:
+        oracle.verify_all()
+        before = sys.getallocatedblocks()
+        for _ in range(3):
+            oracle.verify_all()
+        grown = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert grown < 200
+
+
+def partial(r_min, alpha):
+    return dataclasses.replace(
+        stake(r_min), name=f"partial-a{alpha}", identity_transferable=None, alpha=alpha
+    )
+
+
+def bounded(r_min, k):
+    return dataclasses.replace(stake(r_min), name=f"bounded-k{k}", temporally_reusable=None, k=k)
+
+
+NON_DYADIC_THRESHOLDS = [0.1, 0.3, 0.7, 1.1]
+# Where the closed form rounds once, so it must equal the oracle exactly.
+# Partial transfer does only at alpha in {0, 1}, where one share is zero.
+ONE_ROUNDING_SPECS = {
+    "reusable": stake,
+    "window-local": lambda r_min: device(r_min, r_min),
+    "partial-transfer-a0": lambda r_min: partial(r_min, 0.0),
+    "partial-transfer-a1": lambda r_min: partial(r_min, 1.0),
+    "bounded-reuse": lambda r_min: bounded(r_min, 2),
+}
+
+
+def assert_bounds_pass(result, scenario):
+    report = verify_bounds(result, scenario)
+    assert report.passed, [check for check in report.checks if not check.passed]
+
+
+@pytest.mark.parametrize("semantics", ONE_ROUNDING_SPECS)
+@pytest.mark.parametrize("r_min", NON_DYADIC_THRESHOLDS)
+def test_non_dyadic_thresholds_meet_the_closed_form_exactly(semantics, r_min):
+    spec = ONE_ROUNDING_SPECS[semantics](r_min)
+    for s in range(1, 5):
+        for T in range(1, 5):
+            scenario = OracleScenario(s, T, spec)
+            result = min_cost(scenario)
+            assert result.min_cost == closed_form(scenario), (s, T)
+            assert_bounds_pass(result, scenario)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5])
+@pytest.mark.parametrize("r_min", [*NON_DYADIC_THRESHOLDS, 1.0])
+def test_partial_transfer_is_its_exact_total_rounded_once(alpha, r_min):
+    spec = partial(r_min, alpha)
+    for s in range(1, 5):
+        for T in range(1, 5):
+            for coordination in (costs.ZERO_COORDINATION, costs.LINEAR_COORDINATION):
+                scenario = OracleScenario(s, T, spec, coordination)
+                # One full purchase of s * r_min, then the (1 - alpha) share
+                # it spends in each of the other T - 1 windows.
+                stock = s * Fraction(r_min)
+                exact = stock + (T - 1) * (1 - Fraction(alpha)) * stock
+                exact += Fraction(coordination.evaluate(s, T))
+                result = min_cost(scenario)
+                assert result.min_cost == float(exact), (s, T)
+                assert_bounds_pass(result, scenario)
+                # The law rounds each share and their sum.
+                law = closed_form(scenario)
+                assert math.isclose(law, float(exact), rel_tol=4 * sys.float_info.epsilon)
+
+
+def test_a_total_past_the_float_range_is_infinite():
+    result = min_cost(OracleScenario(1, 2, device(1e308, 1e308)))
+    assert result.min_cost == math.inf
+    assert result.witness.acquisitions == (1e308, 1e308)
+
+
+# --- plan_feasible properties ----------------------------------------------
+
+SEMANTICS_SPECS = {
+    "reusable": stake,
+    "window-local": lambda r_min: device(r_min, r_min),
+    "partial-transfer": lambda r_min: partial(r_min, 0.25),
+    "bounded-reuse": lambda r_min: bounded(r_min, 2),
+}
+
+
+def draw_scenario(data, semantics):
+    r_min = data.draw(st.sampled_from([0.5, 0.7, 1.0, 1.1]), label="r_min")
+    s = data.draw(st.integers(min_value=1, max_value=3), label="s")
+    T = data.draw(st.integers(min_value=1, max_value=4), label="T")
+    return OracleScenario(s, T, SEMANTICS_SPECS[semantics](r_min))
+
+
+@pytest.mark.parametrize("semantics", SEMANTICS_SPECS)
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_raising_acquisitions_keeps_a_plan_feasible(semantics, data):
+    scenario = draw_scenario(data, semantics)
+    T = scenario.T
+    plan = min_cost(scenario).witness
+    extras = st.floats(min_value=0.0, max_value=10.0)
+    raises = data.draw(st.lists(extras, min_size=T, max_size=T), label="raises")
+    raised = dataclasses.replace(
+        plan, acquisitions=tuple(map(sum, zip(plan.acquisitions, raises)))
+    )
+    assert plan_feasible(plan, scenario)
+    assert plan_feasible(raised, scenario)
+
+
+@pytest.mark.parametrize("semantics", SEMANTICS_SPECS)
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_lowering_a_witness_acquisition_by_one_step_breaks_it(semantics, data):
+    scenario = draw_scenario(data, semantics)
+    result = min_cost(scenario)
+    bought = [t for t, value in enumerate(result.witness.acquisitions) if value > 0.0]
+    window = data.draw(st.sampled_from(bought), label="window")
+    acquisitions = list(result.witness.acquisitions)
+    acquisitions[window] = max(0.0, acquisitions[window] - result.grid.step)
+    lowered = dataclasses.replace(result.witness, acquisitions=tuple(acquisitions))
+    assert not plan_feasible(lowered, scenario)
