@@ -2,10 +2,11 @@
 
 The central quantity is the minimum expenditure needed to keep s units of
 influence active for T consecutive windows.  One law, `cost_carry_over`,
-states it for every carry-over rule (alpha, k) of `resources.carry_over`:
-the alpha share of a purchase lasts k windows and the rest is bought anew
-every window.  The regimes are points on that scale: parallelizable stock is
-(1, None), bought once; throughput-bounded flow is (1, 1); partial
+states it for every carry-over rule (alpha, k) that `resources.carry_over`
+reads from a resource's property flags: the alpha share of a purchase lasts
+k windows and the rest is bought anew every window.  The regimes are points
+on that scale: parallelizable stock is (1, None), bought once;
+throughput-bounded flow is (0, 1), nothing carried over; partial
 transferability (alpha, None) and bounded reuse (1, k) lie in between.
 Hybrid resources compose additively.  Degenerate targets cost nothing:
 C(0, T) = C(s, 0) = 0 by convention.
@@ -90,10 +91,12 @@ LINEAR_COORDINATION = CoordinationModel.linear_sum()
 class CostReport:
     """Total cost with its stock / flow / coordination decomposition.
 
-    ``total`` is always stock + flow + coordination.  ``marginal`` is the
-    cost of the s-th unit, C(s, T) - C(s - 1, T).  ``normalized`` is
-    total / (s * T), r_min itself when the whole amount is bought anew every
-    window with no overhead, or None when the target is degenerate.
+    ``total`` is stock + flow + coordination.  `cost_carry_over` sums them in
+    exact rationals and rounds once, so its total can differ from the float
+    sum of the three parts in the last bit.  ``marginal`` is the cost of the
+    s-th unit, C(s, T) - C(s - 1, T).  ``normalized`` is total / (s * T),
+    r_min itself when the whole amount is bought anew every window with no
+    overhead, or None when the target is degenerate.
     """
 
     s: int
@@ -137,9 +140,10 @@ def cost_carry_over(
     the alpha share of a purchase stays usable for k windows and the rest is
     bought again every window.  With k = None the alpha share is bought once
     and reported as stock; with an integer k every purchase is flow, even when
-    k >= T, since nothing outlives k windows.  The marginal is the same sum
-    at one identity plus h(s, T) - h(s - 1, T).  ``normalized`` is r_min
-    itself when the whole amount is bought anew every window and h = 0.
+    k >= T, since nothing outlives k windows.  The total is that sum in exact
+    rationals, rounded once, or inf past the float range.  The marginal is the
+    same sum at one identity plus h(s, T) - h(s - 1, T).  ``normalized`` is
+    r_min itself when the whole amount is bought anew every window and h = 0.
     """
     _check_args(s, T, r_min)
     if not 0.0 <= alpha <= 1.0:
@@ -153,7 +157,14 @@ def cost_carry_over(
     spent = _share(1.0 - alpha, s * T, r_min)
     stock, flow = (kept, spent) if k is None else (0.0, kept + spent)
     overhead = coordination.evaluate(s, T)
-    total = stock + flow + overhead
+    # The total in exact rationals, rounded once: alpha = a / b, r_min = p / q
+    # and h = c / d.
+    (a, b), (p, q) = alpha.as_integer_ratio(), r_min.as_integer_ratio()
+    c, d = overhead.as_integer_ratio()
+    try:
+        total = (s * p * (a * renewals + (b - a) * T) * d + c * b * q) / (b * q * d)
+    except OverflowError:
+        total = math.inf
     marginal = _share(alpha, renewals, r_min) + _share(1.0 - alpha, T, r_min)
     marginal += overhead - coordination.evaluate(s - 1, T)
     every_window = alpha == 0.0 or (k is not None and renewals == T)
@@ -178,7 +189,7 @@ def cost_throughput_bounded(s: int, T: int, r_min: float) -> CostReport:
     The normalized ratio is r_min at every non-degenerate point; the bound is
     tight, so no coordination term appears.
     """
-    return cost_carry_over(s, T, r_min, 1.0, 1)
+    return cost_carry_over(s, T, r_min, 0.0, 1)
 
 
 class PartialTransferCost(NamedTuple):

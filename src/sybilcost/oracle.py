@@ -5,15 +5,16 @@ contributes its allocation, and one below it contributes nothing.  The oracle
 scans, in integer units of the grid step, every way of filling one window
 from a finite grid of per-identity allocations up to the rate limit tau,
 then combines windows through the cheapest acquisition schedule under the
-resource's carry-over rule, which `resources.carry_over` states and this
-module only reads; the closed form it is checked against is
-`costs.cost_carry_over` at that rule.  Plan cost is monotone in each window's
-aggregate allocation for every supported semantics, so the grid optimum is
-always a uniform plan built from the best single-window configuration and
-the search is exact over all grid plans despite never materializing the
-cross-window product.  The minimum is computed in exact rationals and
-rounded to a float once.  Results come with a feasible witness plan and are
-used to check the closed-form laws on small instances.
+resource's carry-over rule: the (alpha, k) pair that `resources.carry_over`
+reads from the spec's property flags.  The closed form it is checked against
+is `costs.cost_carry_over` at that rule, and the floor in `verify_bounds`
+reads alpha and k from the spec's fields on its own.  Plan cost is monotone
+in each window's aggregate allocation under every carry-over rule, so the
+grid optimum is always a uniform plan built from the best single-window
+configuration and the search is exact over all grid plans despite never
+materializing the cross-window product.  The minimum is computed in exact
+rationals and rounded to a float once.  Results come with a feasible witness
+plan and are used to check the closed-form laws on small instances.
 """
 
 from __future__ import annotations
@@ -26,14 +27,8 @@ from enum import Enum
 
 from . import costs
 from .costs import ZERO_COORDINATION, CoordinationModel
-from .resources import (
-    ResourceClass,
-    ResourceSpec,
-    acquisition_schedule,
-    carry_over,
-    classify,
-    preset,
-)
+from .resources import ResourceSpec, acquisition_schedule, carry_over, preset
+from .resources import classify  # noqa: F401  (an attribute the benchmark tracer wraps)
 
 __all__ = [
     "AllocationPlan",
@@ -72,25 +67,22 @@ class AllocationSemantics(Enum):
     BOUNDED_REUSE = "bounded-reuse"
 
 
-def allocation_semantics(
-    spec: ResourceSpec, resource_class: ResourceClass | None = None
-) -> AllocationSemantics:
-    """Map a classified spec onto its plan-accounting rules.
+def allocation_semantics(spec: ResourceSpec) -> AllocationSemantics:
+    """Name the spec's carry-over rule (see `resources.carry_over`).
 
-    A caller that has classified the spec already passes its resource class,
-    so the spec is not classified twice.
+    An alpha or k override names partial transfer or bounded reuse; stock that
+    is both reusable and transferable is reusable; every other rule renews the
+    whole allocation each window, so it is window-local.
     """
-    if resource_class is None:
-        resource_class = classify(spec).resource_class
     # Raises for the specs that have no carry-over rule, and so no semantics.
-    carry_over(spec, 1, resource_class)
-    if resource_class is ResourceClass.PARALLELIZABLE:
-        return AllocationSemantics.REUSABLE
-    if resource_class is ResourceClass.THROUGHPUT_BOUNDED:
-        return AllocationSemantics.WINDOW_LOCAL
+    carry_over(spec, 1)
     if spec.alpha is not None:
         return AllocationSemantics.PARTIAL_TRANSFER
-    return AllocationSemantics.BOUNDED_REUSE
+    if spec.k is not None:
+        return AllocationSemantics.BOUNDED_REUSE
+    if spec.temporally_reusable and spec.identity_transferable:
+        return AllocationSemantics.REUSABLE
+    return AllocationSemantics.WINDOW_LOCAL
 
 
 @dataclass(frozen=True)
@@ -318,10 +310,11 @@ def plan_feasible(plan: AllocationPlan, scenario: OracleScenario) -> bool:
     Every window must reach s * r_min of influence counting only identities
     at or above the activation threshold, no identity may exceed the rate
     limit tau, and the acquisition events must cover each window's aggregate
-    under the spec's carry-over rule (see `resources.carry_over`): fully
-    reusable stock accumulates, window-local flow must be bought anew every
-    window, partially transferable stock carries only its alpha fraction
-    forward, and k-bounded stock expires after k windows.
+    under the spec's carry-over rule (alpha, k) from `resources.carry_over`:
+    a purchase stays usable for k windows, and each deployment spends the
+    (1 - alpha) share of what it used for good.  So the purchases of the last
+    k windows must cover this window's aggregate plus the (1 - alpha) share of
+    the aggregates of the k - 1 windows before it.
     """
     if plan.windows != scenario.T:
         raise ValueError(
@@ -331,25 +324,31 @@ def plan_feasible(plan: AllocationPlan, scenario: OracleScenario) -> bool:
     alpha, k = carry_over(spec, plan.windows)
     target = scenario.target
     cap = math.inf if spec.tau is None else spec.tau
-    consumed = 0.0
+    aggregates = [plan.aggregate(t) for t in range(plan.windows)]
     for t, row in enumerate(plan.identities):
         reached = sum(value for value in row if value >= spec.r_min - FEASIBILITY_EPS)
         over_cap = any(value > cap + FEASIBILITY_EPS for value in row)
         if over_cap or reached + FEASIBILITY_EPS < target:
             return False
-        # What the last k windows bought must cover this window's aggregate
-        # plus the (1 - alpha) share every earlier deployment spent for good.
-        alive = sum(plan.acquisitions[max(0, t - k + 1) : t + 1])
-        aggregate = plan.aggregate(t)
-        if alive + FEASIBILITY_EPS < (1.0 - alpha) * consumed + aggregate:
+        first = max(0, t - k + 1)
+        alive = sum(plan.acquisitions[first : t + 1])
+        spent = (1.0 - alpha) * sum(aggregates[first:t])
+        if alive + FEASIBILITY_EPS < spent + aggregates[t]:
             return False
-        consumed += aggregate
     return True
 
 
 # ---------------------------------------------------------------------------
 # Bound verification
 # ---------------------------------------------------------------------------
+
+
+# Each floor check's name and what its detail calls the floor, by semantics.
+_FLOOR_CHECKS = {
+    AllocationSemantics.WINDOW_LOCAL: ("flow-lower-bound", "renewal floor"),
+    AllocationSemantics.PARTIAL_TRANSFER: ("partial-transfer-floor", "identity-bound floor"),
+    AllocationSemantics.BOUNDED_REUSE: ("renewal-floor", "k-renewal floor"),
+}
 
 
 @dataclass(frozen=True)
@@ -372,15 +371,16 @@ def verify_bounds(result: OracleResult, scenario: OracleScenario) -> Verificatio
     """Compare a search result against the closed-form bounds for its regime.
 
     The closed form is the ceiling on reusable stock and the exact value of
-    window-local flow.  The floors read the spec's alpha and k directly, so
-    they check `carry_over` independently: the throughput-bounded total, the
-    partial-transfer lower bound, and bounded reuse's k-renewal floor
-    s * T * r_min / k.  Violations come back as failed checks in the report
-    rather than as exceptions, so callers can render them.
+    window-local flow.  Every other rule has the one floor
+    s * T * r_min * ((1 - alpha) + alpha / k): the alpha share bought once
+    per k windows, the rest every window.  It reads alpha and k from the
+    spec's own fields, not from `carry_over`, so it checks the rule the search
+    priced with.  Violations come back as failed checks in the report rather
+    than as exceptions, so callers can render them.
     """
     checks: list[VerificationCheck] = []
     spec = scenario.spec
-    s, T, r_min = scenario.s, scenario.T, spec.r_min
+    s, T = scenario.s, scenario.T
     eps = FEASIBILITY_EPS
 
     feasible = plan_feasible(result.witness, scenario)
@@ -416,41 +416,26 @@ def verify_bounds(result: OracleResult, scenario: OracleScenario) -> Verificatio
                 f"minimum {result.min_cost} vs one-shot stock cost {ceiling_value}",
             )
         )
-    elif semantics is AllocationSemantics.WINDOW_LOCAL:
-        floor_value = costs.cost_throughput_bounded(s, T, r_min).total
-        checks.append(
-            VerificationCheck(
-                "flow-lower-bound",
-                result.min_cost >= floor_value - eps,
-                f"minimum {result.min_cost} vs renewal floor {floor_value}",
-            )
+        return VerificationReport(tuple(checks))
+
+    alpha = float(spec.identity_transferable) if spec.alpha is None else spec.alpha
+    k = (T if spec.temporally_reusable else 1) if spec.k is None else spec.k
+    floor_value = s * T * spec.r_min * ((1.0 - alpha) + alpha / k)
+    name, floor = _FLOOR_CHECKS[semantics]
+    checks.append(
+        VerificationCheck(
+            name,
+            result.min_cost >= floor_value - eps,
+            f"minimum {result.min_cost} vs {floor} {floor_value}",
         )
+    )
+    if semantics is AllocationSemantics.WINDOW_LOCAL:
         tight_value = closed_form(scenario)
         checks.append(
             VerificationCheck(
                 "tight-plan-value",
                 abs(result.min_cost - tight_value) <= eps,
                 f"minimum {result.min_cost} vs tight renewal cost {tight_value}",
-            )
-        )
-    elif semantics is AllocationSemantics.PARTIAL_TRANSFER:
-        assert spec.alpha is not None
-        floor_value = costs.cost_partial_transferability(s, T, r_min, spec.alpha).lower_bound
-        checks.append(
-            VerificationCheck(
-                "partial-transfer-floor",
-                result.min_cost >= floor_value - eps,
-                f"minimum {result.min_cost} vs identity-bound floor {floor_value}",
-            )
-        )
-    else:
-        assert spec.k is not None
-        floor_value = (s * T) * r_min / spec.k
-        checks.append(
-            VerificationCheck(
-                "renewal-floor",
-                result.min_cost >= floor_value - eps,
-                f"minimum {result.min_cost} vs k-renewal floor {floor_value}",
             )
         )
     return VerificationReport(tuple(checks))

@@ -6,8 +6,8 @@ between identities.  Those properties, rather than the protocol rules layered
 on top, determine how cheaply influence backed by the resource can be
 concentrated.  This module provides the property flags, the classification
 into the two extremal scaling classes plus the intermediate and unclassified
-buckets, each class's carry-over rule between windows with the acquisition
-schedule it implies, a built-in taxonomy of concrete resource types, and JSON
+buckets, the carry-over rule between windows that the flags imply, with its
+acquisition schedule, a built-in taxonomy of concrete resource types, and JSON
 import and export of specs.
 """
 
@@ -163,28 +163,29 @@ def classify(spec: ResourceSpec) -> ResourceClassification:
     return ResourceClassification(ResourceClass.OTHER, tuple(reasons))
 
 
-def carry_over(
-    spec: ResourceSpec, T: int, resource_class: ResourceClass | None = None
-) -> tuple[float, int]:
-    """The spec's carry-over rule as an (alpha, k) pair.
+def carry_over(spec: ResourceSpec, T: int) -> tuple[float, int]:
+    """The spec's carry-over rule as an (alpha, k) pair, read from its property flags.
 
     An acquisition's alpha share stays usable for k windows, counting the one
     it is bought in; the remaining (1 - alpha) share of every deployment is
-    spent for good.  Parallelizable stock is (1, T), throughput-bounded flow
-    (1, 1), partial transfer (alpha, T) and bounded reuse (1, k).
-    `resource_class` is the spec's class, when the caller has classified it
-    already.  An unclassified spec, or one with both alpha and k, has no rule.
+    spent for good.  alpha is the spec's own alpha, else 1 for a transferable
+    resource and 0 for a non-transferable one; k is the spec's own k, else T
+    for a reusable resource and 1 for a window-local one.  So parallelizable
+    stock is (1, T), throughput-bounded flow (0, 1) and spent energy (1, 1);
+    non-transferable reusable stock is (0, T), since no share of it survives
+    redeployment.  A spec that is neither throughput-bounded nor divisible and
+    additive has no rule, and neither has one that sets both alpha and k.
     """
-    if resource_class is None:
-        resource_class = classify(spec).resource_class
-    if resource_class is ResourceClass.THROUGHPUT_BOUNDED:
-        return 1.0, 1
-    if resource_class is ResourceClass.OTHER:
-        raise ValueError(f"no allocation semantics for unclassified resource {spec.name!r}")
+    if not (spec.throughput_bounded or (spec.divisible and spec.additive_influence)):
+        raise ValueError(
+            f"no carry-over rule for {spec.name!r}: "
+            "it is neither throughput-bounded nor divisible and additive"
+        )
     if spec.alpha is not None and spec.k is not None:
-        raise ValueError("combined partial-transfer and bounded-reuse search is not supported")
-    alpha = 1.0 if spec.alpha is None else spec.alpha
-    return alpha, T if spec.k is None else spec.k
+        raise ValueError(f"no carry-over rule for {spec.name!r}: it sets both alpha and k")
+    alpha = float(spec.identity_transferable) if spec.alpha is None else spec.alpha
+    k = (T if spec.temporally_reusable else 1) if spec.k is None else spec.k
+    return alpha, k
 
 
 def acquisition_schedule(alpha: float, k: int, T: int, aggregate: float) -> tuple[float, ...]:

@@ -15,14 +15,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .resources import (
-    ResourceClass,
-    ResourceSpec,
-    acquisition_schedule,
-    carry_over,
-    classify,
-    preset,
-)
+from .resources import ResourceSpec, acquisition_schedule, carry_over, preset
+from .resources import classify  # noqa: F401  (an attribute the benchmark tracer wraps)
 
 __all__ = [
     "NonAmplificationTable",
@@ -93,27 +87,19 @@ def run(config: ScenarioConfig) -> SimTrace:
     """Simulate the horizon window by window.
 
     Channel-backed (throughput-bounded) resources cap active identities at
-    min(m, s); parallelizable resources activate all s identities.  Either
-    way each active identity holds the threshold, and the windows are paid
-    for by the resource's acquisition schedule for that aggregate: anew every
-    window for a window-local resource, once up front for reusable stock.
-    Other resource classes have no defined per-window dynamics here.
+    min(m, s); any other resource activates all s identities.  Each active
+    identity holds the threshold, and the windows are paid for by the
+    acquisition schedule of the resource's carry-over rule (alpha, k) for that
+    aggregate: anew every window for window-local flow, (0, 1), once up front
+    for reusable stock, (1, T).  A resource with no carry-over rule raises
+    ValueError.
     """
     spec = config.spec
-    resource_class = classify(spec).resource_class
-    if resource_class not in (ResourceClass.PARALLELIZABLE, ResourceClass.THROUGHPUT_BOUNDED):
-        raise ValueError(
-            "simulation is defined for parallelizable or throughput-bounded resources, "
-            f"not {resource_class.value}"
-        )
-    if resource_class is ResourceClass.THROUGHPUT_BOUNDED:
-        active = min(config.m, config.s)
-    else:
-        active = config.s
+    alpha, k = carry_over(spec, config.T)
+    active = min(config.m, config.s) if spec.throughput_bounded else config.s
     adversary = active * spec.r_min
     total = adversary + config.n_honest * spec.r_min
     share = adversary / total if total > 0 else 0.0
-    alpha, k = carry_over(spec, config.T, resource_class)
     schedule = acquisition_schedule(alpha, k, config.T, adversary)
     rows = [
         WindowRow(

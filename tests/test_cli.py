@@ -169,6 +169,31 @@ def test_oracle_json_payload(capsys):
     assert payload["plans_examined"] > 0
 
 
+def test_oracle_prices_spent_energy_as_window_local_flow(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "--spec", "pow-energy", "--s", "2", "--T", "3")
+    assert code == cli.EXIT_OK
+    payload = json.loads(out)
+    assert payload["min_cost"] == 6.0
+    names = [check["name"] for check in payload["verification"]["checks"]]
+    assert names[2:] == ["flow-lower-bound", "tight-plan-value"]
+
+
+def test_simulate_runs_spent_energy(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--spec", "pow-energy", "--m", "5", "--s", "3",
+                           "--n", "10", "--T", "4", "--format", "json")
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["total_cost"] == 12.0
+
+
+@pytest.mark.parametrize("command", [["oracle"], ["simulate", "--n", "10"]])
+def test_a_spec_with_no_carry_over_rule_is_a_usage_error(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--spec", "social-graph", "--s", "2", "--T", "3")
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: no carry-over rule for 'social-graph'")
+    assert err.count("\n") == 1
+
+
 def test_oracle_budget_exhaustion_is_exit_three(capsys):
     code, _, err = run_cli(capsys, "oracle", "--spec", "pos-stake", "--s", "4", "--T", "2",
                            "--ceiling", "10")

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import pytest
@@ -120,6 +121,7 @@ def test_infeasible_grid_is_reported():
 def test_semantics_for_each_class():
     assert allocation_semantics(STAKE) is AllocationSemantics.REUSABLE
     assert allocation_semantics(DEVICE) is AllocationSemantics.WINDOW_LOCAL
+    assert allocation_semantics(resources.preset("pow-energy")) is AllocationSemantics.WINDOW_LOCAL
     assert allocation_semantics(partial_spec(0.5)) is AllocationSemantics.PARTIAL_TRANSFER
     assert allocation_semantics(bounded_spec(2)) is AllocationSemantics.BOUNDED_REUSE
 
@@ -145,6 +147,91 @@ def test_semantics_rejects_combined_overrides():
     )
     with pytest.raises(ValueError):
         allocation_semantics(spec)
+
+
+# --- the carry-over rule from the four property flags ---------------------
+
+
+def flag_specs():
+    """Every constructible combination of the four flags and the throughput marker."""
+    for divisible, additive, reusable, transferable, bounded in itertools.product(
+        (True, False), repeat=5
+    ):
+        if bounded and (reusable or transferable):
+            continue  # a throughput-bounded spec is window-local and non-transferable
+        yield resources.ResourceSpec(
+            name="flags",
+            divisible=divisible,
+            additive_influence=additive,
+            temporally_reusable=reusable,
+            identity_transferable=transferable,
+            throughput_bounded=bounded,
+            tau=2.0 if bounded else None,
+        )
+
+
+def test_flag_table_gives_each_combination_its_rule_law_and_scaling():
+    specs = list(flag_specs())
+    assert len(specs) == 20
+    for spec in specs:
+        if not (spec.throughput_bounded or (spec.divisible and spec.additive_influence)):
+            with pytest.raises(ValueError, match="no carry-over rule"):
+                resources.carry_over(spec, 3)
+            with pytest.raises(ValueError, match="no carry-over rule"):
+                min_cost(OracleScenario(1, 3, spec))
+            continue
+        # Transfer keeps the alpha = 1 share, reuse keeps it for k = T windows;
+        # so non-transferable reusable stock is (0, T): nothing survives
+        # redeployment, and it is bought again every window.
+        for T in (1, 2, 3):
+            alpha = 1.0 if spec.identity_transferable else 0.0
+            assert resources.carry_over(spec, T) == (alpha, T if spec.temporally_reusable else 1)
+        minima = {}
+        for s in range(4):
+            for T in (1, 2, 3):
+                scenario = OracleScenario(s, T, spec)
+                result = min_cost(scenario)
+                assert result.min_cost == closed_form(scenario), (spec, s, T)
+                assert verify_bounds(result, scenario).passed, (spec, s, T)
+                minima[s, T] = result.min_cost
+        # o(sT) exactly when all four properties hold: flat in T.  Otherwise
+        # the first identity costs r_min in every window.
+        amortizable = resources.is_parallelizable(spec)
+        for s in range(1, 4):
+            assert all(minima[s, T] == minima[s, 1] for T in (2, 3)) is amortizable, spec
+        if not amortizable:
+            assert all(minima[1, T] - minima[0, T] == spec.r_min * T for T in (1, 2, 3)), spec
+
+
+def mixed_spec(**overrides):
+    return dataclasses.replace(STAKE, name="mixed", **overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # Window-local with a transferable share: nothing outlives its window.
+        dict(temporally_reusable=False, identity_transferable=None, alpha=0.5),
+        # Non-transferable with bounded reuse: no share survives redeployment.
+        dict(identity_transferable=False, temporally_reusable=None, k=2),
+    ],
+)
+def test_mixed_specs_pay_every_window(overrides):
+    scenario = OracleScenario(s=3, T=4, spec=mixed_spec(**overrides))
+    result = min_cost(scenario)
+    assert result.min_cost == closed_form(scenario) == 12.0
+    assert verify_bounds(result, scenario).passed
+
+
+def test_a_one_window_rule_charges_only_live_deployments():
+    # alpha = 0.5 on a window-local spec is the rule (0.5, 1).
+    scenario = OracleScenario(
+        s=2, T=3, spec=mixed_spec(temporally_reusable=False, identity_transferable=None, alpha=0.5)
+    )
+    uniform = AllocationPlan(3, ((2.0,),) * 3, (2.0, 2.0, 2.0))
+    skimped = AllocationPlan(3, ((2.0,),) * 3, (2.0, 1.0, 2.0))
+    assert plan_feasible(uniform, scenario)
+    assert not plan_feasible(skimped, scenario)
 
 
 # --- plans ----------------------------------------------------------------

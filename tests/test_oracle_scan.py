@@ -225,9 +225,8 @@ def test_partial_transfer_is_its_exact_total_rounded_once(alpha, r_min):
                 result = min_cost(scenario)
                 assert result.min_cost == float(exact), (s, T)
                 assert_bounds_pass(result, scenario)
-                # The law rounds each share and their sum.
-                law = closed_form(scenario)
-                assert math.isclose(law, float(exact), rel_tol=4 * sys.float_info.epsilon)
+                # The law sums the same exact rational and rounds it once.
+                assert closed_form(scenario) == float(exact), (s, T)
 
 
 def test_a_total_past_the_float_range_is_infinite():

@@ -54,6 +54,15 @@ def test_empty_attack_has_no_influence():
     assert trace.total_cost == 0.0
 
 
+def test_spent_energy_activates_every_identity_and_renews_every_window():
+    config = ScenarioConfig(n_honest=10, m=1, s=3, T=4, spec=resources.preset("pow-energy"))
+    trace = run(config)
+    # Not throughput-bounded, so the channel count caps nothing.
+    assert all(row.active_identities == 3 for row in trace.per_window)
+    assert [row.window_cost for row in trace.per_window] == [3.0] * 4
+    assert trace.total_cost == 12.0
+
+
 def test_run_rejects_unclassifiable_resources():
     config = ScenarioConfig(n_honest=10, m=1, s=1, T=1, spec=resources.preset("social-graph"))
     with pytest.raises(ValueError):
