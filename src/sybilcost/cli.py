@@ -49,10 +49,7 @@ EXIT_BUDGET = 3
 
 OUTPUT_DIR_ENV = "SYBILCOST_OUT"
 
-_COORDINATION = {
-    "zero": costs.ZERO_COORDINATION,
-    "linear": costs.LINEAR_COORDINATION,
-}
+_COORDINATION = tuple(model.value for model in costs.CoordinationModel)
 
 
 class _UsageError(Exception):
@@ -211,7 +208,7 @@ def _resolve_spec(token: str) -> resources.ResourceSpec:
 
 
 def _cmd_taxonomy(args: argparse.Namespace) -> int:
-    rows = [dict(row) for row in resources.taxonomy_rows()]
+    rows = resources.taxonomy_rows()
     _emit(args, _table_text(args.format, rows, meta=_meta(args), rows=rows))
     return EXIT_OK
 
@@ -230,7 +227,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_cost(args: argparse.Namespace) -> int:
-    coordination = _COORDINATION[args.coord]
     law = args.cost_class
     if law == "partial" and args.alpha is None:
         raise _UsageError("--class partial requires --alpha")
@@ -240,6 +236,9 @@ def _cmd_cost(args: argparse.Namespace) -> int:
         raise _UsageError("--alpha applies only to --class partial")
     if args.k is not None and law != "bounded-reuse":
         raise _UsageError("--k applies only to --class bounded-reuse")
+    if args.coord is not None and law in ("bnd", "bounded-reuse"):
+        raise _UsageError("--coord applies only to --class par, hybrid or partial")
+    coordination = costs.CoordinationModel(args.coord or "zero")
 
     row: dict[str, object] = {
         "law": law, "s": args.s, "T": args.T, "r_min": args.rmin, "alpha": args.alpha
@@ -285,7 +284,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
     spec = _resolve_spec(args.spec)
     scenario = oracle.OracleScenario(
-        s=args.s, T=args.T, spec=spec, coordination=_COORDINATION[args.coord]
+        s=args.s, T=args.T, spec=spec, coordination=costs.CoordinationModel(args.coord)
     )
     ceiling = oracle.DEFAULT_PLAN_CEILING if args.ceiling is None else args.ceiling
     grid = oracle.PlanGrid.for_scenario(scenario, step=args.grid_step, ceiling=ceiling)
@@ -340,25 +339,21 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_PANEL_FILES = {
-    "eth": ("fig4-left.csv", "fig4-right.csv"),
-    "btc": ("fig5-left.csv", "fig5-right.csv"),
+# Per scenario: its default coordination and the (file, metric) of its left and
+# right panels: staking totals and ratios, mining ratios and marginal costs.
+_CALIBRATIONS = {
+    "eth": ("zero", (("fig4-left.csv", "total"), ("fig4-right.csv", "normalized"))),
+    "btc": ("linear", (("fig5-left.csv", "normalized"), ("fig5-right.csv", "marginal"))),
 }
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     from . import calibration
 
-    if args.scenario == "eth":
-        scenario = calibration.eth_scenario()
-        coord_name = args.coord or "zero"
-    else:
-        scenario = calibration.btc_tiers()
-        coord_name = args.coord or "linear"
-    series = calibration.run_calibration(scenario, law=args.law, coordination=_COORDINATION[coord_name])
-
-    out_dir = _resolve_out(args.out or ".")
-    left_name, right_name = _PANEL_FILES[args.scenario]
+    scenario = calibration.eth_scenario() if args.scenario == "eth" else calibration.btc_tiers()
+    default_coord, panels = _CALIBRATIONS[args.scenario]
+    coordination = costs.CoordinationModel(args.coord or default_coord)
+    series = calibration.run_calibration(scenario, law=args.law, coordination=coordination)
 
     def panel(metric: str) -> str:
         columns = {f"{metric}_{one.law}_{one.tier}": one.reports for one in series}
@@ -368,14 +363,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         )
         return _table_text("csv", rows)
 
-    # Left panel: totals for the staking scenario, normalized ratios for the
-    # mining scenario; right panel: normalized ratios vs marginal costs.
-    if args.scenario == "eth":
-        left_text, right_text = panel("total"), panel("normalized")
-    else:
-        left_text, right_text = panel("normalized"), panel("marginal")
-
-    for name, text in ((left_name, left_text), (right_name, right_text)):
+    # Both panels are built before either is written, so a failure writes neither.
+    texts = [(name, panel(metric)) for name, metric in panels]
+    out_dir = _resolve_out(args.out or ".")
+    for name, text in texts:
         target = out_dir / name
         _write_text(target, text)
         print(f"wrote {target}")
@@ -389,13 +380,12 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A rectangular (s, T, r_min, coordination) grid and its output target."""
+    """A rectangular (s, T, r_min, `CoordinationModel` value) grid, its format and its seed."""
 
     s_values: tuple[int, ...]
     T_values: tuple[int, ...]
     r_min_values: tuple[float, ...]
     coordination_kinds: tuple[str, ...] = ("zero",)
-    out: Path | None = None
     fmt: str = "csv"
     seed: int | None = None
 
@@ -415,7 +405,7 @@ class SweepSpec:
 
 def _sweep_row(point: tuple[int, int, float, str]) -> dict[str, object]:
     s, T, r_min, coord_name = point
-    par = costs.cost_parallelizable(s, T, r_min, _COORDINATION[coord_name])
+    par = costs.cost_parallelizable(s, T, r_min, costs.CoordinationModel(coord_name))
     bnd = costs.cost_throughput_bounded(s, T, r_min)
     return {
         "s": s,
@@ -432,19 +422,16 @@ def _sweep_row(point: tuple[int, int, float, str]) -> dict[str, object]:
 
 
 def sweep(spec: SweepSpec) -> str:
-    """Evaluate both closed-form laws over the grid; return the emitted text.
+    """Evaluate both closed-form laws over the grid and return the table text.
 
     Rows follow nested grid order (s, then T, then r_min, then coordination),
-    so output is deterministic and re-running is byte-stable.
+    so output is deterministic and re-running is byte-stable; the caller writes it.
     """
     points = itertools.product(
         spec.s_values, spec.T_values, spec.r_min_values, spec.coordination_kinds
     )
     rows = map(_sweep_row, points)
-    text = _table_text(spec.fmt, rows, meta={"seed": spec.seed}, rows=rows)
-    if spec.out is not None:
-        _write_text(spec.out, text)
-    return text
+    return _table_text(spec.fmt, rows, meta={"seed": spec.seed}, rows=rows)
 
 
 _SWEEP_PRESETS: dict[str, dict[str, tuple]] = {
@@ -481,16 +468,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if missing:
         raise _UsageError("sweep needs --preset or explicit --s, --T, and --rmin grids")
     grids.setdefault("coordination_kinds", ("zero",))
-    out = _resolve_out(args.out) if args.out else None
     try:
-        spec = SweepSpec(out=out, fmt=args.format, seed=args.seed, **grids)
+        spec = SweepSpec(fmt=args.format, seed=args.seed, **grids)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    text = sweep(spec)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        print(f"wrote {out}")
+    _emit(args, sweep(spec))
     return EXIT_OK
 
 
@@ -537,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("classify", parents=[common], help="classify a resource spec")
     sub.add_argument("--spec", required=True, help="preset name or JSON spec file")
     sub.add_argument("--out", default=None)
-    sub.set_defaults(handler=_cmd_classify, format="json")
+    sub.set_defaults(handler=_cmd_classify)
 
     sub = subparsers.add_parser("cost", parents=[common], help="evaluate one closed-form cost law")
     sub.add_argument("--class", dest="cost_class", required=True,
@@ -547,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--rmin", type=_positive_float, required=True)
     sub.add_argument("--alpha", type=float, default=None)
     sub.add_argument("--k", type=_positive_int, default=None)
-    sub.add_argument("--coord", choices=tuple(_COORDINATION), default="zero")
+    sub.add_argument("--coord", choices=_COORDINATION, default=None, help="default: zero")
     sub.add_argument("--format", choices=("csv", "json"), default="json")
     sub.add_argument("--out", default=None)
     sub.set_defaults(handler=_cmd_cost)
@@ -565,9 +547,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--grid-step", type=_positive_float, default=None)
     # None stands for oracle.DEFAULT_PLAN_CEILING, so building the parser loads no oracle.
     sub.add_argument("--ceiling", type=_positive_int, default=None)
-    sub.add_argument("--coord", choices=tuple(_COORDINATION), default="zero")
+    sub.add_argument("--coord", choices=_COORDINATION, default="zero")
     sub.add_argument("--out", default=None)
-    sub.set_defaults(handler=_cmd_oracle, format="json")
+    sub.set_defaults(handler=_cmd_oracle)
 
     sub = subparsers.add_parser("simulate", parents=[common, fmt], help="window-by-window share trace")
     sub.add_argument("--spec", required=True)
@@ -590,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="emit calibration figure panels as CSV")
     sub.add_argument("scenario", choices=("eth", "btc"))
     sub.add_argument("--law", choices=("par", "bnd", "both"), default="both")
-    sub.add_argument("--coord", choices=tuple(_COORDINATION), default=None,
+    sub.add_argument("--coord", choices=_COORDINATION, default=None,
                      help="default: zero for eth totals, linear for btc ratios")
     sub.add_argument("--out", default=None, help=f"output directory (default: ${OUTPUT_DIR_ENV} or '.')")
     sub.set_defaults(handler=_cmd_calibrate)

@@ -20,7 +20,6 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 __all__ = [
-    "CoordinationKind",
     "CoordinationModel",
     "CostReport",
     "CROSSOVER_HORIZONS",
@@ -51,40 +50,26 @@ def _check_counts(s: int, T: int) -> None:
         raise ValueError(f"T must be a nonnegative integer, got {T!r}")
 
 
-class CoordinationKind(Enum):
+class CoordinationModel(Enum):
+    """Overhead h(s, T) of operating s identities for T windows; each value is a CLI name.
+
+    ZERO is h = 0 and LINEAR_SUM is h = s + T, with the empty cases h(0, T) =
+    h(s, 0) = 0 so degenerate targets stay free.  Both grow strictly slower
+    than s*T, which is what keeps stock acquisition asymptotically cheap.
+    """
+
     ZERO = "zero"
     LINEAR_SUM = "linear"
 
-
-@dataclass(frozen=True)
-class CoordinationModel:
-    """Overhead h(s, T) of operating s identities for T windows.
-
-    The two kinds are Zero (h = 0) and LinearSum (h = s + T, with the empty
-    cases h(0, T) = h(s, 0) = 0 so degenerate targets stay free).  Both grow
-    strictly slower than s*T, which is what keeps stock acquisition
-    asymptotically cheap.
-    """
-
-    kind: CoordinationKind
-
-    @classmethod
-    def zero(cls) -> "CoordinationModel":
-        return cls(CoordinationKind.ZERO)
-
-    @classmethod
-    def linear_sum(cls) -> "CoordinationModel":
-        return cls(CoordinationKind.LINEAR_SUM)
-
     def evaluate(self, s: int, T: int) -> float:
         _check_counts(s, T)
-        if self.kind is CoordinationKind.LINEAR_SUM and s >= 1 and T >= 1:
+        if self is CoordinationModel.LINEAR_SUM and s >= 1 and T >= 1:
             return float(s + T)
         return 0.0
 
 
-ZERO_COORDINATION = CoordinationModel.zero()
-LINEAR_COORDINATION = CoordinationModel.linear_sum()
+ZERO_COORDINATION = CoordinationModel.ZERO
+LINEAR_COORDINATION = CoordinationModel.LINEAR_SUM
 
 
 @dataclass(frozen=True)
@@ -321,11 +306,8 @@ def crossover(T: int, r_min: float) -> float | None:
     return T / denominator
 
 
-def crossover_table(
-    horizons: tuple[int, ...] = CROSSOVER_HORIZONS,
-    thresholds: tuple[float, ...] = CROSSOVER_THRESHOLDS,
-) -> tuple[tuple[int, float, float | None], ...]:
-    """Crossover thresholds over a (T, r_min) grid, one row per cell."""
+def crossover_table() -> tuple[tuple[int, float, float | None], ...]:
+    """Crossover thresholds over CROSSOVER_HORIZONS x CROSSOVER_THRESHOLDS, one row per cell."""
     return tuple(
-        (T, r_min, crossover(T, r_min)) for T in horizons for r_min in thresholds
+        (T, r, crossover(T, r)) for T in CROSSOVER_HORIZONS for r in CROSSOVER_THRESHOLDS
     )

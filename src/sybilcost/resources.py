@@ -118,8 +118,8 @@ def is_parallelizable(spec: ResourceSpec) -> bool:
 
 
 def is_throughput_bounded(spec: ResourceSpec) -> bool:
-    """True when the resource is rate-limited per channel (window-local, non-transferable)."""
-    return spec.throughput_bounded and spec.tau is not None
+    """True when the spec is flagged rate-limited per channel; `ResourceSpec` then sets ``tau``."""
+    return spec.throughput_bounded
 
 
 def classify(spec: ResourceSpec) -> ResourceClassification:
@@ -273,20 +273,22 @@ def taxonomy_presets() -> list[ResourceSpec]:
 
 
 def scaling_label(spec: ResourceSpec) -> str:
-    """Asymptotic adversary-cost scaling implied by the spec's class."""
-    cls = classify(spec).resource_class
-    if cls is ResourceClass.PARALLELIZABLE:
-        return "o(sT)"
-    if cls is ResourceClass.THROUGHPUT_BOUNDED:
-        return "Omega(sT)"
-    if cls is ResourceClass.INTERMEDIATE:
-        if spec.alpha is not None:
-            return f"Omega((1-alpha)*sT), alpha={spec.alpha}"
+    """Asymptotic adversary-cost scaling implied by the spec's carry-over rule.
+
+    "no closed form" without a rule, the override's alpha or k bound, "o(sT)"
+    when all four properties hold, else "Omega(sT)" or "linear in T" by the throughput flag.
+    """
+    try:
+        carry_over(spec, 1)  # the horizon sets only k's default, not whether a rule exists
+    except ValueError:
+        return "no closed form"
+    if spec.alpha is not None:
+        return f"Omega((1-alpha)*sT), alpha={spec.alpha}"
+    if spec.k is not None:
         return f"Omega(sT/k), k={spec.k}"
-    if spec.temporally_reusable is False and spec.divisible and spec.additive_influence:
-        # Flow resources renew every window even though stock never accrues.
-        return "linear in T"
-    return "no closed form"
+    if is_parallelizable(spec):
+        return "o(sT)"
+    return "Omega(sT)" if spec.throughput_bounded else "linear in T"
 
 
 def taxonomy_rows() -> tuple[dict[str, object], ...]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .resources import ResourceSpec, acquisition_schedule, carry_over, preset
+from .resources import ResourceSpec, acquisition_schedule, carry_over
 from .resources import classify  # noqa: F401  (an attribute the benchmark tracer wraps)
 
 __all__ = [
@@ -87,19 +87,21 @@ def run(config: ScenarioConfig) -> SimTrace:
     """Simulate the horizon window by window.
 
     Channel-backed (throughput-bounded) resources cap active identities at
-    min(m, s); any other resource activates all s identities.  Each active
-    identity holds the threshold, and the windows are paid for by the
-    acquisition schedule of the resource's carry-over rule (alpha, k) for that
-    aggregate: anew every window for window-local flow, (0, 1), once up front
-    for reusable stock, (1, T).  A resource with no carry-over rule raises
-    ValueError.
+    min(m, s); any other resource activates all s identities.  The share is
+    `influence_share` with m channels, or with s for a resource that has none.
+    Each active identity holds the threshold, and the windows are paid for by
+    the acquisition schedule of the resource's carry-over rule (alpha, k) for
+    that aggregate: anew every window for window-local flow, (0, 1), once up
+    front for reusable stock, (1, T).  A resource with no carry-over rule, or a
+    scenario with no participants, raises ValueError.
     """
     spec = config.spec
     alpha, k = carry_over(spec, config.T)
-    active = min(config.m, config.s) if spec.throughput_bounded else config.s
+    channels = config.m if spec.throughput_bounded else config.s
+    share = influence_share(channels, config.s, config.n_honest)
+    active = min(channels, config.s)
     adversary = active * spec.r_min
     total = adversary + config.n_honest * spec.r_min
-    share = adversary / total if total > 0 else 0.0
     schedule = acquisition_schedule(alpha, k, config.T, adversary)
     rows = [
         WindowRow(
@@ -125,7 +127,7 @@ class NonAmplificationTable:
 
 
 def non_amplification_experiment(m_range, s_values, n: int) -> NonAmplificationTable:
-    """Sweep channel count against identity count on unit rate-limited channels.
+    """Sweep channel count against identity count: each cell is `influence_share(m, s, n)`.
 
     When every identity count exceeds the whole channel range, the share
     depends on channels alone and the columns coincide.  A sweep where some
@@ -143,12 +145,6 @@ def non_amplification_experiment(m_range, s_values, n: int) -> NonAmplificationT
             "identity counts do not all exceed the channel range; share columns may differ",
             stacklevel=2,
         )
-    spec = preset("rate-limited")
-    table_rows = []
-    for m in m_values:
-        row = [
-            run(ScenarioConfig(n_honest=n, m=m, s=s, T=1, spec=spec)).per_window[0].share
-            for s in s_tuple
-        ]
-        table_rows.append(tuple(row))
-    return NonAmplificationTable(m_values, s_tuple, tuple(table_rows))
+    # A list per row: tuple() over a generator shrinks an over-allocated row and fragments the heap.
+    rows = tuple(tuple([influence_share(m, s, n) for s in s_tuple]) for m in m_values)
+    return NonAmplificationTable(m_values, s_tuple, rows)

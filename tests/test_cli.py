@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from sybilcost import cli, oracle, resources
+from sybilcost import cli, costs, oracle, resources
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +72,38 @@ def test_cost_rejects_stray_k(capsys):
     code, _, err = run_cli(capsys, "cost", "--class", "par", "--s", "2", "--T", "3",
                            "--rmin", "1", "--k", "2")
     assert code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("law", [("bnd",), ("bounded-reuse", "--k", "2")], ids=["bnd", "bounded-reuse"])
+@pytest.mark.parametrize("coord", ["zero", "linear"])
+def test_cost_rejects_coord_for_a_law_without_overhead(capsys, law, coord):
+    code, out, err = run_cli(capsys, "cost", "--class", *law, "--s", "3", "--T", "4",
+                             "--rmin", "1", "--coord", coord)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == "error: --coord applies only to --class par, hybrid or partial\n"
+
+
+# Each command that takes --coord, with its other arguments.
+COORD_COMMANDS = {
+    "cost": ("cost", "--class", "par", "--s", "3", "--T", "4", "--rmin", "1"),
+    "oracle": ("oracle", "--spec", "pos-stake", "--s", "1", "--T", "2"),
+    "calibrate": ("calibrate", "eth"),
+    "sweep": ("sweep", "--s", "3", "--T", "4", "--rmin", "1"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COORD_COMMANDS))
+def test_coord_accepts_exactly_the_coordination_model_values(capsys, command):
+    parser = cli.build_parser()
+    for model in costs.CoordinationModel:
+        args = parser.parse_args([*COORD_COMMANDS[command], "--coord", model.value])
+        assert args.coord in (model.value, (model.value,))
+    for name in ("quadratic", "LINEAR_SUM", "Linear"):
+        code, out, err = run_cli(capsys, *COORD_COMMANDS[command], "--coord", name)
+        assert code == cli.EXIT_USAGE, name
+        assert out == ""
+        assert err.startswith("error: argument --coord:") and err.count("\n") == 1
 
 
 def test_cost_csv_format(capsys):
@@ -270,6 +302,21 @@ def test_fig3_warns_in_one_stderr_line(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--spec", "pos-stake", "--s", "0", "--n", "0", "--T", "2"),
+        ("fig3", "--n", "0", "--s-values", "0"),
+    ],
+    ids=["simulate", "fig3"],
+)
+def test_a_share_with_no_participants_is_a_one_line_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == "error: share is undefined with no active identities and no honest validators\n"
+
+
 def test_fig3_rejects_a_repeated_identity_count(capsys):
     code, out, err = run_cli(capsys, "fig3", "--s-values", "400,400")
     assert code == cli.EXIT_USAGE
@@ -351,6 +398,22 @@ def test_calibrate_default_directory_comes_from_env(tmp_path, capsys, monkeypatc
     code, _, _ = run_cli(capsys, "calibrate", "eth")
     assert code == cli.EXIT_OK
     assert (tmp_path / "fig4-left.csv").exists()
+
+
+def test_calibrate_writes_no_panel_when_one_fails(tmp_path, capsys, monkeypatch):
+    table_text = cli._table_text
+    calls = []
+
+    def fail_second(*args, **kwargs):
+        calls.append(args[0])
+        if len(calls) == 2:
+            raise ValueError("second panel failed")
+        return table_text(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_table_text", fail_second)
+    code, out, err = run_cli(capsys, "calibrate", "btc", "--out", str(tmp_path))
+    assert (code, out, err) == (cli.EXIT_USAGE, "", "error: second panel failed\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_calibrate_rerun_is_byte_identical(tmp_path, capsys):

@@ -8,6 +8,7 @@ from sybilcost import costs
 from sybilcost.costs import (
     LINEAR_COORDINATION,
     ZERO_COORDINATION,
+    CoordinationModel,
     cost_bounded_reuse,
     cost_carry_over,
     cost_hybrid,
@@ -55,6 +56,15 @@ def test_linear_sum_vanishes_on_empty_attack():
     assert LINEAR_COORDINATION.evaluate(0, 50) == 0.0
     assert LINEAR_COORDINATION.evaluate(50, 0) == 0.0
     assert LINEAR_COORDINATION.evaluate(3, 4) == 7.0
+
+
+def test_coordination_models_are_the_members_named_by_their_cli_values():
+    assert [model.value for model in CoordinationModel] == ["zero", "linear"]
+    assert CoordinationModel("zero") is ZERO_COORDINATION
+    assert CoordinationModel("linear") is LINEAR_COORDINATION
+    assert CoordinationModel("linear").evaluate(3, 4) == 7.0
+    with pytest.raises(ValueError):
+        CoordinationModel("quadratic")
 
 
 def test_coordination_rejects_negative_args():

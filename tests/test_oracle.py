@@ -179,6 +179,7 @@ def test_flag_table_gives_each_combination_its_rule_law_and_scaling():
                 resources.carry_over(spec, 3)
             with pytest.raises(ValueError, match="no carry-over rule"):
                 min_cost(OracleScenario(1, 3, spec))
+            assert resources.scaling_label(spec) == "no closed form", spec
             continue
         # Transfer keeps the alpha = 1 share, reuse keeps it for k = T windows;
         # so non-transferable reusable stock is (0, T): nothing survives
@@ -201,6 +202,9 @@ def test_flag_table_gives_each_combination_its_rule_law_and_scaling():
             assert all(minima[s, T] == minima[s, 1] for T in (2, 3)) is amortizable, spec
         if not amortizable:
             assert all(minima[1, T] - minima[0, T] == spec.r_min * T for T in (1, 2, 3)), spec
+        # The label names that growth: flat, or linear in T per identity.
+        renewed = "Omega(sT)" if spec.throughput_bounded else "linear in T"
+        assert resources.scaling_label(spec) == ("o(sT)" if amortizable else renewed), spec
 
 
 def mixed_spec(**overrides):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -116,6 +118,15 @@ def test_identical_share_columns_beyond_the_cap():
         assert row[0] == row[1] == row[2]
 
 
+def test_every_experiment_cell_is_the_share_helper():
+    m_values, s_values = range(1, 13), (0, 3, 7, 12, 20)
+    with pytest.warns(UserWarning):
+        table = non_amplification_experiment(m_values, s_values, 5)
+    assert table.rows == tuple(
+        tuple(influence_share(m, s, 5) for s in s_values) for m in m_values
+    )
+
+
 def test_share_at_equal_channels_and_honest_nodes():
     table = non_amplification_experiment([200], (400,), 200)
     assert table.rows[0][0] == 0.5
@@ -144,6 +155,24 @@ def test_honest_only_network_has_zero_adversary_share():
     trace = run(config)
     assert all(row.total_influence == 100 * DEVICE.r_min for row in trace.per_window)
     assert all(row.share == 0.0 for row in trace.per_window)
+
+
+def test_share_is_exactly_rounded_at_a_non_unit_threshold():
+    # 0.7 is not dyadic: active * 0.7 / (active * 0.7 + n * 0.7) can miss
+    # active / (active + n) in the last bit, but the share is counted, not weighed.
+    for spec in (dataclasses.replace(STAKE, r_min=0.7),
+                 dataclasses.replace(DEVICE, r_min=0.7, tau=0.7)):
+        for active in range(1, 30):
+            for n in range(30):
+                config = ScenarioConfig(n_honest=n, m=active, s=active, T=1, spec=spec)
+                assert run(config).per_window[0].share == active / (active + n)
+
+
+@pytest.mark.parametrize("spec", [STAKE, DEVICE], ids=["stake", "device"])
+def test_a_scenario_without_participants_has_no_share(spec):
+    config = ScenarioConfig(n_honest=0, m=0, s=0, T=2, spec=spec)
+    with pytest.raises(ValueError, match="share is undefined"):
+        run(config)
 
 
 def test_simulation_matches_share_helper():
