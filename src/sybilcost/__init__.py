@@ -28,7 +28,6 @@ _EXPORTS = {
         "crossover",
         "crossover_table",
         "governance_hybrid",
-        "marginal_cost",
     ),
     "oracle": (
         "AllocationPlan",
@@ -47,9 +46,7 @@ _EXPORTS = {
         "ResourceSpec",
         "classify",
         "is_parallelizable",
-        "is_throughput_bounded",
         "preset",
-        "taxonomy_presets",
     ),
     "simulation": (
         "ScenarioConfig",

@@ -44,7 +44,6 @@ ETH_R_MIN = 32.0
 ETH_LIDO_VALIDATORS = 300_000
 ETH_SMALL_OPERATOR_VALIDATORS = 100
 ETH_STAKE_SUPPLY = 1.2e8
-ETH_EPOCH_MINUTES = 6.4
 ETH_T_RANGE: tuple[int, ...] = (1, 10, 100, 1000)
 
 # Bitcoin proof of work: hash rate normalized to 10,000 units, one unit being
@@ -65,22 +64,24 @@ LAWS = ("par", "bnd")
 
 @dataclass(frozen=True)
 class CalibrationScenario:
-    """Named tiers of concentration targets priced over a horizon range."""
+    """Named tiers of concentration targets priced over a horizon range.
+
+    ``supply_reference``, when set, is the whole network in the units a cost
+    is counted in (tokens, or hash-rate units), so a cost reads as a multiple of it.
+    """
 
     name: str
     r_min: float
     s_tiers: tuple[tuple[str, int], ...]
     T_range: tuple[int, ...]
     supply_reference: float | None = None
-    window_minutes: float | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.r_min) and self.r_min > 0):
             raise ValueError(f"r_min must be finite and positive, got {self.r_min}")
-        for field in ("supply_reference", "window_minutes"):
-            value = getattr(self, field)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{field} must be finite and positive, got {value}")
+        supply = self.supply_reference
+        if supply is not None and not (math.isfinite(supply) and supply > 0):
+            raise ValueError(f"supply_reference must be finite and positive, got {supply}")
         if not self.s_tiers:
             raise ValueError("scenario needs at least one tier")
         sizes = [size for _, size in self.s_tiers]
@@ -114,7 +115,6 @@ def eth_scenario() -> CalibrationScenario:
         ),
         T_range=ETH_T_RANGE,
         supply_reference=ETH_STAKE_SUPPLY,
-        window_minutes=ETH_EPOCH_MINUTES,
     )
 
 
@@ -128,7 +128,6 @@ def btc_tiers() -> CalibrationScenario:
         s_tiers=tiers,
         T_range=BTC_T_RANGE,
         supply_reference=float(BTC_NETWORK_UNITS),
-        window_minutes=10.0,
     )
 
 

@@ -167,14 +167,14 @@ def _write_text(path: Path, text: str) -> None:
     file is never reused or clobbered.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    scratch = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    scratch = f"{path}.{os.urandom(8).hex()}.tmp"  # a str: a new Path would intern the name
     handle = open(scratch, "x")
     try:
         with handle:
             handle.write(text)
         os.replace(scratch, path)
     except BaseException:
-        scratch.unlink(missing_ok=True)
+        Path(scratch).unlink(missing_ok=True)
         raise
 
 
@@ -308,7 +308,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from . import simulation
 
     spec = _resolve_spec(args.spec)
-    config = simulation.ScenarioConfig(n_honest=args.n, m=args.m, s=args.s, T=args.T, spec=spec)
+    if args.m is not None and not spec.throughput_bounded:
+        raise _UsageError("--m applies only to a throughput-bounded spec")
+    config = simulation.ScenarioConfig(n_honest=args.n, m=args.m or 0, s=args.s, T=args.T, spec=spec)
     trace = simulation.run(config)
     rows = (asdict(row) for row in trace.per_window)
     text = _table_text(
@@ -553,7 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser("simulate", parents=[common, fmt], help="window-by-window share trace")
     sub.add_argument("--spec", required=True)
-    sub.add_argument("--m", type=_nonnegative_int, default=0, help="adversarial channel count")
+    sub.add_argument("--m", type=_nonnegative_int, default=None,
+                     help="adversarial channel count of a throughput-bounded spec (default: 0)")
     sub.add_argument("--s", type=_nonnegative_int, required=True)
     sub.add_argument("--n", type=_nonnegative_int, required=True, help="honest validator count")
     sub.add_argument("--T", type=_positive_int, required=True)
@@ -604,10 +607,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 __all__ = [
     "CoordinationModel",
@@ -36,10 +36,6 @@ __all__ = [
     "crossover",
     "crossover_table",
     "governance_hybrid",
-    "marginal_cost",
-    "parallelizable_law",
-    "throughput_law",
-    "zero_report",
 ]
 
 
@@ -79,7 +75,8 @@ class CostReport:
     ``total`` is stock + flow + coordination.  `cost_carry_over` sums them in
     exact rationals and rounds once, so its total can differ from the float
     sum of the three parts in the last bit.  ``marginal`` is the cost of the
-    s-th unit, C(s, T) - C(s - 1, T).  ``normalized`` is total / (s * T),
+    s-th unit, Delta(s, T) = C(s, T) - C(s - 1, T); `cost_carry_over` rounds it
+    once too, so at s = 1 it equals the total.  ``normalized`` is total / (s * T),
     r_min itself when the whole amount is bought anew every window with no
     overhead, or None when the target is degenerate.
     """
@@ -94,11 +91,6 @@ class CostReport:
     normalized: float | None
 
 
-def zero_report(s: int = 0, T: int = 0) -> CostReport:
-    """Degenerate report: an empty target or horizon costs nothing."""
-    return CostReport(s, T, 0.0, 0.0, 0.0, 0.0, 0.0, None)
-
-
 def _check_args(s: int, T: int, r_min: float) -> None:
     _check_counts(s, T)
     if not (math.isfinite(r_min) and r_min > 0):
@@ -109,6 +101,16 @@ def _share(weight: float, count: int, r_min: float) -> float:
     # A share of weight 0 adds exactly 0.0, where 0.0 times an overflowed
     # product would be nan.
     return weight * (count * r_min) if weight else 0.0
+
+
+def _rounded_once(count: int, renewals: int, T: int, r_min: float, alpha: float, h: float) -> float:
+    """count * r_min * (alpha * renewals + (1 - alpha) * T) + h in exact rationals, rounded once."""
+    (a, b), (p, q) = alpha.as_integer_ratio(), r_min.as_integer_ratio()
+    c, d = h.as_integer_ratio()
+    try:
+        return (count * p * (a * renewals + (b - a) * T) * d + c * b * q) / (b * q * d)
+    except OverflowError:
+        return math.inf  # past the float range
 
 
 def cost_carry_over(
@@ -126,9 +128,11 @@ def cost_carry_over(
     bought again every window.  With k = None the alpha share is bought once
     and reported as stock; with an integer k every purchase is flow, even when
     k >= T, since nothing outlives k windows.  The total is that sum in exact
-    rationals, rounded once, or inf past the float range.  The marginal is the
-    same sum at one identity plus h(s, T) - h(s - 1, T).  ``normalized`` is
-    r_min itself when the whole amount is bought anew every window and h = 0.
+    rationals, rounded once, or inf past the float range.  The marginal
+    Delta(s, T) = (alpha * ceil(T / k) + (1 - alpha) * T) * r_min + h(s, T) - h(s - 1, T)
+    is rounded once the same way, so at s = 1 it equals the total.
+    ``normalized`` is r_min itself when the whole amount is bought anew every
+    window and h = 0.
     """
     _check_args(s, T, r_min)
     if not 0.0 <= alpha <= 1.0:
@@ -136,22 +140,16 @@ def cost_carry_over(
     if k is not None and (type(k) is not int or k < 1):
         raise ValueError(f"k must be a positive integer window count, got {k!r}")
     if s == 0 or T == 0:
-        return zero_report(s, T)
+        return CostReport(s, T, 0.0, 0.0, 0.0, 0.0, 0.0, None)
     renewals = 1 if k is None else -(-T // k)
     kept = _share(alpha, s * renewals, r_min)
     spent = _share(1.0 - alpha, s * T, r_min)
     stock, flow = (kept, spent) if k is None else (0.0, kept + spent)
     overhead = coordination.evaluate(s, T)
-    # The total in exact rationals, rounded once: alpha = a / b, r_min = p / q
-    # and h = c / d.
-    (a, b), (p, q) = alpha.as_integer_ratio(), r_min.as_integer_ratio()
-    c, d = overhead.as_integer_ratio()
-    try:
-        total = (s * p * (a * renewals + (b - a) * T) * d + c * b * q) / (b * q * d)
-    except OverflowError:
-        total = math.inf
-    marginal = _share(alpha, renewals, r_min) + _share(1.0 - alpha, T, r_min)
-    marginal += overhead - coordination.evaluate(s - 1, T)
+    total = _rounded_once(s, renewals, T, r_min, alpha, overhead)
+    # h takes whole-number values, so the float difference of two of them is exact.
+    step = overhead - coordination.evaluate(s - 1, T)
+    marginal = _rounded_once(1, renewals, T, r_min, alpha, step)
     every_window = alpha == 0.0 or (k is not None and renewals == T)
     normalized = r_min if every_window and overhead == 0.0 else total / (s * T)
     return CostReport(s, T, total, stock, flow, overhead, marginal, normalized)
@@ -251,33 +249,6 @@ def governance_hybrid(
         cost_parallelizable(s, T, stake_r_min, coordination),
         cost_throughput_bounded(s, T, channel_r_min),
     )
-
-
-def marginal_cost(law: Callable[[int, int], float], s: int, T: int) -> float:
-    """C(s, T) - C(s - 1, T) under an arbitrary total-cost law, with C(0, T) = 0."""
-    if s < 1:
-        raise ValueError(f"marginal cost needs s >= 1, got {s}")
-    return law(s, T) - law(s - 1, T)
-
-
-def parallelizable_law(
-    r_min: float, coordination: CoordinationModel = ZERO_COORDINATION
-) -> Callable[[int, int], float]:
-    """Total-cost law handle for the parallelizable regime."""
-
-    def law(s: int, T: int) -> float:
-        return cost_parallelizable(s, T, r_min, coordination).total
-
-    return law
-
-
-def throughput_law(r_min: float) -> Callable[[int, int], float]:
-    """Total-cost law handle for the throughput-bounded regime."""
-
-    def law(s: int, T: int) -> float:
-        return cost_throughput_bounded(s, T, r_min).total
-
-    return law
 
 
 # ---------------------------------------------------------------------------

@@ -531,20 +531,15 @@ def verify_all() -> list[tuple[str, int, list[str]]]:
             horizon.append((flat, f"par horizon dependence s={s} r_min={r_min}"))
             monotone.append((bnd >= bnd_min[(r_min, s, T - 1)], f"bnd not monotone in T at {at}"))
 
-    for T in costs.CROSSOVER_HORIZONS:
-        for r_min in costs.CROSSOVER_THRESHOLDS:
-            threshold = costs.crossover(T, r_min)
-            if threshold is None:
-                continue
-            par_law = costs.parallelizable_law(r_min, costs.LINEAR_COORDINATION)
-            bnd_law = costs.throughput_law(r_min)
-            for s in range(1, math.floor(threshold)):
-                at = f"s={s} T={T} r_min={r_min}"
-                sign.append((bnd_law(s, T) < par_law(s, T), f"sign below crossover fails at {at}"))
-            top = math.ceil(threshold)
-            for s in range(top + 1, top + 11):
-                at = f"s={s} T={T} r_min={r_min}"
-                sign.append((bnd_law(s, T) > par_law(s, T), f"sign above crossover fails at {at}"))
+    for T, r_min, threshold in costs.crossover_table():
+        if threshold is None:
+            continue
+        top = math.ceil(threshold)
+        for s in [*range(1, math.floor(threshold)), *range(top + 1, top + 11)]:
+            par = costs.cost_parallelizable(s, T, r_min, costs.LINEAR_COORDINATION).total
+            bnd = costs.cost_throughput_bounded(s, T, r_min).total
+            side, passed = ("below", bnd < par) if s < threshold else ("above", bnd > par)
+            sign.append((passed, f"sign {side} crossover fails at s={s} T={T} r_min={r_min}"))
     return [
         (group, len(checks), [failure for passed, failure in checks if not passed])
         for group, checks in groups.items()

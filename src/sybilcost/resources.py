@@ -29,13 +29,11 @@ __all__ = [
     "carry_over",
     "classify",
     "is_parallelizable",
-    "is_throughput_bounded",
     "load_specs",
     "preset",
     "scaling_label",
     "spec_from_dict",
     "spec_to_dict",
-    "taxonomy_presets",
     "taxonomy_rows",
 ]
 
@@ -117,13 +115,12 @@ def is_parallelizable(spec: ResourceSpec) -> bool:
     )
 
 
-def is_throughput_bounded(spec: ResourceSpec) -> bool:
-    """True when the spec is flagged rate-limited per channel; `ResourceSpec` then sets ``tau``."""
-    return spec.throughput_bounded
-
-
 def classify(spec: ResourceSpec) -> ResourceClassification:
-    """Assign a spec to its scaling class with property-level reasons."""
+    """Assign a spec to its scaling class with property-level reasons.
+
+    Parallelizable when all four properties hold, else throughput-bounded by the
+    spec's own flag, else intermediate with an alpha or k override, else other.
+    """
     if is_parallelizable(spec):
         return ResourceClassification(
             ResourceClass.PARALLELIZABLE,
@@ -134,7 +131,7 @@ def classify(spec: ResourceSpec) -> ResourceClassification:
                 "identity transferable",
             ),
         )
-    if is_throughput_bounded(spec):
+    if spec.throughput_bounded:
         return ResourceClassification(
             ResourceClass.THROUGHPUT_BOUNDED,
             (
@@ -265,11 +262,6 @@ def preset(name: str) -> ResourceSpec:
     except KeyError:
         known = ", ".join(sorted(_PRESETS))
         raise ValueError(f"unknown preset {name!r}; known presets: {known}") from None
-
-
-def taxonomy_presets() -> list[ResourceSpec]:
-    """All built-in presets, in taxonomy order."""
-    return list(TAXONOMY)
 
 
 def scaling_label(spec: ResourceSpec) -> str:

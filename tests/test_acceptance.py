@@ -306,7 +306,7 @@ def test_criterion_10_classification_soundness():
             tau=2.0 if bounded else None,
             r_min=1.0,
         )
-        assert not (resources.is_parallelizable(spec) and resources.is_throughput_bounded(spec))
+        assert not (resources.is_parallelizable(spec) and spec.throughput_bounded)
         combos += 1
 
     expected = {
@@ -320,7 +320,7 @@ def test_criterion_10_classification_soundness():
     }
     got = {
         spec.name: resources.classify(spec).resource_class.value
-        for spec in resources.taxonomy_presets()
+        for spec in resources.TAXONOMY
     }
     elapsed = time.perf_counter() - start
     ok = got == expected and elapsed < 1.0

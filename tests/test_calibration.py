@@ -18,7 +18,6 @@ def test_eth_scenario_parameters():
     assert dict(scenario.s_tiers) == {"lido": 300_000, "small-operator": 100}
     assert scenario.T_range == (1, 10, 100, 1000)
     assert scenario.supply_reference == 1.2e8
-    assert scenario.window_minutes == 6.4
 
 
 def test_btc_tiers_derive_from_network_shares():
@@ -120,9 +119,7 @@ def test_scenario_requires_positive_parameters():
         CalibrationScenario(name="bad", r_min=1.0, s_tiers=(("a", 10),), T_range=(0,))
 
 
-@pytest.mark.parametrize(
-    "field", ["r_min", "supply_reference", "window_minutes", "s_tiers", "T_range"]
-)
+@pytest.mark.parametrize("field", ["r_min", "supply_reference", "s_tiers", "T_range"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_scenario_numbers_must_be_finite(field, value):
     # Tier sizes and horizons are integer counts: the bad number goes inside the tuple.

@@ -211,10 +211,26 @@ def test_oracle_prices_spent_energy_as_window_local_flow(capsys):
 
 
 def test_simulate_runs_spent_energy(capsys):
-    code, out, _ = run_cli(capsys, "simulate", "--spec", "pow-energy", "--m", "5", "--s", "3",
+    code, out, _ = run_cli(capsys, "simulate", "--spec", "pow-energy", "--s", "3",
                            "--n", "10", "--T", "4", "--format", "json")
     assert code == cli.EXIT_OK
     assert json.loads(out)["total_cost"] == 12.0
+
+
+@pytest.mark.parametrize("spec", ["pos-stake", "pow-energy"])
+def test_simulate_channel_count_applies_only_to_throughput_bounded_specs(capsys, spec):
+    code, out, err = run_cli(capsys, "simulate", "--spec", spec, "--m", "2", "--s", "10",
+                             "--n", "10", "--T", "1")
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == "error: --m applies only to a throughput-bounded spec\n"
+
+
+def test_simulate_channel_count_defaults_to_zero(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--spec", "device-bound", "--s", "10",
+                           "--n", "10", "--T", "1")
+    assert code == cli.EXIT_OK
+    assert out.splitlines()[1] == "1,0,0.0,10.0,0.0,0.0"
 
 
 @pytest.mark.parametrize("command", [["oracle"], ["simulate", "--n", "10"]])
@@ -520,6 +536,21 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
         cli._write_text(target, "header\n")
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_failure_after_the_rename_raises_its_own_error(tmp_path, monkeypatch):
+    # The scratch file is already gone, so cleanup must not mask the failure.
+    target = tmp_path / "data.csv"
+    rename = os.replace
+
+    def rename_then_fail(src, dst):
+        rename(src, dst)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", rename_then_fail)
+    with pytest.raises(KeyboardInterrupt):
+        cli._write_text(target, "header\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["data.csv"]
 
 
 def test_write_leaves_a_strangers_scratch_file_alone(tmp_path):

@@ -1,14 +1,15 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sybilcost import costs
 from sybilcost.costs import (
     LINEAR_COORDINATION,
     ZERO_COORDINATION,
     CoordinationModel,
+    CostReport,
     cost_bounded_reuse,
     cost_carry_over,
     cost_hybrid,
@@ -18,7 +19,6 @@ from sybilcost.costs import (
     crossover,
     crossover_table,
     governance_hybrid,
-    marginal_cost,
 )
 from sybilcost.resources import acquisition_schedule
 
@@ -96,26 +96,71 @@ def test_decomposition_sums_to_total(s, T, r_min):
 
 @given(st.integers(min_value=2, max_value=100), SMALL_T, DYADIC_R)
 def test_parallelizable_marginal_is_flat(s, T, r_min):
-    law = costs.parallelizable_law(r_min, LINEAR_COORDINATION)
     # LinearSum adds s + T, so each identity after the first costs r_min + 1.
-    assert marginal_cost(law, s, T) == r_min + 1.0
+    assert cost_parallelizable(s, T, r_min, LINEAR_COORDINATION).marginal == r_min + 1.0
 
 
 @given(SMALL_T, DYADIC_R)
 def test_first_identity_carries_the_whole_coordination_term(T, r_min):
-    law = costs.parallelizable_law(r_min, LINEAR_COORDINATION)
-    assert marginal_cost(law, 1, T) == r_min + 1.0 + T
+    report = cost_parallelizable(1, T, r_min, LINEAR_COORDINATION)
+    assert report.marginal == r_min + 1.0 + T == report.total
 
 
 @given(st.integers(min_value=1, max_value=100), SMALL_T, DYADIC_R)
 def test_throughput_marginal_grows_with_horizon(s, T, r_min):
-    law = costs.throughput_law(r_min)
-    assert marginal_cost(law, s, T) == r_min * T
+    assert cost_throughput_bounded(s, T, r_min).marginal == r_min * T
 
 
-def test_marginal_cost_requires_positive_s():
-    with pytest.raises(ValueError):
-        marginal_cost(costs.throughput_law(1.0), 0, 5)
+# Every named law as a function of (s, T), at one threshold and coordination.
+NAMED_LAWS = {
+    "par": lambda s, T, r, h: cost_parallelizable(s, T, r, h),
+    "bnd": lambda s, T, r, h: cost_throughput_bounded(s, T, r),
+    "partial": lambda s, T, r, h: cost_carry_over(s, T, r, 0.5, None, h),
+    "bounded-reuse": lambda s, T, r, h: cost_bounded_reuse(s, T, r, 3),
+    "hybrid": lambda s, T, r, h: governance_hybrid(s, T, r, 2 * r, h),
+}
+
+
+@pytest.mark.parametrize("law", NAMED_LAWS.values(), ids=NAMED_LAWS.keys())
+@pytest.mark.parametrize("coordination", list(CoordinationModel), ids=lambda model: model.value)
+def test_marginal_is_the_difference_of_totals_on_every_law(law, coordination):
+    # Dyadic thresholds keep both totals and their difference exact.
+    for r_min in (0.25, 0.5, 1.0, 2.0):
+        for s in range(1, 7):
+            for T in range(1, 7):
+                report = law(s, T, r_min, coordination)
+                previous = law(s - 1, T, r_min, coordination).total
+                assert report.marginal == report.total - previous, (r_min, s, T)
+
+
+def exact_marginal(s, T, r_min, alpha, k, coordination):
+    renewals = 1 if k is None else -(-T // k)
+    a = Fraction(alpha)
+    step = Fraction(coordination.evaluate(s, T)) - Fraction(coordination.evaluate(s - 1, T))
+    return float(Fraction(r_min) * (a * renewals + (1 - a) * T) + step)
+
+
+@pytest.mark.parametrize("coordination", list(CoordinationModel), ids=lambda model: model.value)
+@pytest.mark.parametrize("k", [None, 1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.7, 1.0])
+def test_marginal_is_the_exact_difference_rounded_once(alpha, k, coordination):
+    for r_min in (0.25, 1.0, 4.0, 0.1, 0.3, 0.7, 1.1):
+        for s in range(1, 6):
+            for T in range(1, 9):
+                report = cost_carry_over(s, T, r_min, alpha, k, coordination)
+                expected = exact_marginal(s, T, r_min, alpha, k, coordination)
+                assert report.marginal == expected, (r_min, s, T)
+
+
+@pytest.mark.parametrize("coordination", list(CoordinationModel), ids=lambda model: model.value)
+@pytest.mark.parametrize("k", [None, 1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.7, 1.0])
+def test_first_identity_marginal_is_the_total(alpha, k, coordination):
+    # C(0, T) = 0, so Delta(1, T) is C(1, T) itself.
+    for r_min in (0.25, 1.0, 0.1, 0.3, 0.7, 1.1):
+        for T in range(1, 9):
+            report = cost_carry_over(1, T, r_min, alpha, k, coordination)
+            assert report.marginal == report.total, (r_min, T)
 
 
 def test_partial_transfer_example():
@@ -182,7 +227,7 @@ def test_hybrid_rejects_mismatched_shapes():
 
 def test_hybrid_with_zero_bounded_part_is_parallelizable():
     par = cost_parallelizable(5, 6, 1.0, LINEAR_COORDINATION)
-    report = cost_hybrid(par, costs.zero_report(5, 6))
+    report = cost_hybrid(par, CostReport(5, 6, 0.0, 0.0, 0.0, 0.0, 0.0, None))
     assert report.total == par.total
 
 
@@ -203,13 +248,18 @@ def test_crossover_matches_law_intersection(T, r_min):
     if threshold is None:
         assert T * r_min <= r_min + 1.0
         return
-    par = costs.parallelizable_law(r_min, LINEAR_COORDINATION)
-    bnd = costs.throughput_law(r_min)
+
+    def par(s):
+        return cost_parallelizable(s, T, r_min, LINEAR_COORDINATION).total
+
+    def bnd(s):
+        return cost_throughput_bounded(s, T, r_min).total
+
     below = math.floor(threshold)
     if below >= 1 and below < threshold:
-        assert bnd(below, T) < par(below, T)
+        assert bnd(below) < par(below)
     above = math.ceil(threshold) + 1
-    assert bnd(above, T) > par(above, T)
+    assert bnd(above) > par(above)
 
 
 def test_crossover_undefined_for_short_horizons():

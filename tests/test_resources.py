@@ -6,13 +6,12 @@ import pytest
 
 from sybilcost import costs, resources
 from sybilcost.resources import (
+    TAXONOMY,
     ResourceClass,
     ResourceSpec,
     classify,
     is_parallelizable,
-    is_throughput_bounded,
     preset,
-    taxonomy_presets,
 )
 
 
@@ -38,18 +37,18 @@ def test_device_bound_is_not_parallelizable():
 
 
 def test_device_bound_is_throughput_bounded():
-    assert is_throughput_bounded(preset("device-bound")) is True
+    assert preset("device-bound").throughput_bounded is True
 
 
 def test_pow_hardware_not_throughput_bounded():
-    assert is_throughput_bounded(preset("pow-hardware")) is False
+    assert preset("pow-hardware").throughput_bounded is False
 
 
 def test_pow_energy_window_local_but_transferable():
     spec = preset("pow-energy")
     assert spec.temporally_reusable is False
     assert spec.identity_transferable is True
-    assert is_throughput_bounded(spec) is False
+    assert spec.throughput_bounded is False
 
 
 def test_classify_pos_stake():
@@ -66,14 +65,14 @@ def test_classify_social_graph_is_other():
 
 
 def test_classification_reasons_nonempty():
-    for spec in taxonomy_presets():
+    for spec in TAXONOMY:
         outcome = classify(spec)
         assert outcome.reasons
         assert all(isinstance(reason, str) for reason in outcome.reasons)
 
 
 def test_taxonomy_has_seven_presets():
-    names = [spec.name for spec in taxonomy_presets()]
+    names = [spec.name for spec in TAXONOMY]
     assert names == [
         "pow-hardware",
         "pow-energy",
@@ -105,7 +104,7 @@ def test_classes_are_mutually_exclusive_over_all_flag_combinations():
             throughput_bounded=bounded,
             tau=2.0 if bounded else None,
         )
-        assert not (is_parallelizable(spec) and is_throughput_bounded(spec))
+        assert not (is_parallelizable(spec) and spec.throughput_bounded)
 
 
 def test_throughput_bounded_requires_window_locality():
