@@ -483,10 +483,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify_all(args: argparse.Namespace) -> int:
-    from . import oracle
+    from .verification import verify_all
 
     all_ok = True
-    for group, count, failures in oracle.verify_all():
+    for group, count, failures in verify_all():
         if failures:
             all_ok = False
             print(f"FAIL {group}: {len(failures)} of {count} checks failed")

@@ -73,8 +73,9 @@ class CostReport:
     """Total cost with its stock / flow / coordination decomposition.
 
     ``total`` is stock + flow + coordination.  `cost_carry_over` sums them in
-    exact rationals and rounds once, so its total can differ from the float
-    sum of the three parts in the last bit.  ``marginal`` is the cost of the
+    exact rationals and rounds once, and `cost_hybrid` adds its components'
+    totals, so a total can differ from the float sum of the three parts in
+    the last bit.  ``marginal`` is the cost of the
     s-th unit, Delta(s, T) = C(s, T) - C(s - 1, T); `cost_carry_over` rounds it
     once too, so at s = 1 it equals the total.  ``normalized`` is total / (s * T),
     r_min itself when the whole amount is bought anew every window with no
@@ -97,13 +98,9 @@ def _check_args(s: int, T: int, r_min: float) -> None:
         raise ValueError(f"r_min must be finite and positive, got {r_min}")
 
 
-def _share(weight: float, count: int, r_min: float) -> float:
-    # A share of weight 0 adds exactly 0.0, where 0.0 times an overflowed
-    # product would be nan.
-    return weight * (count * r_min) if weight else 0.0
-
-
-def _rounded_once(count: int, renewals: int, T: int, r_min: float, alpha: float, h: float) -> float:
+def _rounded_once(
+    count: int, renewals: int, T: int, r_min: float, alpha: float, h: float = 0.0
+) -> float:
     """count * r_min * (alpha * renewals + (1 - alpha) * T) + h in exact rationals, rounded once."""
     (a, b), (p, q) = alpha.as_integer_ratio(), r_min.as_integer_ratio()
     c, d = h.as_integer_ratio()
@@ -127,8 +124,8 @@ def cost_carry_over(
     the alpha share of a purchase stays usable for k windows and the rest is
     bought again every window.  With k = None the alpha share is bought once
     and reported as stock; with an integer k every purchase is flow, even when
-    k >= T, since nothing outlives k windows.  The total is that sum in exact
-    rationals, rounded once, or inf past the float range.  The marginal
+    k >= T, since nothing outlives k windows.  The total and each share are
+    sums in exact rationals, rounded once, or inf past the float range.  The marginal
     Delta(s, T) = (alpha * ceil(T / k) + (1 - alpha) * T) * r_min + h(s, T) - h(s - 1, T)
     is rounded once the same way, so at s = 1 it equals the total.
     ``normalized`` is r_min itself when the whole amount is bought anew every
@@ -142,9 +139,12 @@ def cost_carry_over(
     if s == 0 or T == 0:
         return CostReport(s, T, 0.0, 0.0, 0.0, 0.0, 0.0, None)
     renewals = 1 if k is None else -(-T // k)
-    kept = _share(alpha, s * renewals, r_min)
-    spent = _share(1.0 - alpha, s * T, r_min)
-    stock, flow = (kept, spent) if k is None else (0.0, kept + spent)
+    if k is None:
+        # T = 0 leaves the alpha share alone, and renewals = 0 the (1 - alpha) share.
+        stock = _rounded_once(s, renewals, 0, r_min, alpha)
+        flow = _rounded_once(s, 0, T, r_min, alpha)
+    else:
+        stock, flow = 0.0, _rounded_once(s, renewals, T, r_min, alpha)
     overhead = coordination.evaluate(s, T)
     total = _rounded_once(s, renewals, T, r_min, alpha, overhead)
     # h takes whole-number values, so the float difference of two of them is exact.
@@ -216,7 +216,8 @@ def cost_hybrid(parallel_part: CostReport, bounded_part: CostReport) -> CostRepo
 
     Both reports must describe the same (s, T) target.  The composed total
     inherits the bounded component's floor, so it is never below
-    r_min_bounded * s * T.
+    r_min_bounded * s * T.  The total and the marginal are each the rounded
+    sum of the components' values, so at s = 1 they agree as the components do.
     """
     if (parallel_part.s, parallel_part.T) != (bounded_part.s, bounded_part.T):
         raise ValueError(
@@ -227,7 +228,7 @@ def cost_hybrid(parallel_part: CostReport, bounded_part: CostReport) -> CostRepo
     stock = parallel_part.stock + bounded_part.stock
     flow = parallel_part.flow + bounded_part.flow
     coordination = parallel_part.coordination + bounded_part.coordination
-    total = stock + flow + coordination
+    total = parallel_part.total + bounded_part.total
     normalized = total / (s * T) if s >= 1 and T >= 1 else None
     marginal = parallel_part.marginal + bounded_part.marginal
     return CostReport(s, T, total, stock, flow, coordination, marginal, normalized)

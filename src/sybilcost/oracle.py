@@ -14,7 +14,7 @@ grid optimum is always a uniform plan built from the best single-window
 configuration and the search is exact over all grid plans despite never
 materializing the cross-window product.  The minimum is computed in exact
 rationals and rounded to a float once.  Results come with a feasible witness
-plan and are used to check the closed-form laws on small instances.
+plan, which `verify_bounds` checks against the closed-form bounds.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from . import costs
 from .costs import ZERO_COORDINATION, CoordinationModel
-from .resources import ResourceSpec, acquisition_schedule, carry_over, preset
+from .resources import ResourceSpec, acquisition_schedule, carry_over
 from .resources import classify  # noqa: F401  (an attribute the benchmark tracer wraps)
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "min_cost",
     "plan_cost",
     "plan_feasible",
-    "verify_all",
     "verify_bounds",
 ]
 
@@ -439,108 +438,3 @@ def verify_bounds(result: OracleResult, scenario: OracleScenario) -> Verificatio
             )
         )
     return VerificationReport(tuple(checks))
-
-
-# ---------------------------------------------------------------------------
-# The small-grid verification behind `sybilcost verify-all`
-# ---------------------------------------------------------------------------
-
-_VERIFY_THRESHOLDS = (0.5, 1.0, 2.0)
-_VERIFY_TARGETS = (1, 2, 3, 4)
-_VERIFY_HORIZONS = (1, 2, 3, 4)
-# Check groups in report order.
-_VERIFY_GROUPS = (
-    "closed-form-equivalence",
-    "marginal-separation",
-    "horizon-independence",
-    "partition-invariance",
-    "monotonicity",
-    "intermediate-regimes",
-    "crossover-sign",
-)
-
-# A check is a (passed, failure description) pair.
-_Checks = list[tuple[bool, str]]
-
-
-def _search(label: str, scenario: OracleScenario, checks: _Checks) -> float:
-    """Search one instance, check it against its closed form and bounds, return its minimum."""
-    result = min_cost(scenario)
-    expected = closed_form(scenario)
-    where = f"s={scenario.s} T={scenario.T} r_min={scenario.spec.r_min}"
-    mismatch = f"{label} {where}: oracle {result.min_cost} != {expected}"
-    checks.append((result.min_cost == expected, mismatch))
-    checks.append((verify_bounds(result, scenario).passed, f"{label} bounds {where}"))
-    return result.min_cost
-
-
-def verify_all() -> list[tuple[str, int, list[str]]]:
-    """Exhaustive small-grid check of every closed-form law against the oracle.
-
-    Returns one (group, check count, failure descriptions) triple per check
-    group, in a fixed order; the grid passes when every failure list is empty.
-    """
-    groups: dict[str, _Checks] = {group: [] for group in _VERIFY_GROUPS}
-    equivalence, marginal, horizon, partition, monotone, intermediate, sign = groups.values()
-    par_min: dict[tuple[float, int, int], float] = {}
-    bnd_min: dict[tuple[float, int, int], float] = {}
-    for r_min in _VERIFY_THRESHOLDS:
-        par_spec = replace(preset("pos-stake"), name=f"stake-r{r_min}", r_min=r_min)
-        bnd_spec = replace(preset("device-bound"), name=f"device-r{r_min}", r_min=r_min, tau=r_min)
-        for s in _VERIFY_TARGETS:
-            for T in _VERIFY_HORIZONS:
-                key = (r_min, s, T)
-                par_min[key] = _search("par", OracleScenario(s, T, par_spec), equivalence)
-                bnd_min[key] = _search("bnd", OracleScenario(s, T, bnd_spec), equivalence)
-                # The intermediate regimes are the stake resource with its
-                # transfer cut to an alpha share or its reuse to k windows.
-                specs = [
-                    replace(par_spec, name=f"partial-a{a}", identity_transferable=None, alpha=a)
-                    for a in (0.0, 0.5, 1.0)
-                ]
-                specs += [
-                    replace(par_spec, name=f"bounded-k{k}", temporally_reusable=None, k=k)
-                    for k in sorted({1, 2, T})
-                ]
-                for spec in specs:
-                    _search(spec.name, OracleScenario(s, T, spec), intermediate)
-                if T != 2:
-                    continue
-                # The same stock split among any j <= s identities is feasible at the same cost.
-                scenario = OracleScenario(s, T, par_spec)
-                stock = s * r_min
-                for j in range(1, s + 1):
-                    plan = AllocationPlan(T, ((stock / j,) * j,) * T, (stock, 0.0))
-                    feasible = plan_feasible(plan, scenario)
-                    drift = abs(plan_cost(plan, scenario) - par_min[key])
-                    at = f"s={s} j={j} r_min={r_min}"
-                    partition.append((feasible, f"re-partition infeasible {at}"))
-                    partition.append((drift <= FEASIBILITY_EPS, f"re-partition cost drift {at}"))
-
-    for (r_min, s, T), par in par_min.items():
-        bnd = bnd_min[(r_min, s, T)]
-        below = (r_min, s - 1, T)
-        at = f"s={s} T={T} r_min={r_min}"
-        marginal.append((par - par_min.get(below, 0.0) == r_min, f"par marginal {at}"))
-        marginal.append((bnd - bnd_min.get(below, 0.0) == r_min * T, f"bnd marginal {at}"))
-        if s > 1:
-            monotone.append((par >= par_min[below], f"par not monotone in s at {at}"))
-            monotone.append((bnd >= bnd_min[below], f"bnd not monotone in s at {at}"))
-        if T > 1:
-            flat = par == par_min[(r_min, s, 1)]
-            horizon.append((flat, f"par horizon dependence s={s} r_min={r_min}"))
-            monotone.append((bnd >= bnd_min[(r_min, s, T - 1)], f"bnd not monotone in T at {at}"))
-
-    for T, r_min, threshold in costs.crossover_table():
-        if threshold is None:
-            continue
-        top = math.ceil(threshold)
-        for s in [*range(1, math.floor(threshold)), *range(top + 1, top + 11)]:
-            par = costs.cost_parallelizable(s, T, r_min, costs.LINEAR_COORDINATION).total
-            bnd = costs.cost_throughput_bounded(s, T, r_min).total
-            side, passed = ("below", bnd < par) if s < threshold else ("above", bnd > par)
-            sign.append((passed, f"sign {side} crossover fails at s={s} T={T} r_min={r_min}"))
-    return [
-        (group, len(checks), [failure for passed, failure in checks if not passed])
-        for group, checks in groups.items()
-    ]

@@ -242,6 +242,17 @@ def test_hybrid_floor(s, T, stake_r, channel_r):
     assert report.total >= (s * T) * channel_r
 
 
+@pytest.mark.parametrize("coordination", list(CoordinationModel), ids=lambda model: model.value)
+def test_hybrid_first_identity_marginal_is_the_total(coordination):
+    # Both components give marginal == total at s = 1, so their sums must agree too.
+    thresholds = (0.1, 0.3, 0.7, 1.1)
+    for stake_r in thresholds:
+        for channel_r in thresholds:
+            for T in range(1, 9):
+                report = governance_hybrid(1, T, stake_r, channel_r, coordination)
+                assert report.marginal == report.total, (stake_r, channel_r, T)
+
+
 @given(st.integers(min_value=2, max_value=300), DYADIC_R)
 def test_crossover_matches_law_intersection(T, r_min):
     threshold = crossover(T, r_min)
@@ -370,6 +381,25 @@ def test_renewal_every_window_normalizes_to_r_min_exactly(s, T):
     # (s * T) * 0.1 / (s * T) is 0.10000000000000002, not 0.1.
     assert cost_throughput_bounded(s, T, 0.1).normalized == 0.1
     assert cost_bounded_reuse(s, T, 0.1, 1).normalized == 0.1
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_partial_transfer_shares_are_exact_rounded_once(alpha):
+    # Each share is exact and rounded once: (1 - 0.3) * 0.1 is 0.07, not 0.06999999999999999.
+    kept = Fraction(alpha)
+    for r_min in (0.1, 0.3, 0.7, 1.1, 0.25, 1.0):
+        for s in range(1, 6):
+            for T in range(1, 9):
+                report = cost_carry_over(s, T, r_min, alpha, None)
+                assert report.stock == float(kept * s * Fraction(r_min)), (r_min, s, T)
+                assert report.flow == float((1 - kept) * s * T * Fraction(r_min)), (r_min, s, T)
+                bound = cost_partial_transferability(s, T, r_min, alpha)
+                assert bound.lower_bound == report.flow
+
+
+def test_a_share_overflows_only_when_its_exact_value_does():
+    assert cost_partial_transferability(2, 2, 1e308, 0.5) == (math.inf, math.inf)
+    assert cost_carry_over(2, 2, 1e308, 0.5, None).stock == 1e308
 
 
 def test_zero_weight_share_of_an_overflowing_product_costs_nothing():

@@ -10,6 +10,12 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+
+def _env():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 # Run in a fresh interpreter, so no module loaded by another test counts.
 PROBE = """
 import json, sys
@@ -28,7 +34,7 @@ same_object = all(
 namespace = {}
 exec("from sybilcost import *", namespace)
 # A stale __all__ entry in any submodule makes its star import raise.
-for module in ("calibration", "cli", "costs", "oracle", "resources", "simulation"):
+for module in ("calibration", "cli", "costs", "oracle", "resources", "simulation", "verification"):
     exec(f"from sybilcost.{module} import *", {})
 try:
     sybilcost.no_such_name
@@ -60,10 +66,8 @@ PUBLIC_NAMES = [
 
 
 def test_modules_load_on_first_use():
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True,
-                          env=env, timeout=60)
+                          env=_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["after_package"] == []
@@ -74,11 +78,28 @@ def test_modules_load_on_first_use():
     assert report["unknown"] == "module 'sybilcost' has no attribute 'no_such_name'"
     assert report["after_all"] == [
         "sybilcost.calibration", "sybilcost.cli", "sybilcost.costs", "sybilcost.oracle",
-        "sybilcost.resources", "sybilcost.simulation",
+        "sybilcost.resources", "sybilcost.simulation", "sybilcost.verification",
     ]
 
 
-# Which commands load the oracle: only the two that search.
+# A fresh `import sybilcost.oracle` loads what the search needs and no more.
+SEARCH_PROBE = """
+import json, sys
+import sybilcost.oracle
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "sybilcost")))
+"""
+
+
+def test_the_oracle_loads_only_what_it_searches_with():
+    proc = subprocess.run([sys.executable, "-c", SEARCH_PROBE], capture_output=True, text=True,
+                          env=_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        "sybilcost", "sybilcost.costs", "sybilcost.oracle", "sybilcost.resources",
+    ]
+
+
+# Which commands load the oracle (only the two that search) and the verification grid.
 ORACLE_PROBE = """
 import contextlib, io, json, runpy, sys
 from sybilcost import cli
@@ -89,7 +110,17 @@ with contextlib.redirect_stdout(io.StringIO()):
     else:
         code = cli.dispatch(sys.argv[1:])
 print(json.dumps({"exit": code, "oracle": "sybilcost.oracle" in sys.modules}))
+print(json.dumps("sybilcost.verification" in sys.modules))
 """
+
+
+def _run_probe(argv):
+    """Run ORACLE_PROBE on ARGV; return its report line and whether the grid loaded."""
+    proc = subprocess.run([sys.executable, "-c", ORACLE_PROBE, *argv], capture_output=True,
+                          text=True, env=_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report, verification = proc.stdout.splitlines()
+    return json.loads(report), json.loads(verification)
 
 
 @pytest.mark.parametrize(
@@ -104,9 +135,16 @@ print(json.dumps({"exit": code, "oracle": "sybilcost.oracle" in sys.modules}))
 def test_only_searching_commands_load_the_oracle(tmp_path, argv, loads_oracle):
     if argv[0] == "make_datasets":
         argv = [*argv, str(tmp_path / "datasets")]
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", ORACLE_PROBE, *argv], capture_output=True,
-                          text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"exit": 0, "oracle": loads_oracle}
+    report, _verification = _run_probe(argv)
+    assert report == {"exit": 0, "oracle": loads_oracle}
+
+
+@pytest.mark.parametrize(
+    "argv, loads_grid",
+    [(["oracle", "--spec", "device-bound", "--s", "2", "--T", "3"], False), (["verify-all"], True)],
+    ids=["oracle", "verify-all"],
+)
+def test_only_verify_all_loads_the_verification_grid(argv, loads_grid):
+    report, verification = _run_probe(argv)
+    assert report["exit"] == 0
+    assert verification is loads_grid

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sybilcost import costs, oracle, resources
+from sybilcost import costs, oracle, resources, verification
 from sybilcost.oracle import (
     FEASIBILITY_EPS,
     AllocationPlan,
@@ -105,10 +105,10 @@ def carry_over_specs(r_min, T):
     return specs
 
 
-@pytest.mark.parametrize("r_min", oracle._VERIFY_THRESHOLDS)
+@pytest.mark.parametrize("r_min", verification._VERIFY_THRESHOLDS)
 def test_scan_matches_the_float_reference_on_every_verify_all_instance(r_min):
-    for s in oracle._VERIFY_TARGETS:
-        for T in oracle._VERIFY_HORIZONS:
+    for s in verification._VERIFY_TARGETS:
+        for T in verification._VERIFY_HORIZONS:
             for spec in (*window_specs(r_min), *carry_over_specs(r_min, T)):
                 scenario = OracleScenario(s, T, spec)
                 grid = PlanGrid.for_scenario(scenario)
@@ -124,7 +124,7 @@ REFERENCE_SCAN_LIMIT = 60_000
 
 
 @pytest.mark.parametrize("step", [0.25, 0.3])
-@pytest.mark.parametrize("r_min", oracle._VERIFY_THRESHOLDS)
+@pytest.mark.parametrize("r_min", verification._VERIFY_THRESHOLDS)
 def test_scan_matches_the_float_reference_on_other_grid_steps(step, r_min):
     compared = 0
     for s in range(1, 6):
@@ -160,10 +160,10 @@ def test_repeated_verification_does_not_grow_the_heap():
     gc.collect()
     gc.disable()
     try:
-        oracle.verify_all()
+        verification.verify_all()
         before = sys.getallocatedblocks()
         for _ in range(3):
-            oracle.verify_all()
+            verification.verify_all()
         grown = sys.getallocatedblocks() - before
     finally:
         gc.enable()
