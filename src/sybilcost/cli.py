@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable
 
@@ -35,11 +35,9 @@ __all__ = [
     "EXIT_USAGE",
     "EXIT_VERIFICATION",
     "OUTPUT_DIR_ENV",
-    "SweepSpec",
     "build_parser",
     "dispatch",
     "main",
-    "sweep",
 ]
 
 EXIT_OK = 0
@@ -327,15 +325,13 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
     # The library warns with a source location; the CLI says it in one line.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        table = simulation.non_amplification_experiment(m_values, args.s_values, args.n)
+        shares = simulation.non_amplification_experiment(m_values, args.s_values, args.n)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
-    share_names = [f"share_s{s}" for s in table.s_values]
-    rows = (
-        {"m": m, **dict(zip(share_names, shares))} for m, shares in zip(table.m_values, table.rows)
-    )
+    share_names = [f"share_s{s}" for s in args.s_values]
+    rows = ({"m": m, **dict(zip(share_names, row))} for m, row in zip(m_values, shares))
     text = _table_text(
-        args.format, rows, meta=_meta(args), n=args.n, s_values=list(table.s_values), rows=rows
+        args.format, rows, meta=_meta(args), n=args.n, s_values=list(args.s_values), rows=rows
     )
     _emit(args, text)
     return EXIT_OK
@@ -380,31 +376,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A rectangular (s, T, r_min, `CoordinationModel` value) grid, its format and its seed."""
-
-    s_values: tuple[int, ...]
-    T_values: tuple[int, ...]
-    r_min_values: tuple[float, ...]
-    coordination_kinds: tuple[str, ...] = ("zero",)
-    fmt: str = "csv"
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if not (self.s_values and self.T_values and self.r_min_values and self.coordination_kinds):
-            raise ValueError("sweep grids must be nonempty")
-        if any(s < 1 for s in self.s_values) or any(T < 1 for T in self.T_values):
-            raise ValueError("sweep targets and horizons must be positive")
-        if any(r <= 0 for r in self.r_min_values):
-            raise ValueError("sweep thresholds must be positive")
-        unknown = [kind for kind in self.coordination_kinds if kind not in _COORDINATION]
-        if unknown:
-            raise ValueError(f"unknown coordination kinds: {unknown}")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.fmt!r}")
-
-
 def _sweep_row(point: tuple[int, int, float, str]) -> dict[str, object]:
     s, T, r_min, coord_name = point
     par = costs.cost_parallelizable(s, T, r_min, costs.CoordinationModel(coord_name))
@@ -423,58 +394,34 @@ def _sweep_row(point: tuple[int, int, float, str]) -> dict[str, object]:
     }
 
 
-def sweep(spec: SweepSpec) -> str:
-    """Evaluate both closed-form laws over the grid and return the table text.
-
-    Rows follow nested grid order (s, then T, then r_min, then coordination),
-    so output is deterministic and re-running is byte-stable; the caller writes it.
-    """
-    points = itertools.product(
-        spec.s_values, spec.T_values, spec.r_min_values, spec.coordination_kinds
-    )
-    rows = map(_sweep_row, points)
-    return _table_text(spec.fmt, rows, meta={"seed": spec.seed}, rows=rows)
-
-
-_SWEEP_PRESETS: dict[str, dict[str, tuple]] = {
+# Each preset's (s, T, r_min, coordination) axes.
+_SWEEP_PRESETS: dict[str, tuple[tuple, tuple, tuple, tuple]] = {
     # Normalized-ratio decay in s at a fixed horizon.
-    "fig1": {
-        "s_values": tuple(range(1, 1001)),
-        "T_values": (100,),
-        "r_min_values": (1.0,),
-        "coordination_kinds": ("linear",),
-    },
+    "fig1": (tuple(range(1, 1001)), (100,), (1.0,), ("linear",)),
     # Totals and ratios against the horizon for three thresholds.
-    "fig2": {
-        "s_values": (10,),
-        "T_values": tuple(range(1, 201)),
-        "r_min_values": (0.5, 1.0, 2.0),
-        "coordination_kinds": ("linear",),
-    },
+    "fig2": ((10,), tuple(range(1, 201)), (0.5, 1.0, 2.0), ("linear",)),
 }
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    grids: dict[str, tuple] = {}
-    if args.preset:
-        grids.update(_SWEEP_PRESETS[args.preset])
-    if args.s is not None:
-        grids["s_values"] = args.s
-    if args.T is not None:
-        grids["T_values"] = args.T
-    if args.rmin is not None:
-        grids["r_min_values"] = args.rmin
-    if args.coord is not None:
-        grids["coordination_kinds"] = args.coord
-    missing = [name for name in ("s_values", "T_values", "r_min_values") if name not in grids]
-    if missing:
+    """Both closed-form laws over the grid, one row per point in nested axis order.
+
+    Each flag replaces its preset axis; coordination defaults to zero.
+    """
+    preset = _SWEEP_PRESETS.get(args.preset, (None, None, None, ("zero",)))
+    flags = (args.s, args.T, args.rmin, args.coord)
+    axes = tuple(preset_axis if flag is None else flag for preset_axis, flag in zip(preset, flags))
+    s_values, T_values, r_min_values, _kinds = axes
+    if s_values is None or T_values is None or r_min_values is None:
         raise _UsageError("sweep needs --preset or explicit --s, --T, and --rmin grids")
-    grids.setdefault("coordination_kinds", ("zero",))
-    try:
-        spec = SweepSpec(fmt=args.format, seed=args.seed, **grids)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    _emit(args, sweep(spec))
+    if not all(axes):
+        raise _UsageError("sweep grids must be nonempty")
+    if min(s_values) < 1 or min(T_values) < 1:
+        raise _UsageError("sweep targets and horizons must be positive")
+    if min(r_min_values) <= 0:
+        raise _UsageError("sweep thresholds must be positive")
+    rows = map(_sweep_row, itertools.product(*axes))
+    _emit(args, _table_text(args.format, rows, meta=_meta(args), rows=rows))
     return EXIT_OK
 
 

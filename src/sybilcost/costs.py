@@ -99,10 +99,10 @@ def _check_args(s: int, T: int, r_min: float) -> None:
 
 
 def _rounded_once(
-    count: int, renewals: int, T: int, r_min: float, alpha: float, h: float = 0.0
+    count: int, renewals: int, T: int, unit: float, alpha: float, h: float = 0.0
 ) -> float:
-    """count * r_min * (alpha * renewals + (1 - alpha) * T) + h in exact rationals, rounded once."""
-    (a, b), (p, q) = alpha.as_integer_ratio(), r_min.as_integer_ratio()
+    """count * unit * (alpha * renewals + (1 - alpha) * T) + h in exact rationals, rounded once."""
+    (a, b), (p, q) = alpha.as_integer_ratio(), unit.as_integer_ratio()
     c, d = h.as_integer_ratio()
     try:
         return (count * p * (a * renewals + (b - a) * T) * d + c * b * q) / (b * q * d)

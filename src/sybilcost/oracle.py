@@ -12,8 +12,8 @@ reads alpha and k from the spec's fields on its own.  Plan cost is monotone
 in each window's aggregate allocation under every carry-over rule, so the
 grid optimum is always a uniform plan built from the best single-window
 configuration and the search is exact over all grid plans despite never
-materializing the cross-window product.  The minimum is computed in exact
-rationals and rounded to a float once.  Results come with a feasible witness
+materializing the cross-window product.  The minimum is priced by `costs`'
+exact helper, rounded to a float once.  Results come with a feasible witness
 plan, which `verify_bounds` checks against the closed-form bounds.
 """
 
@@ -269,15 +269,9 @@ def min_cost(scenario: OracleScenario, grid: PlanGrid | None = None) -> OracleRe
         fielded = tuple([value * step for value in descending if value])
     acquisitions = acquisition_schedule(alpha, k, T, units * step)
     witness = AllocationPlan(T, (fielded,) * T, acquisitions)
-    # The alpha share of units * step is bought every k windows and the rest
-    # every window, plus h(s, T); alpha = a / b, step = p / q, h = c / d.
-    (a, b), (p, q) = alpha.as_integer_ratio(), step.as_integer_ratio()
-    c, d = scenario.coordination.evaluate(s, T).as_integer_ratio()
-    bought = units * (a * -(-T // k) + (b - a) * T)
-    try:
-        total = (bought * p * d + c * b * q) / (b * q * d)
-    except OverflowError:
-        total = math.inf
+    # The law's exact helper prices `units` grid steps at the rule (alpha, k).
+    overhead = scenario.coordination.evaluate(s, T)
+    total = costs._rounded_once(units, -(-T // k), T, step, alpha, overhead)
     return OracleResult(total, witness, examined, effective_grid)
 
 

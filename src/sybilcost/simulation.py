@@ -6,8 +6,8 @@ identities backed by the configured resource; for channel-backed resources
 each identity must occupy its own channel, which caps the number of active
 identities at the channel count and makes extra identities worthless.  The
 windows are paid for under the resource's carry-over rule from `resources`,
-the same rule the oracle prices plans with, so a simulation never loads the
-oracle.
+the same rule the oracle prices plans with, and the total is that rule's
+closed form from `costs`, so a simulation never loads the oracle.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
+from . import costs
 from .resources import ResourceSpec, acquisition_schedule, carry_over
 from .resources import classify  # noqa: F401  (an attribute the benchmark tracer wraps)
 
 __all__ = [
-    "NonAmplificationTable",
     "ScenarioConfig",
     "SimTrace",
     "WindowRow",
@@ -92,8 +92,10 @@ def run(config: ScenarioConfig) -> SimTrace:
     Each active identity holds the threshold, and the windows are paid for by
     the acquisition schedule of the resource's carry-over rule (alpha, k) for
     that aggregate: anew every window for window-local flow, (0, 1), once up
-    front for reusable stock, (1, T).  A resource with no carry-over rule, or a
-    scenario with no participants, raises ValueError.
+    front for reusable stock, (1, T).  The total is `costs.cost_carry_over` at
+    that rule, the law's exactly rounded sum, not the float sum of the rows.  A
+    resource with no carry-over rule, or a scenario with no participants,
+    raises ValueError.
     """
     spec = config.spec
     alpha, k = carry_over(spec, config.T)
@@ -114,20 +116,12 @@ def run(config: ScenarioConfig) -> SimTrace:
         )
         for window, cost in enumerate(schedule, start=1)
     ]
-    return SimTrace(tuple(rows), sum(schedule))
+    total = costs.cost_carry_over(active, config.T, spec.r_min, alpha, k).total
+    return SimTrace(tuple(rows), total)
 
 
-@dataclass(frozen=True)
-class NonAmplificationTable:
-    """Influence shares over channel counts (rows) and identity counts (columns)."""
-
-    m_values: tuple[int, ...]
-    s_values: tuple[int, ...]
-    rows: tuple[tuple[float, ...], ...]
-
-
-def non_amplification_experiment(m_range, s_values, n: int) -> NonAmplificationTable:
-    """Sweep channel count against identity count: each cell is `influence_share(m, s, n)`.
+def non_amplification_experiment(m_range, s_values, n: int) -> tuple[tuple[float, ...], ...]:
+    """Rows of `influence_share(m, s, n)`: one row per m in m_range, one cell per s in s_values.
 
     When every identity count exceeds the whole channel range, the share
     depends on channels alone and the columns coincide.  A sweep where some
@@ -146,5 +140,4 @@ def non_amplification_experiment(m_range, s_values, n: int) -> NonAmplificationT
             stacklevel=2,
         )
     # A list per row: tuple() over a generator shrinks an over-allocated row and fragments the heap.
-    rows = tuple(tuple([influence_share(m, s, n) for s in s_tuple]) for m in m_values)
-    return NonAmplificationTable(m_values, s_tuple, rows)
+    return tuple(tuple([influence_share(m, s, n) for s in s_tuple]) for m in m_values)

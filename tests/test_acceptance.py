@@ -7,6 +7,8 @@ T=100 under summed coordination, and that its (r_min + 1)/T = 0.02
 asymptote is approached from above but never reached.
 """
 
+import contextlib
+import io
 import itertools
 import json
 import time
@@ -206,8 +208,8 @@ def test_criterion_07_intermediate_regimes():
 def test_criterion_08_hybrid_floor():
     points = set()
     for preset in ("fig1", "fig2"):
-        axes = cli._SWEEP_PRESETS[preset]
-        points.update(itertools.product(axes["s_values"], axes["T_values"], axes["r_min_values"]))
+        s_values, T_values, r_min_values, _coordination = cli._SWEEP_PRESETS[preset]
+        points.update(itertools.product(s_values, T_values, r_min_values))
     # Stretch to the documented grid extremes on a logarithmic sample.
     points.update(
         itertools.product(
@@ -227,9 +229,10 @@ def test_criterion_08_hybrid_floor():
 
 
 def _sweep_rows(preset: str) -> list[dict[str, float]]:
-    axes = cli._SWEEP_PRESETS[preset]
-    spec = cli.SweepSpec(fmt="json", **axes)
-    return json.loads(cli.sweep(spec))["rows"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.dispatch(["sweep", "--preset", preset, "--format", "json"]) == cli.EXIT_OK
+    return json.loads(out.getvalue())["rows"]
 
 
 def test_criterion_09_normalized_regimes():
@@ -273,13 +276,13 @@ def test_criterion_09_normalized_threshold():
     decomposed = (
         report.stock == s * r_min and report.coordination == s + T and report.flow == 0
     )
-    axes = cli._SWEEP_PRESETS["fig1"]  # s = 1..1000 at T=100, r_min=1
-    (T_sweep,), (r_sweep,) = axes["T_values"], axes["r_min_values"]
+    # fig1: s = 1..1000 at T=100, r_min=1
+    s_sweep, (T_sweep,), (r_sweep,), _coordination = cli._SWEEP_PRESETS["fig1"]
     gap_misses = [
-        point for point in axes["s_values"]
+        point for point in s_sweep
         if _stock_ratio(point, T_sweep, r_sweep)[1] - asymptote != Fraction(1, point)
     ]
-    points = len(axes["s_values"])
+    points = len(s_sweep)
     ok = exact and decomposed and not gap_misses
     _criterion("09b", "normalized-ratio threshold", ok,
                f"ratio={ratio} at s=1000, T=100 (stock={report.stock}, "

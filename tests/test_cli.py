@@ -494,16 +494,15 @@ def test_csv_from_a_generator_matches_csv_from_a_list():
 
 
 def test_sweep_csv_streams_within_a_small_multiple_of_its_text():
-    spec = cli.SweepSpec(
-        s_values=tuple(range(1, 20_001)),
-        T_values=(100,),
-        r_min_values=(1.0,),
-        coordination_kinds=("linear",),
-    )
-    cli.sweep(cli.SweepSpec(s_values=(1,), T_values=(1,), r_min_values=(1.0,)))  # warm caches
+    def sweep_text(axes):
+        return cli._table_text("csv", map(cli._sweep_row, itertools.product(*axes)))
+
+    # Built before tracing: itertools.product materializes its inputs.
+    axes = (tuple(range(1, 20_001)), (100,), (1.0,), ("linear",))
+    sweep_text(((1,), (1,), (1.0,), ("zero",)))  # warm caches
     tracemalloc.start()
     try:
-        text = cli.sweep(spec)
+        text = sweep_text(axes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -129,8 +129,10 @@ def _run_probe(argv):
         (["make_datasets", str(SRC.parent / "scripts" / "make_datasets.py")], False),
         (["oracle", "--spec", "device-bound", "--s", "2", "--T", "3"], True),
         (["verify-all"], True),
+        (["simulate", "--spec", "device-bound", "--m", "50", "--s", "400", "--n", "200",
+          "--T", "10"], False),
     ],
-    ids=["make_datasets", "oracle", "verify-all"],
+    ids=["make_datasets", "oracle", "verify-all", "simulate"],
 )
 def test_only_searching_commands_load_the_oracle(tmp_path, argv, loads_oracle):
     if argv[0] == "make_datasets":
