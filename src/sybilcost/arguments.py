@@ -1,0 +1,194 @@
+"""What the `sybilcost` command line accepts: its subcommands, options and help.
+
+`build_parser` names no handler: `cli.dispatch` runs the subcommand that
+`args.command` names.  So this module holds the whole grammar, and `cli`
+holds what each command does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+
+from . import costs
+
+__all__ = ["OUTPUT_DIR_ENV", "build_parser"]
+
+# The parser's description, printed by --help.
+_DESCRIPTION = """Command-line entry point: cost laws, oracle runs, simulations, and datasets.
+
+Every emitting subcommand is deterministic: re-running a command with the same
+arguments produces byte-identical output (no timestamps inside data files).
+Files are written through a temporary path and renamed, so a failed write
+never leaves a partial dataset behind.
+
+Exit codes: 0 success, 1 usage error, 2 verification failure, 3 enumeration
+budget exceeded.
+"""
+
+OUTPUT_DIR_ENV = "SYBILCOST_OUT"
+
+_COORDINATION = tuple(model.value for model in costs.CoordinationModel)
+
+# Each sweep preset's (s, T, r_min, coordination) axes.
+_SWEEP_PRESETS: dict[str, tuple[tuple, tuple, tuple, tuple]] = {
+    # Normalized-ratio decay in s at a fixed horizon.
+    "fig1": (tuple(range(1, 1001)), (100,), (1.0,), ("linear",)),
+    # Totals and ratios against the horizon for three thresholds.
+    "fig2": ((10,), tuple(range(1, 201)), (0.5, 1.0, 2.0), ("linear",)),
+}
+
+
+class _UsageError(Exception):
+    """Bad invocation; converted to a one-line diagnostic and exit code 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> None:  # type: ignore[override]
+        raise _UsageError(message)
+
+
+# ---------------------------------------------------------------------------
+# Argument conversion
+# ---------------------------------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in text.split(",") if part != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    try:
+        values = tuple(float(part) for part in text.split(",") if part != "")
+        if all(math.isfinite(value) for value in values):
+            return values
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers, got {text!r}")
+
+
+def _coord_list(text: str) -> tuple[str, ...]:
+    kinds = tuple(part for part in text.split(",") if part != "")
+    for kind in kinds:
+        if kind not in _COORDINATION:
+            raise argparse.ArgumentTypeError(f"unknown coordination kind {kind!r}")
+    return kinds
+
+
+# ---------------------------------------------------------------------------
+# Parser assembly
+# ---------------------------------------------------------------------------
+
+
+def _format_options(default: str | None) -> argparse.ArgumentParser:
+    """A parent parser for --format, with this default, and --out."""
+    fmt = _Parser(add_help=False)
+    fmt.add_argument("--format", choices=("csv", "json"), default=default)
+    fmt.add_argument("--out", default=None, help="write to this file instead of standard output")
+    return fmt
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the whole command line."""
+    parser = _Parser(prog="sybilcost", description=_DESCRIPTION)
+    subparsers = parser.add_subparsers(dest="command", metavar="command", required=True)
+
+    common = _Parser(add_help=False)
+    common.add_argument("--seed", type=int, default=None, help="recorded in JSON metadata; no operation is randomized")
+
+    fmt = _format_options("csv")
+
+    subparsers.add_parser("taxonomy", parents=[common, fmt], help="export the built-in resource taxonomy")
+
+    sub = subparsers.add_parser("classify", parents=[common], help="classify a resource spec")
+    sub.add_argument("--spec", required=True, help="preset name or JSON spec file")
+    sub.add_argument("--out", default=None)
+
+    sub = subparsers.add_parser("cost", parents=[common], help="evaluate one closed-form cost law")
+    sub.add_argument("--class", dest="cost_class", required=True,
+                     choices=("par", "bnd", "hybrid", "partial", "bounded-reuse"))
+    sub.add_argument("--s", type=_nonnegative_int, required=True)
+    sub.add_argument("--T", type=_nonnegative_int, required=True)
+    sub.add_argument("--rmin", type=_positive_float, required=True)
+    sub.add_argument("--alpha", type=float, default=None)
+    sub.add_argument("--k", type=_positive_int, default=None)
+    sub.add_argument("--coord", choices=_COORDINATION, default=None, help="default: zero")
+    sub.add_argument("--format", choices=("csv", "json"), default="json")
+    sub.add_argument("--out", default=None)
+
+    # No --format default: without --table, a given --format is refused.
+    sub = subparsers.add_parser("crossover", parents=[common, _format_options(None)],
+                                help="regime-crossover thresholds")
+    sub.add_argument("--table", action="store_true", help="emit the full default (T, r_min) grid")
+    sub.add_argument("--T", type=_positive_int, default=None)
+    sub.add_argument("--rmin", type=_positive_float, default=None)
+
+    sub = subparsers.add_parser("oracle", parents=[common], help="exact minimum plan cost on a grid")
+    sub.add_argument("--spec", required=True)
+    sub.add_argument("--s", type=_nonnegative_int, required=True)
+    sub.add_argument("--T", type=_positive_int, required=True)
+    sub.add_argument("--grid-step", type=_positive_float, default=None)
+    # None stands for oracle.DEFAULT_PLAN_CEILING, so building the parser loads no oracle.
+    sub.add_argument("--ceiling", type=_positive_int, default=None)
+    sub.add_argument("--coord", choices=_COORDINATION, default="zero")
+    sub.add_argument("--out", default=None)
+
+    sub = subparsers.add_parser("simulate", parents=[common, fmt], help="window-by-window share trace")
+    sub.add_argument("--spec", required=True)
+    sub.add_argument("--m", type=_nonnegative_int, default=None,
+                     help="adversarial channel count of a throughput-bounded spec (default: 0)")
+    sub.add_argument("--s", type=_nonnegative_int, required=True)
+    sub.add_argument("--n", type=_nonnegative_int, required=True, help="honest validator count")
+    sub.add_argument("--T", type=_positive_int, required=True)
+
+    sub = subparsers.add_parser("fig3", parents=[common, fmt],
+                                help="identity-vs-channel share dataset")
+    sub.add_argument("--n", type=_nonnegative_int, default=200)
+    sub.add_argument("--s-values", dest="s_values", type=_int_list, default=(400, 700, 1000))
+    sub.add_argument("--m-min", dest="m_min", type=_positive_int, default=10)
+    sub.add_argument("--m-max", dest="m_max", type=_positive_int, default=200)
+    sub.add_argument("--m-step", dest="m_step", type=_positive_int, default=1)
+
+    sub = subparsers.add_parser("calibrate", parents=[common],
+                                help="emit calibration figure panels as CSV")
+    sub.add_argument("scenario", choices=("eth", "btc"))
+    sub.add_argument("--law", choices=("par", "bnd", "both"), default="both")
+    sub.add_argument("--coord", choices=_COORDINATION, default=None,
+                     help="default: zero for eth totals, linear for btc ratios")
+    sub.add_argument("--out", default=None, help=f"output directory (default: ${OUTPUT_DIR_ENV} or '.')")
+
+    sub = subparsers.add_parser("sweep", parents=[common, fmt], help="closed-form law sweep over a grid")
+    sub.add_argument("--preset", choices=tuple(_SWEEP_PRESETS), default=None)
+    sub.add_argument("--s", type=_int_list, default=None)
+    sub.add_argument("--T", type=_int_list, default=None)
+    sub.add_argument("--rmin", type=_float_list, default=None)
+    sub.add_argument("--coord", type=_coord_list, default=None)
+
+    subparsers.add_parser("verify-all", parents=[common],
+                          help="oracle vs closed-form checks on the full small grid")
+
+    return parser

@@ -1,12 +1,9 @@
-"""Command-line entry point: cost laws, oracle runs, simulations, and datasets.
+"""What each `sybilcost` command does, and the exit code it ends with.
 
-Every emitting subcommand is deterministic: re-running a command with the same
-arguments produces byte-identical output (no timestamps inside data files).
-Files are written through a temporary path and renamed, so a failed write
-never leaves a partial dataset behind.
-
-Exit codes: 0 success, 1 usage error, 2 verification failure, 3 enumeration
-budget exceeded.
+`arguments` holds what the command line accepts and the help text; this
+module runs the command `args.command` names.  Emitted bytes are
+deterministic, and every file goes through `_write_text`, which writes a
+scratch file and renames it, so a failed write never leaves a partial dataset.
 """
 
 from __future__ import annotations
@@ -28,6 +25,7 @@ from typing import Iterable
 # calibration, oracle and simulation are imported by the handlers that use
 # them, so the other commands never load them.
 from . import costs, resources
+from .arguments import _SWEEP_PRESETS, OUTPUT_DIR_ENV, _UsageError, build_parser
 
 __all__ = [
     "EXIT_BUDGET",
@@ -44,71 +42,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 EXIT_BUDGET = 3
-
-OUTPUT_DIR_ENV = "SYBILCOST_OUT"
-
-_COORDINATION = tuple(model.value for model in costs.CoordinationModel)
-
-
-class _UsageError(Exception):
-    """Bad invocation; converted to a one-line diagnostic and exit code 1."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
-
-
-# ---------------------------------------------------------------------------
-# Argument conversion
-# ---------------------------------------------------------------------------
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
-    return value
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(",") if part != "")
-        if all(math.isfinite(value) for value in values):
-            return values
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers, got {text!r}")
-
-
-def _coord_list(text: str) -> tuple[str, ...]:
-    kinds = tuple(part for part in text.split(",") if part != "")
-    for kind in kinds:
-        if kind not in _COORDINATION:
-            raise argparse.ArgumentTypeError(f"unknown coordination kind {kind!r}")
-    return kinds
-
 
 # ---------------------------------------------------------------------------
 # Emission helpers
@@ -268,10 +201,14 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
     if args.table:
         table = costs.crossover_table()
         rows = [{"T": T, "r_min": r_min, "s_star": value} for T, r_min, value in table]
-        _emit(args, _table_text(args.format, rows, meta=_meta(args), rows=rows))
+        _emit(args, _table_text(args.format or "csv", rows, meta=_meta(args), rows=rows))
         return EXIT_OK
     if args.T is None or args.rmin is None:
         raise _UsageError("crossover needs --table, or both --T and --rmin")
+    # One threshold prints as a bare number, so it has no format and no file.
+    for flag, value in (("--format", args.format), ("--out", args.out)):
+        if value is not None:
+            raise _UsageError(f"{flag} applies only to crossover --table")
     value = costs.crossover(args.T, args.rmin)
     print("undefined" if value is None else value)
     return EXIT_OK
@@ -286,6 +223,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     )
     ceiling = oracle.DEFAULT_PLAN_CEILING if args.ceiling is None else args.ceiling
     grid = oracle.PlanGrid.for_scenario(scenario, step=args.grid_step, ceiling=ceiling)
+    # verify_bounds compares with the law at r_min itself, so the grid must hold
+    # r_min: its first level at or above r_min - eps may not pass r_min + eps.
+    lowest = -oracle._floor_units(spec.r_min, -1, grid.step)
+    if lowest > oracle._floor_units(spec.r_min, 1, grid.step):
+        raise _UsageError(f"--grid-step {grid.step} does not divide r_min {spec.r_min} of {spec.name!r}")
     try:
         result = oracle.min_cost(scenario, grid=grid)
     except oracle.PlanBudgetExceeded as exc:
@@ -326,13 +268,14 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         shares = simulation.non_amplification_experiment(m_values, args.s_values, args.n)
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
     share_names = [f"share_s{s}" for s in args.s_values]
     rows = ({"m": m, **dict(zip(share_names, row))} for m, row in zip(m_values, shares))
     text = _table_text(
         args.format, rows, meta=_meta(args), n=args.n, s_values=list(args.s_values), rows=rows
     )
+    # Said once every row is computed: a row that raises ends the run with one line.
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     _emit(args, text)
     return EXIT_OK
 
@@ -394,15 +337,6 @@ def _sweep_row(point: tuple[int, int, float, str]) -> dict[str, object]:
     }
 
 
-# Each preset's (s, T, r_min, coordination) axes.
-_SWEEP_PRESETS: dict[str, tuple[tuple, tuple, tuple, tuple]] = {
-    # Normalized-ratio decay in s at a fixed horizon.
-    "fig1": (tuple(range(1, 1001)), (100,), (1.0,), ("linear",)),
-    # Totals and ratios against the horizon for three thresholds.
-    "fig2": ((10,), tuple(range(1, 201)), (0.5, 1.0, 2.0), ("linear",)),
-}
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """Both closed-form laws over the grid, one row per point in nested axis order.
 
@@ -429,6 +363,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # verify-all
 # ---------------------------------------------------------------------------
 
+
 def _cmd_verify_all(args: argparse.Namespace) -> int:
     from .verification import verify_all
 
@@ -445,101 +380,19 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFICATION
 
 
-# ---------------------------------------------------------------------------
-# Parser assembly
-# ---------------------------------------------------------------------------
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """A new parser for the whole command line."""
-    parser = _Parser(prog="sybilcost", description=__doc__)
-    subparsers = parser.add_subparsers(dest="command", metavar="command", required=True)
-
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="recorded in JSON metadata; no operation is randomized")
-
-    fmt = _Parser(add_help=False)
-    fmt.add_argument("--format", choices=("csv", "json"), default="csv")
-    fmt.add_argument("--out", default=None, help="write to this file instead of standard output")
-
-    sub = subparsers.add_parser("taxonomy", parents=[common, fmt], help="export the built-in resource taxonomy")
-    sub.set_defaults(handler=_cmd_taxonomy)
-
-    sub = subparsers.add_parser("classify", parents=[common], help="classify a resource spec")
-    sub.add_argument("--spec", required=True, help="preset name or JSON spec file")
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(handler=_cmd_classify)
-
-    sub = subparsers.add_parser("cost", parents=[common], help="evaluate one closed-form cost law")
-    sub.add_argument("--class", dest="cost_class", required=True,
-                     choices=("par", "bnd", "hybrid", "partial", "bounded-reuse"))
-    sub.add_argument("--s", type=_nonnegative_int, required=True)
-    sub.add_argument("--T", type=_nonnegative_int, required=True)
-    sub.add_argument("--rmin", type=_positive_float, required=True)
-    sub.add_argument("--alpha", type=float, default=None)
-    sub.add_argument("--k", type=_positive_int, default=None)
-    sub.add_argument("--coord", choices=_COORDINATION, default=None, help="default: zero")
-    sub.add_argument("--format", choices=("csv", "json"), default="json")
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(handler=_cmd_cost)
-
-    sub = subparsers.add_parser("crossover", parents=[common, fmt], help="regime-crossover thresholds")
-    sub.add_argument("--table", action="store_true", help="emit the full default (T, r_min) grid")
-    sub.add_argument("--T", type=_positive_int, default=None)
-    sub.add_argument("--rmin", type=_positive_float, default=None)
-    sub.set_defaults(handler=_cmd_crossover)
-
-    sub = subparsers.add_parser("oracle", parents=[common], help="exact minimum plan cost on a grid")
-    sub.add_argument("--spec", required=True)
-    sub.add_argument("--s", type=_nonnegative_int, required=True)
-    sub.add_argument("--T", type=_positive_int, required=True)
-    sub.add_argument("--grid-step", type=_positive_float, default=None)
-    # None stands for oracle.DEFAULT_PLAN_CEILING, so building the parser loads no oracle.
-    sub.add_argument("--ceiling", type=_positive_int, default=None)
-    sub.add_argument("--coord", choices=_COORDINATION, default="zero")
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(handler=_cmd_oracle)
-
-    sub = subparsers.add_parser("simulate", parents=[common, fmt], help="window-by-window share trace")
-    sub.add_argument("--spec", required=True)
-    sub.add_argument("--m", type=_nonnegative_int, default=None,
-                     help="adversarial channel count of a throughput-bounded spec (default: 0)")
-    sub.add_argument("--s", type=_nonnegative_int, required=True)
-    sub.add_argument("--n", type=_nonnegative_int, required=True, help="honest validator count")
-    sub.add_argument("--T", type=_positive_int, required=True)
-    sub.set_defaults(handler=_cmd_simulate)
-
-    sub = subparsers.add_parser("fig3", parents=[common, fmt],
-                                help="identity-vs-channel share dataset")
-    sub.add_argument("--n", type=_nonnegative_int, default=200)
-    sub.add_argument("--s-values", dest="s_values", type=_int_list, default=(400, 700, 1000))
-    sub.add_argument("--m-min", dest="m_min", type=_positive_int, default=10)
-    sub.add_argument("--m-max", dest="m_max", type=_positive_int, default=200)
-    sub.add_argument("--m-step", dest="m_step", type=_positive_int, default=1)
-    sub.set_defaults(handler=_cmd_fig3)
-
-    sub = subparsers.add_parser("calibrate", parents=[common],
-                                help="emit calibration figure panels as CSV")
-    sub.add_argument("scenario", choices=("eth", "btc"))
-    sub.add_argument("--law", choices=("par", "bnd", "both"), default="both")
-    sub.add_argument("--coord", choices=_COORDINATION, default=None,
-                     help="default: zero for eth totals, linear for btc ratios")
-    sub.add_argument("--out", default=None, help=f"output directory (default: ${OUTPUT_DIR_ENV} or '.')")
-    sub.set_defaults(handler=_cmd_calibrate)
-
-    sub = subparsers.add_parser("sweep", parents=[common, fmt], help="closed-form law sweep over a grid")
-    sub.add_argument("--preset", choices=tuple(_SWEEP_PRESETS), default=None)
-    sub.add_argument("--s", type=_int_list, default=None)
-    sub.add_argument("--T", type=_int_list, default=None)
-    sub.add_argument("--rmin", type=_float_list, default=None)
-    sub.add_argument("--coord", type=_coord_list, default=None)
-    sub.set_defaults(handler=_cmd_sweep)
-
-    sub = subparsers.add_parser("verify-all", parents=[common],
-                                help="oracle vs closed-form checks on the full small grid")
-    sub.set_defaults(handler=_cmd_verify_all)
-
-    return parser
+# The handler of each subcommand that `arguments.build_parser` names.
+_HANDLERS = {
+    "taxonomy": _cmd_taxonomy,
+    "classify": _cmd_classify,
+    "cost": _cmd_cost,
+    "crossover": _cmd_crossover,
+    "oracle": _cmd_oracle,
+    "simulate": _cmd_simulate,
+    "fig3": _cmd_fig3,
+    "calibrate": _cmd_calibrate,
+    "sweep": _cmd_sweep,
+    "verify-all": _cmd_verify_all,
+}
 
 
 @functools.cache
@@ -553,7 +406,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     """Parse arguments and run one subcommand, mapping failures to exit codes."""
     try:
         args = _shared_parser().parse_args(argv)
-        return args.handler(args)
+        return _HANDLERS[args.command](args)
     except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -368,7 +368,9 @@ def verify_bounds(result: OracleResult, scenario: OracleScenario) -> Verificatio
     s * T * r_min * ((1 - alpha) + alpha / k): the alpha share bought once
     per k windows, the rest every window.  It reads alpha and k from the
     spec's own fields, not from `carry_over`, so it checks the rule the search
-    priced with.  Violations come back as failed checks in the report rather
+    priced with.  The ceiling and the exact value assume a grid that holds
+    r_min; on a step that does not divide it, the grid's lowest active level
+    is above r_min and its optimum can exceed the law.  Violations come back as failed checks in the report rather
     than as exceptions, so callers can render them.
     """
     checks: list[VerificationCheck] = []

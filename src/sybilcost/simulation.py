@@ -13,6 +13,7 @@ closed form from `costs`, so a simulation never loads the oracle.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from . import costs
@@ -120,15 +121,18 @@ def run(config: ScenarioConfig) -> SimTrace:
     return SimTrace(tuple(rows), total)
 
 
-def non_amplification_experiment(m_range, s_values, n: int) -> tuple[tuple[float, ...], ...]:
+def non_amplification_experiment(m_range, s_values, n: int) -> Iterator[tuple[float, ...]]:
     """Rows of `influence_share(m, s, n)`: one row per m in m_range, one cell per s in s_values.
 
+    The rows come one at a time, and a sequence such as a range is not
+    copied, so a long channel range is never held as a table.  The inputs are
+    checked, and warned about, when this is called, not when a row is taken.
     When every identity count exceeds the whole channel range, the share
     depends on channels alone and the columns coincide.  A sweep where some
     identity count falls inside the channel range still runs, with a warning,
     since its column will bend where identities become the binding side.
     """
-    m_values = tuple(m_range)
+    m_values = m_range if isinstance(m_range, Sequence) else tuple(m_range)
     s_tuple = tuple(s_values)
     if not m_values or not s_tuple:
         raise ValueError("m_range and s_values must be nonempty")
@@ -140,4 +144,4 @@ def non_amplification_experiment(m_range, s_values, n: int) -> tuple[tuple[float
             stacklevel=2,
         )
     # A list per row: tuple() over a generator shrinks an over-allocated row and fragments the heap.
-    return tuple(tuple([influence_share(m, s, n) for s in s_tuple]) for m in m_values)
+    return (tuple([influence_share(m, s, n) for s in s_tuple]) for m in m_values)

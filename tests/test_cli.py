@@ -133,6 +133,14 @@ def test_crossover_needs_arguments(capsys):
     assert code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag, value", [("--out", "x.csv"), ("--format", "json")])
+def test_crossover_refuses_a_table_flag_without_the_table(tmp_path, monkeypatch, capsys, flag, value):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "crossover", "--T", "10", "--rmin", "1", flag, value)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: {flag} applies only to crossover --table\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_crossover_table_csv(capsys):
     code, out, _ = run_cli(capsys, "crossover", "--table")
     assert code == cli.EXIT_OK
@@ -268,6 +276,25 @@ def test_oracle_grid_too_fine_to_count_is_a_usage_error(capsys):
     assert code == cli.EXIT_USAGE
     assert err.startswith("error: step 5e-324 is too fine")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", ["pos-stake", "pow-energy"])
+def test_oracle_refuses_a_grid_step_that_does_not_divide_r_min(capsys, spec):
+    # On such a grid the lowest active level is above r_min, so the grid
+    # optimum is not the closed form the bounds are checked against.
+    code, out, err = run_cli(capsys, "oracle", "--spec", spec, "--s", "3", "--T", "4",
+                             "--grid-step", "0.7")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == f"error: --grid-step 0.7 does not divide r_min 1.0 of {spec!r}\n"
+
+
+@pytest.mark.parametrize("step", ["0.25", "0.1"])
+def test_oracle_accepts_a_grid_step_that_divides_r_min(capsys, step):
+    # 0.1 divides 1.0 within FEASIBILITY_EPS, though not in binary floating point.
+    code, out, err = run_cli(capsys, "oracle", "--spec", "pow-energy", "--s", "3", "--T", "4",
+                             "--grid-step", step)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert json.loads(out)["verification"]["passed"] is True
 
 
 def test_oracle_verification_failure_is_exit_two(capsys, monkeypatch):
@@ -509,6 +536,23 @@ def test_sweep_csv_streams_within_a_small_multiple_of_its_text():
     assert text.count("\n") == 20_001
     # Listing the rows as dicts before writing them peaks above 8 x the text.
     assert peak < 4 * len(text)
+
+
+def test_fig3_streams_within_a_small_multiple_of_its_text(tmp_path, capsys):
+    target = tmp_path / "fig3.csv"
+    argv = ["fig3", "--m-max", "20000", "--s-values", "300000,400000,500000", "--out", str(target)]
+    run_cli(capsys, "fig3", "--m-max", "11", "--out", str(target))  # warm caches
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = target.stat().st_size
+    assert code == cli.EXIT_OK
+    assert size > 1_000_000
+    # Building every row before writing the first peaks above 5 x the text.
+    assert peak < 4 * size
 
 
 def test_non_finite_cell_mid_stream_writes_no_file(tmp_path, capsys):

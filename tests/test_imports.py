@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,8 @@ same_object = all(
 namespace = {}
 exec("from sybilcost import *", namespace)
 # A stale __all__ entry in any submodule makes its star import raise.
-for module in ("calibration", "cli", "costs", "oracle", "resources", "simulation", "verification"):
+for module in ("arguments", "calibration", "cli", "costs", "oracle", "resources", "simulation",
+               "verification"):
     exec(f"from sybilcost.{module} import *", {})
 try:
     sybilcost.no_such_name
@@ -71,15 +73,35 @@ def test_modules_load_on_first_use():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["after_package"] == []
-    assert report["after_cli"] == ["sybilcost.cli", "sybilcost.costs", "sybilcost.resources"]
+    assert report["after_cli"] == [
+        "sybilcost.arguments", "sybilcost.cli", "sybilcost.costs", "sybilcost.resources",
+    ]
     assert report["all"] == PUBLIC_NAMES
     assert report["same_object"] is True
     assert report["star"] == sorted(report["all"])
     assert report["unknown"] == "module 'sybilcost' has no attribute 'no_such_name'"
     assert report["after_all"] == [
-        "sybilcost.calibration", "sybilcost.cli", "sybilcost.costs", "sybilcost.oracle",
-        "sybilcost.resources", "sybilcost.simulation", "sybilcost.verification",
+        "sybilcost.arguments", "sybilcost.calibration", "sybilcost.cli", "sybilcost.costs",
+        "sybilcost.oracle", "sybilcost.resources", "sybilcost.simulation", "sybilcost.verification",
     ]
+
+
+# With no bytecode cache, each process compiles every module it loads, and the
+# compiler's peak memory is not returned: the largest unit on a run's path sets
+# a floor under that run's peak RSS.
+COMPILE_PEAK_LIMIT = 1_200 * 1024
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "sybilcost").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_is_a_large_compile_unit(path):
+    source = path.read_text()
+    tracemalloc.start()
+    try:
+        compile(source, str(path), "exec")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= COMPILE_PEAK_LIMIT, f"{path.name} compiles with a {peak // 1024} KiB peak"
 
 
 # A fresh `import sybilcost.oracle` loads what the search needs and no more.

@@ -132,7 +132,7 @@ def test_share_is_monotone_in_identities_until_the_cap(m, n):
 
 
 def test_identical_share_columns_beyond_the_cap():
-    rows = non_amplification_experiment(range(10, 201), (400, 700, 1000), 200)
+    rows = tuple(non_amplification_experiment(range(10, 201), (400, 700, 1000), 200))
     assert len(rows) == 191
     for row in rows:
         assert row[0] == row[1] == row[2]
@@ -142,13 +142,14 @@ def test_every_experiment_cell_is_the_share_helper():
     m_values, s_values = range(1, 13), (0, 3, 7, 12, 20)
     with pytest.warns(UserWarning):
         rows = non_amplification_experiment(m_values, s_values, 5)
-    assert rows == tuple(
+    assert tuple(rows) == tuple(
         tuple(influence_share(m, s, 5) for s in s_values) for m in m_values
     )
 
 
 def test_share_at_equal_channels_and_honest_nodes():
-    assert non_amplification_experiment([200], (400,), 200) == ((0.5,),)
+    assert tuple(non_amplification_experiment([200], (400,), 200)) == ((0.5,),)
+    assert tuple(non_amplification_experiment(iter([200]), (400,), 200)) == ((0.5,),)
 
 
 def test_experiment_warns_when_identities_do_not_dominate_channels():
