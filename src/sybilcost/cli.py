@@ -199,6 +199,9 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 
 def _cmd_crossover(args: argparse.Namespace) -> int:
     if args.table:
+        for flag, value in (("--T", args.T), ("--rmin", args.rmin)):
+            if value is not None:
+                raise _UsageError(f"{flag} does not apply to crossover --table")
         table = costs.crossover_table()
         rows = [{"T": T, "r_min": r_min, "s_star": value} for T, r_min, value in table]
         _emit(args, _table_text(args.format or "csv", rows, meta=_meta(args), rows=rows))
@@ -223,10 +226,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     )
     ceiling = oracle.DEFAULT_PLAN_CEILING if args.ceiling is None else args.ceiling
     grid = oracle.PlanGrid.for_scenario(scenario, step=args.grid_step, ceiling=ceiling)
-    # verify_bounds compares with the law at r_min itself, so the grid must hold
-    # r_min: its first level at or above r_min - eps may not pass r_min + eps.
-    lowest = -oracle._floor_units(spec.r_min, -1, grid.step)
-    if lowest > oracle._floor_units(spec.r_min, 1, grid.step):
+    # verify_bounds compares with the law at r_min itself, so the grid must hold r_min.
+    if not grid.holds(spec.r_min):
         raise _UsageError(f"--grid-step {grid.step} does not divide r_min {spec.r_min} of {spec.name!r}")
     try:
         result = oracle.min_cost(scenario, grid=grid)
@@ -407,7 +408,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
-    except (_UsageError, ValueError, OSError) as exc:
+    except (_UsageError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -27,6 +27,7 @@ __all__ = [
     "LINEAR_COORDINATION",
     "PartialTransferCost",
     "ZERO_COORDINATION",
+    "acquisition_schedule",
     "cost_bounded_reuse",
     "cost_carry_over",
     "cost_hybrid",
@@ -75,11 +76,10 @@ class CostReport:
     ``total`` is stock + flow + coordination.  `cost_carry_over` sums them in
     exact rationals and rounds once, and `cost_hybrid` adds its components'
     totals, so a total can differ from the float sum of the three parts in
-    the last bit.  ``marginal`` is the cost of the
-    s-th unit, Delta(s, T) = C(s, T) - C(s - 1, T); `cost_carry_over` rounds it
-    once too, so at s = 1 it equals the total.  ``normalized`` is total / (s * T),
-    r_min itself when the whole amount is bought anew every window with no
-    overhead, or None when the target is degenerate.
+    the last bit.  ``marginal`` is the cost of the s-th unit,
+    Delta(s, T) = C(s, T) - C(s - 1, T), and ``normalized`` is total / (s * T),
+    or None when the target is degenerate; `cost_carry_over` rounds each once
+    too, so at s = 1 the marginal equals the total.
     """
 
     s: int
@@ -99,13 +99,13 @@ def _check_args(s: int, T: int, r_min: float) -> None:
 
 
 def _rounded_once(
-    count: int, renewals: int, T: int, unit: float, alpha: float, h: float = 0.0
+    count: int, renewals: int, T: int, unit: float, alpha: float, h: float = 0.0, divisor: int = 1
 ) -> float:
-    """count * unit * (alpha * renewals + (1 - alpha) * T) + h in exact rationals, rounded once."""
+    """(count * unit * (alpha * renewals + (1 - alpha) * T) + h) / divisor, exact, rounded once."""
     (a, b), (p, q) = alpha.as_integer_ratio(), unit.as_integer_ratio()
     c, d = h.as_integer_ratio()
     try:
-        return (count * p * (a * renewals + (b - a) * T) * d + c * b * q) / (b * q * d)
+        return (count * p * (a * renewals + (b - a) * T) * d + c * b * q) / (b * q * d * divisor)
     except OverflowError:
         return math.inf  # past the float range
 
@@ -127,9 +127,9 @@ def cost_carry_over(
     k >= T, since nothing outlives k windows.  The total and each share are
     sums in exact rationals, rounded once, or inf past the float range.  The marginal
     Delta(s, T) = (alpha * ceil(T / k) + (1 - alpha) * T) * r_min + h(s, T) - h(s - 1, T)
-    is rounded once the same way, so at s = 1 it equals the total.
-    ``normalized`` is r_min itself when the whole amount is bought anew every
-    window and h = 0.
+    is rounded once the same way, so at s = 1 it equals the total, and so is
+    ``normalized``, C(s, T) / (s * T): r_min itself when the whole amount is
+    bought anew every window and h = 0.
     """
     _check_args(s, T, r_min)
     if not 0.0 <= alpha <= 1.0:
@@ -150,9 +150,18 @@ def cost_carry_over(
     # h takes whole-number values, so the float difference of two of them is exact.
     step = overhead - coordination.evaluate(s - 1, T)
     marginal = _rounded_once(1, renewals, T, r_min, alpha, step)
-    every_window = alpha == 0.0 or (k is not None and renewals == T)
-    normalized = r_min if every_window and overhead == 0.0 else total / (s * T)
+    normalized = _rounded_once(s, renewals, T, r_min, alpha, overhead, s * T)
     return CostReport(s, T, total, stock, flow, overhead, marginal, normalized)
+
+
+def acquisition_schedule(alpha: float, k: int, T: int, aggregate: float) -> tuple[float, ...]:
+    """Cheapest acquisition events that keep `aggregate` deployed each window.
+
+    The law's per-window form under the rule (alpha, k): the aggregate every k windows,
+    and in between the (1 - alpha) share the previous window spent, rounded once.
+    """
+    spent = _rounded_once(1, 0, 1, aggregate, alpha) if math.isfinite(aggregate) else math.inf
+    return tuple([aggregate if window % k == 0 else spent for window in range(T)])
 
 
 def cost_parallelizable(
@@ -263,19 +272,20 @@ CROSSOVER_THRESHOLDS: tuple[float, ...] = (0.5, 1.0, 2.0)
 def crossover(T: int, r_min: float) -> float | None:
     """Identity count above which per-window renewal outcosts one-time stock.
 
-    Under LinearSum coordination the two laws meet at
-    s* = T / (T * r_min - r_min - 1).  Returns None when the horizon is too
-    short for the comparison to flip (T * r_min <= r_min + 1), in which case
-    renewal stays the cheaper side for every s.
+    Under LinearSum coordination the two laws meet at s* = T / (T * r_min - r_min - 1),
+    with r_min = p / q the integer quotient T * q / ((T - 1) * p - q), rounded once.
+    Returns None when the horizon is too short for the comparison to flip
+    (T * r_min <= r_min + 1), in which case renewal stays the cheaper side for every s.
     """
     if T < 1:
         raise ValueError(f"T must be at least 1, got {T}")
     if not (math.isfinite(r_min) and r_min > 0):
         raise ValueError(f"r_min must be finite and positive, got {r_min}")
-    denominator = T * r_min - r_min - 1.0
+    p, q = r_min.as_integer_ratio()
+    denominator = (T - 1) * p - q
     if denominator <= 0:
         return None
-    return T / denominator
+    return T * q / denominator
 
 
 def crossover_table() -> tuple[tuple[int, float, float | None], ...]:

@@ -27,7 +27,7 @@ from enum import Enum
 
 from . import costs
 from .costs import ZERO_COORDINATION, CoordinationModel
-from .resources import ResourceSpec, acquisition_schedule, carry_over
+from .resources import ResourceSpec, carry_over
 from .resources import classify  # noqa: F401  (an attribute the benchmark tracer wraps)
 
 __all__ = [
@@ -180,7 +180,11 @@ class PlanGrid:
 
     def level_count(self) -> int:
         """Number of allocation levels: 0, step, 2 * step, ... up to max_value."""
-        return math.floor(self.max_value / self.step + FEASIBILITY_EPS) + 1
+        return _floor_units(self.max_value, 1, self.step) + 1
+
+    def holds(self, value: float) -> bool:
+        """Whether a level lies within FEASIBILITY_EPS of value, counted like `level_count`."""
+        return -_floor_units(value, -1, self.step) <= _floor_units(value, 1, self.step)
 
     def configuration_count(self) -> int:
         """Number of per-window allocation multisets the grid admits."""
@@ -267,7 +271,7 @@ def min_cost(scenario: OracleScenario, grid: PlanGrid | None = None) -> OracleRe
             raise ValueError("no feasible window configuration on this grid")
         units, _active, descending = best
         fielded = tuple([value * step for value in descending if value])
-    acquisitions = acquisition_schedule(alpha, k, T, units * step)
+    acquisitions = costs.acquisition_schedule(alpha, k, T, units * step)
     witness = AllocationPlan(T, (fielded,) * T, acquisitions)
     # The law's exact helper prices `units` grid steps at the rule (alpha, k).
     overhead = scenario.coordination.evaluate(s, T)

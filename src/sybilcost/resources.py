@@ -6,9 +6,9 @@ between identities.  Those properties, rather than the protocol rules layered
 on top, determine how cheaply influence backed by the resource can be
 concentrated.  This module provides the property flags, the classification
 into the two extremal scaling classes plus the intermediate and unclassified
-buckets, the carry-over rule between windows that the flags imply, with its
-acquisition schedule, a built-in taxonomy of concrete resource types, and JSON
-import and export of specs.
+buckets, the carry-over rule between windows that the flags imply (`costs`
+prices it), a built-in taxonomy of concrete resource types, and JSON import
+and export of specs.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "ResourceClassification",
     "ResourceSpec",
     "TAXONOMY",
-    "acquisition_schedule",
     "carry_over",
     "classify",
     "is_parallelizable",
@@ -183,16 +182,6 @@ def carry_over(spec: ResourceSpec, T: int) -> tuple[float, int]:
     alpha = float(spec.identity_transferable) if spec.alpha is None else spec.alpha
     k = (T if spec.temporally_reusable else 1) if spec.k is None else spec.k
     return alpha, k
-
-
-def acquisition_schedule(alpha: float, k: int, T: int, aggregate: float) -> tuple[float, ...]:
-    """Cheapest acquisition events that keep `aggregate` deployed each window.
-
-    Under the carry-over rule (alpha, k): a full purchase every k windows, and
-    in between only the (1 - alpha) share the previous window spent.
-    """
-    kept, spent = alpha * aggregate, (1.0 - alpha) * aggregate
-    return tuple([kept + spent if window % k == 0 else spent for window in range(T)])
 
 
 def _bounded_preset(name: str) -> ResourceSpec:

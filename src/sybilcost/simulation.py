@@ -17,7 +17,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from . import costs
-from .resources import ResourceSpec, acquisition_schedule, carry_over
+from .resources import ResourceSpec, carry_over
 from .resources import classify  # noqa: F401  (an attribute the benchmark tracer wraps)
 
 __all__ = [
@@ -104,8 +104,8 @@ def run(config: ScenarioConfig) -> SimTrace:
     share = influence_share(channels, config.s, config.n_honest)
     active = min(channels, config.s)
     adversary = active * spec.r_min
-    total = adversary + config.n_honest * spec.r_min
-    schedule = acquisition_schedule(alpha, k, config.T, adversary)
+    total = (active + config.n_honest) * spec.r_min
+    schedule = costs.acquisition_schedule(alpha, k, config.T, adversary)
     rows = [
         WindowRow(
             window=window,

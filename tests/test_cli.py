@@ -141,6 +141,12 @@ def test_crossover_refuses_a_table_flag_without_the_table(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag, value", [("--T", "10"), ("--rmin", "1")])
+def test_crossover_table_refuses_a_single_value_flag(capsys, flag, value):
+    code, out, err = run_cli(capsys, "crossover", "--table", flag, value)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: {flag} does not apply to crossover --table\n")
+
+
 def test_crossover_table_csv(capsys):
     code, out, _ = run_cli(capsys, "crossover", "--table")
     assert code == cli.EXIT_OK
@@ -670,6 +676,38 @@ def test_non_finite_numbers_are_a_one_line_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == cli.EXIT_USAGE
     assert out == ""
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "fmt, message",
+    [("csv", "error: non-finite value inf in column 'adversary_influence' is not CSV compliant\n"),
+     ("json", "error: Out of range float values are not JSON compliant: inf\n")],
+)
+def test_simulate_refuses_an_aggregate_past_the_float_range(tmp_path, capsys, fmt, message):
+    data = resources.spec_to_dict(resources.preset("pos-stake"))
+    data["r_min"] = 1e308
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "simulate", "--spec", str(path), "--s", "10", "--n", "1",
+                             "--T", "2", "--format", fmt)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cost", "--class", "par", "--coord", "linear", "--T", "2", "--rmin", "1"),
+        ("simulate", "--spec", "pos-stake", "--n", "1", "--T", "2"),
+        ("oracle", "--spec", "pos-stake", "--T", "2"),
+        ("sweep", "--T", "1", "--rmin", "1"),
+    ],
+    ids=["cost", "simulate", "oracle", "sweep"],
+)
+def test_a_count_too_large_for_a_float_is_a_one_line_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--s", "9" * 400)
+    assert (code, out) == (cli.EXIT_USAGE, "")
     assert err.startswith("error:")
     assert err.count("\n") == 1
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from sybilcost.costs import (
     ZERO_COORDINATION,
     CoordinationModel,
     CostReport,
+    acquisition_schedule,
     cost_bounded_reuse,
     cost_carry_over,
     cost_hybrid,
@@ -20,7 +22,6 @@ from sybilcost.costs import (
     crossover_table,
     governance_hybrid,
 )
-from sybilcost.resources import acquisition_schedule
 
 # Dyadic thresholds keep every product below exactly representable, so the
 # closed forms can be compared with == rather than a tolerance.
@@ -152,6 +153,33 @@ def test_marginal_is_the_exact_difference_rounded_once(alpha, k, coordination):
                 assert report.marginal == expected, (r_min, s, T)
 
 
+# Thresholds for the exactness grids: non-dyadic ones, where a second float
+# operation misses the exact value, next to dyadic ones, where it cannot.
+EXACTNESS_THRESHOLDS = (0.1, 0.3, 0.7, 1.1, 0.25, 1.0, 2.0, 0.5, 32.0, 3.7)
+
+
+@pytest.mark.parametrize("coordination", list(CoordinationModel), ids=lambda model: model.value)
+@pytest.mark.parametrize("r_min", EXACTNESS_THRESHOLDS)
+def test_normalized_is_the_exact_ratio_rounded_once(r_min, coordination):
+    misses = []
+    for alpha, k in itertools.product((0.0, 0.3, 0.5, 0.7, 1.0), (None, 1, 2, 3)):
+        a = Fraction(alpha)
+        for s in range(1, 8):
+            for T in range(1, 12):
+                renewals = 1 if k is None else -(-T // k)
+                total = s * Fraction(r_min) * (a * renewals + (1 - a) * T)
+                total += Fraction(coordination.evaluate(s, T))
+                report = cost_carry_over(s, T, r_min, alpha, k, coordination)
+                if report.normalized != float(total / (s * T)):
+                    misses.append((alpha, k, s, T, report.normalized))
+    assert misses == []
+
+
+def test_normalized_example_off_the_dyadic_grid():
+    # total / (s * T) rounds twice: 8.7 / 7 gives 1.2428571428571427.
+    assert cost_carry_over(1, 7, 0.1, 0.0, None, LINEAR_COORDINATION).normalized == 1.2428571428571429
+
+
 @pytest.mark.parametrize("coordination", list(CoordinationModel), ids=lambda model: model.value)
 @pytest.mark.parametrize("k", [None, 1, 2, 3])
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.7, 1.0])
@@ -273,12 +301,25 @@ def test_crossover_matches_law_intersection(T, r_min):
     assert bnd(above) > par(above)
 
 
+@pytest.mark.parametrize("r_min", [*EXACTNESS_THRESHOLDS, 0.05, 1.5])
+def test_crossover_is_the_exact_intersection_rounded_once(r_min):
+    misses = []
+    for T in range(1, 201):
+        denominator = (T - 1) * Fraction(r_min) - 1
+        expected = float(T / denominator) if denominator > 0 else None
+        if crossover(T, r_min) != expected:
+            misses.append((T, crossover(T, r_min), expected))
+    assert misses == []
+
+
 def test_crossover_undefined_for_short_horizons():
     assert crossover(2, 0.5) is None
 
 
 def test_crossover_example_value():
     assert crossover(10, 1.0) == pytest.approx(1.25)
+    # The float algebra T / (T * r_min - r_min - 1) gives 7.500000000000006.
+    assert crossover(3, 0.7) == 7.500000000000002
 
 
 def test_crossover_table_covers_default_grid():
@@ -374,6 +415,23 @@ def test_carry_over_law_splits_stock_from_flow(alpha, k):
     assert report.coordination == 9.0
     # Only a share bought once for the whole horizon is stock.
     assert report.stock == (4.0 * alpha if k is None else 0.0)
+
+
+def test_acquisition_schedule_entries_are_exact_rounded_once():
+    # A full purchase is the aggregate itself, and the spent share is rounded
+    # once: (1 - 0.1) * 0.3 + 0.1 * 0.3 is 0.30000000000000004, not 0.3.
+    misses = []
+    for alpha in (tenth / 10 for tenth in range(11)):
+        for aggregate in (0.1, 0.3, 0.7, 1.1, 0.25, 1.0, 2.0, 3.7):
+            spent = float((1 - Fraction(alpha)) * Fraction(aggregate))
+            if acquisition_schedule(alpha, 2, 3, aggregate) != (aggregate, spent, aggregate):
+                misses.append((alpha, aggregate))
+    assert misses == []
+
+
+def test_acquisition_schedule_of_a_non_finite_aggregate_is_infinite():
+    assert acquisition_schedule(0.5, 2, 3, math.inf) == (math.inf,) * 3
+    assert acquisition_schedule(1.0, 3, 3, math.inf) == (math.inf,) * 3
 
 
 @pytest.mark.parametrize("s, T", [(1, 3), (3, 1)])

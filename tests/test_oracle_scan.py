@@ -32,7 +32,8 @@ from sybilcost.oracle import (
     plan_feasible,
     verify_bounds,
 )
-from sybilcost.resources import acquisition_schedule, carry_over
+from sybilcost.costs import acquisition_schedule
+from sybilcost.resources import carry_over
 
 STAKE = resources.preset("pos-stake")
 DEVICE = resources.preset("device-bound")
@@ -116,6 +117,28 @@ def test_scan_matches_the_float_reference_on_every_verify_all_instance(r_min):
                 key, _count = oracle._best_window_config(scenario, grid)
                 assert key == in_units(expected, grid.step)
                 assert min_cost(scenario).witness == reference_witness(scenario, expected)
+
+
+def test_level_count_is_the_float_count_it_replaced():
+    # plans_examined is pinned, so the exact count must agree with the float
+    # floor on every grid the checks use, including steps that do not divide r_min.
+    compared = 0
+    for r_min in (*verification._VERIFY_THRESHOLDS, 0.1, 0.3, 0.7, 1.1, 0.25, 32.0, 3.7, 0.05):
+        specs = (stake(r_min), *(device(r_min, tau * r_min) for tau in (1.0, 1.5, 2.5, 3.3)))
+        shares = (0.25, 0.3, 0.5, 0.7, 1.0, 0.1, 0.2, 1 / 3)
+        for spec, s, share in itertools.product(specs, range(12), shares):
+            grid = PlanGrid.for_scenario(OracleScenario(s, 3, spec), step=share * r_min)
+            assert grid.level_count() == math.floor(grid.max_value / grid.step + FEASIBILITY_EPS) + 1
+            compared += 1
+    assert compared == 5280
+
+
+@pytest.mark.parametrize("step, holds", [(0.25, True), (0.1, True), (0.3, False), (0.7, False)])
+def test_a_grid_holds_r_min_when_a_level_is_within_tolerance(step, holds):
+    # 0.1 does not divide 1.0 in binary floating point, but ten steps land within FEASIBILITY_EPS.
+    grid = PlanGrid(step=step, max_value=3.0, max_identities=3)
+    assert grid.holds(1.0) is holds
+    assert grid.holds(step) and grid.holds(0.0)
 
 
 # The float reference takes about 3 us a configuration, so the finer grids

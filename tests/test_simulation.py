@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -186,6 +187,22 @@ def test_share_is_exactly_rounded_at_a_non_unit_threshold():
             for n in range(30):
                 config = ScenarioConfig(n_honest=n, m=active, s=active, T=1, spec=spec)
                 assert run(config).per_window[0].share == active / (active + n)
+
+
+@pytest.mark.parametrize("spec", [STAKE, DEVICE], ids=["stake", "device"])
+def test_total_influence_is_the_exact_product_rounded_once(spec):
+    # adversary + n * r_min rounds three times: 3 * 0.1 + 6 * 0.1 is 0.9000000000000001, not 0.9.
+    misses = []
+    for r_min in (0.1, 0.3, 0.7, 1.1, 0.25, 1.0, 2.0, 0.5, 32.0, 3.7):
+        tau = None if spec.tau is None else r_min
+        threshold = dataclasses.replace(spec, r_min=r_min, tau=tau)
+        for active in range(1, 30):
+            for n in range(30):
+                config = ScenarioConfig(n_honest=n, m=active, s=active, T=1, spec=threshold)
+                total = run(config).per_window[0].total_influence
+                if total != float((active + n) * Fraction(r_min)):
+                    misses.append((r_min, active, n, total))
+    assert misses == []
 
 
 @pytest.mark.parametrize("spec", [STAKE, DEVICE], ids=["stake", "device"])
