@@ -320,17 +320,20 @@ def plan_feasible(plan: AllocationPlan, scenario: OracleScenario) -> bool:
     spec = scenario.spec
     alpha, k = carry_over(spec, plan.windows)
     target = scenario.target
+    # Float sums of large allocations carry rounding error far above 1e-9, so
+    # they compare within FEASIBILITY_EPS scaled by a finite target over 1.
+    eps = FEASIBILITY_EPS * (max(1.0, target) if target < math.inf else 1.0)
     cap = math.inf if spec.tau is None else spec.tau
     aggregates = [plan.aggregate(t) for t in range(plan.windows)]
     for t, row in enumerate(plan.identities):
         reached = sum(value for value in row if value >= spec.r_min - FEASIBILITY_EPS)
         over_cap = any(value > cap + FEASIBILITY_EPS for value in row)
-        if over_cap or reached + FEASIBILITY_EPS < target:
+        if over_cap or reached + eps < target:
             return False
         first = max(0, t - k + 1)
         alive = sum(plan.acquisitions[first : t + 1])
         spent = (1.0 - alpha) * sum(aggregates[first:t])
-        if alive + FEASIBILITY_EPS < spent + aggregates[t]:
+        if alive + eps < spent + aggregates[t]:
             return False
     return True
 
@@ -374,13 +377,14 @@ def verify_bounds(result: OracleResult, scenario: OracleScenario) -> Verificatio
     spec's own fields, not from `carry_over`, so it checks the rule the search
     priced with.  The ceiling and the exact value assume a grid that holds
     r_min; on a step that does not divide it, the grid's lowest active level
-    is above r_min and its optimum can exceed the law.  Violations come back as failed checks in the report rather
-    than as exceptions, so callers can render them.
+    is above r_min and its optimum can exceed the law.  Each comparison allows
+    FEASIBILITY_EPS, scaled by the smaller of the witness's cost and the
+    minimum where that exceeds 1.  Violations come back as failed checks in
+    the report rather than as exceptions, so callers can render them.
     """
     checks: list[VerificationCheck] = []
     spec = scenario.spec
     s, T = scenario.s, scenario.T
-    eps = FEASIBILITY_EPS
 
     feasible = plan_feasible(result.witness, scenario)
     checks.append(
@@ -393,6 +397,7 @@ def verify_bounds(result: OracleResult, scenario: OracleScenario) -> Verificatio
         )
     )
     witness_cost = plan_cost(result.witness, scenario)
+    eps = FEASIBILITY_EPS * max(1.0, min(witness_cost, result.min_cost))
     cost_matches = abs(witness_cost - result.min_cost) <= eps
     checks.append(
         VerificationCheck(

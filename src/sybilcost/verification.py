@@ -33,18 +33,32 @@ _VERIFY_GROUPS = (
     "crossover-sign",
 )
 
-# A check is a (passed, failure description) pair.
-_Checks = list[tuple[bool, str]]
+
+class _Group:
+    """One check group: how many checks it ran and the descriptions of those that failed."""
+
+    __slots__ = ("count", "failures")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.failures: list[str] = []
+
+    def check(self, passed: bool, description: str, *fields: object) -> None:
+        """Count one check; keep its description, with the fields filled in, only if it failed."""
+        self.count += 1
+        if not passed:
+            self.failures.append(description.format(*fields))
 
 
-def _search(label: str, scenario: OracleScenario, checks: _Checks) -> float:
+def _search(label: str, scenario: OracleScenario, group: _Group) -> float:
     """Search one instance, check it against its closed form and bounds, return its minimum."""
     result = oracle.min_cost(scenario)
     expected = oracle.closed_form(scenario)
-    where = f"s={scenario.s} T={scenario.T} r_min={scenario.spec.r_min}"
-    mismatch = f"{label} {where}: oracle {result.min_cost} != {expected}"
-    checks.append((result.min_cost == expected, mismatch))
-    checks.append((oracle.verify_bounds(result, scenario).passed, f"{label} bounds {where}"))
+    s, T, r_min = scenario.s, scenario.T, scenario.spec.r_min
+    group.check(result.min_cost == expected, "{} s={} T={} r_min={}: oracle {} != {}",
+                label, s, T, r_min, result.min_cost, expected)
+    group.check(oracle.verify_bounds(result, scenario).passed, "{} bounds s={} T={} r_min={}",
+                label, s, T, r_min)
     return result.min_cost
 
 
@@ -54,7 +68,7 @@ def verify_all() -> list[tuple[str, int, list[str]]]:
     Returns one (group, check count, failure descriptions) triple per check
     group, in a fixed order; the grid passes when every failure list is empty.
     """
-    groups: dict[str, _Checks] = {group: [] for group in _VERIFY_GROUPS}
+    groups = {group: _Group() for group in _VERIFY_GROUPS}
     equivalence, marginal, horizon, partition, monotone, intermediate, sign = groups.values()
     par_min: dict[tuple[float, int, int], float] = {}
     bnd_min: dict[tuple[float, int, int], float] = {}
@@ -87,23 +101,29 @@ def verify_all() -> list[tuple[str, int, list[str]]]:
                     plan = AllocationPlan(T, ((stock / j,) * j,) * T, (stock, 0.0))
                     feasible = oracle.plan_feasible(plan, scenario)
                     drift = abs(oracle.plan_cost(plan, scenario) - par_min[key])
-                    at = f"s={s} j={j} r_min={r_min}"
-                    partition.append((feasible, f"re-partition infeasible {at}"))
-                    partition.append((drift <= FEASIBILITY_EPS, f"re-partition cost drift {at}"))
+                    at = (s, j, r_min)
+                    partition.check(feasible, "re-partition infeasible s={} j={} r_min={}", *at)
+                    partition.check(drift <= FEASIBILITY_EPS,
+                                    "re-partition cost drift s={} j={} r_min={}", *at)
 
     for (r_min, s, T), par in par_min.items():
         bnd = bnd_min[(r_min, s, T)]
         below = (r_min, s - 1, T)
-        at = f"s={s} T={T} r_min={r_min}"
-        marginal.append((par - par_min.get(below, 0.0) == r_min, f"par marginal {at}"))
-        marginal.append((bnd - bnd_min.get(below, 0.0) == r_min * T, f"bnd marginal {at}"))
+        at = (s, T, r_min)
+        marginal.check(par - par_min.get(below, 0.0) == r_min,
+                       "par marginal s={} T={} r_min={}", *at)
+        marginal.check(bnd - bnd_min.get(below, 0.0) == r_min * T,
+                       "bnd marginal s={} T={} r_min={}", *at)
         if s > 1:
-            monotone.append((par >= par_min[below], f"par not monotone in s at {at}"))
-            monotone.append((bnd >= bnd_min[below], f"bnd not monotone in s at {at}"))
+            monotone.check(par >= par_min[below],
+                           "par not monotone in s at s={} T={} r_min={}", *at)
+            monotone.check(bnd >= bnd_min[below],
+                           "bnd not monotone in s at s={} T={} r_min={}", *at)
         if T > 1:
-            flat = par == par_min[(r_min, s, 1)]
-            horizon.append((flat, f"par horizon dependence s={s} r_min={r_min}"))
-            monotone.append((bnd >= bnd_min[(r_min, s, T - 1)], f"bnd not monotone in T at {at}"))
+            horizon.check(par == par_min[(r_min, s, 1)],
+                          "par horizon dependence s={} r_min={}", s, r_min)
+            monotone.check(bnd >= bnd_min[(r_min, s, T - 1)],
+                           "bnd not monotone in T at s={} T={} r_min={}", *at)
 
     for T, r_min, threshold in costs.crossover_table():
         if threshold is None:
@@ -113,8 +133,5 @@ def verify_all() -> list[tuple[str, int, list[str]]]:
             par = costs.cost_parallelizable(s, T, r_min, costs.LINEAR_COORDINATION).total
             bnd = costs.cost_throughput_bounded(s, T, r_min).total
             side, passed = ("below", bnd < par) if s < threshold else ("above", bnd > par)
-            sign.append((passed, f"sign {side} crossover fails at s={s} T={T} r_min={r_min}"))
-    return [
-        (group, len(checks), [failure for passed, failure in checks if not passed])
-        for group, checks in groups.items()
-    ]
+            sign.check(passed, "sign {} crossover fails at s={} T={} r_min={}", side, s, T, r_min)
+    return [(name, group.count, group.failures) for name, group in groups.items()]

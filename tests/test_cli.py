@@ -303,6 +303,16 @@ def test_oracle_accepts_a_grid_step_that_divides_r_min(capsys, step):
     assert json.loads(out)["verification"]["passed"] is True
 
 
+def test_oracle_passes_a_correct_search_at_a_large_threshold(tmp_path, capsys):
+    data = resources.spec_to_dict(resources.preset("pos-stake"))
+    data.update(identity_transferable=None, alpha=0.7, r_min=1e6 + 0.1)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "oracle", "--spec", str(path), "--s", "3", "--T", "9")
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert json.loads(out)["verification"]["passed"] is True
+
+
 def test_oracle_verification_failure_is_exit_two(capsys, monkeypatch):
     forced = oracle.VerificationReport(
         checks=(oracle.VerificationCheck(name="forced", passed=False, detail="test hook"),)
@@ -643,8 +653,16 @@ def test_verify_all_reports_a_failing_group(capsys, monkeypatch):
     # 120 bounded-reuse instances, each failing its closed-form check once.
     header = lines.index("FAIL intermediate-regimes: 120 of 528 checks failed")
     listed = list(itertools.takewhile(lambda line: line.startswith("  "), lines[header + 1 :]))
-    assert len(listed) == 8
-    assert all(" bounded-k" in line for line in listed)
+    assert listed == [
+        "  bounded-k1 s=1 T=1 r_min=0.5: oracle 0.5 != 1.5",
+        "  bounded-k2 s=1 T=1 r_min=0.5: oracle 0.5 != 1.5",
+        "  bounded-k1 s=1 T=2 r_min=0.5: oracle 1.0 != 2.0",
+        "  bounded-k2 s=1 T=2 r_min=0.5: oracle 0.5 != 1.5",
+        "  bounded-k1 s=1 T=3 r_min=0.5: oracle 1.5 != 2.5",
+        "  bounded-k2 s=1 T=3 r_min=0.5: oracle 1.0 != 2.0",
+        "  bounded-k3 s=1 T=3 r_min=0.5: oracle 0.5 != 1.5",
+        "  bounded-k1 s=1 T=4 r_min=0.5: oracle 2.0 != 3.0",
+    ]
     assert out.count("ok   ") == 6
     assert lines[-1] == "verification FAILED"
 

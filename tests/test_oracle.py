@@ -1,12 +1,14 @@
 import dataclasses
+import functools
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sybilcost import costs, oracle, resources
+from sybilcost import costs, oracle, resources, verification
 from sybilcost.oracle import (
     AllocationPlan,
     AllocationSemantics,
@@ -238,6 +240,104 @@ def test_a_one_window_rule_charges_only_live_deployments():
     assert not plan_feasible(skimped, scenario)
 
 
+# --- an independent reference for the flag -> rule mapping ---------------
+#
+# `min_cost` and `plan_feasible` both take (alpha, k) from `carry_over`, so
+# neither can see that mapping go wrong.  This reference reads the spec's own
+# fields instead and simulates the resource in exact grid units: a purchase
+# is a lot usable for `life` windows counting the one it is bought in (T for
+# reusable stock, 1 for window-local, k when reuse is bounded), and each
+# deployment uses up the share of what it fielded that does not transfer to a
+# new identity (all for non-transferable resource, none for transferable,
+# 1 - alpha when transfer is partial), drawn from the soonest-expiring lots.
+# The draw order decides nothing here: every spec compared keeps all or none
+# of a deployment, or holds its lots for the whole horizon or one window.
+
+
+def reference_minimum(spec, s, T):
+    """The least total purchase over per-window aggregates and purchases, exact."""
+    life = spec.k if spec.k is not None else (T if spec.temporally_reusable else 1)
+    kept = Fraction(spec.alpha if spec.alpha is not None else int(spec.identity_transferable))
+    # One grid unit is `per_unit` sub-units, so the used-up share of any whole
+    # number of units is a whole number of sub-units.
+    per_unit = kept.denominator
+    r_min = Fraction(spec.r_min)
+    step = r_min / 2
+    lo = math.ceil(r_min / step)
+    need, most = s * lo, s + 2
+    top = max(r_min * s, step, Fraction(spec.tau or 0))
+    hi = math.floor((top if spec.tau is None else Fraction(spec.tau)) / step)
+    # A window fields j identities in [lo, hi] and the rest below lo: the
+    # aggregates from the target up to one threshold over it that it can reach.
+    aggregates = [
+        a * per_unit
+        for a in range(need, need + lo + 1)
+        if any(max(need, j * lo) <= a <= j * hi + (most - j) * (lo - 1) for j in range(most + 1))
+    ]
+
+    @functools.cache
+    def cheapest(t, lots):
+        """Least purchase from window t on, holding (last usable window, amount) lots."""
+        if t == T:
+            return 0
+        held = sum(amount for _, amount in lots)
+        last = min(t + life, T) - 1
+        best = math.inf
+        for a in aggregates:
+            short = max(0, a - held)
+            # Buy what the window lacks and up to one more aggregate ahead.
+            for bought in range(short, short + a + 1):
+                merged = dict(lots)
+                merged[last] = merged.get(last, 0) + bought
+                used = int((1 - kept) * a)
+                left = []
+                for expiry, amount in sorted(merged.items()):
+                    draw = min(amount, used)
+                    used -= draw
+                    if expiry > t and amount > draw:
+                        left.append((expiry, amount - draw))
+                best = min(best, bought + cheapest(t + 1, tuple(left)))
+        return best
+
+    return cheapest(0, ()) * step / per_unit
+
+
+def verify_all_specs(r_min, T):
+    """The specs `verify_all` searches at one threshold and horizon, all four semantics."""
+    stake = dataclasses.replace(STAKE, name=f"stake-r{r_min}", r_min=r_min)
+    yield stake
+    yield dataclasses.replace(DEVICE, name=f"device-r{r_min}", r_min=r_min, tau=r_min)
+    for alpha in (0.0, 0.5, 1.0):
+        yield dataclasses.replace(stake, identity_transferable=None, alpha=alpha)
+    for k in sorted({1, 2, T}):
+        yield dataclasses.replace(stake, temporally_reusable=None, k=k)
+
+
+def test_the_flag_reference_prices_every_verify_all_instance_like_the_search():
+    compared = 0
+    for r_min, s, T in itertools.product(
+        verification._VERIFY_THRESHOLDS, verification._VERIFY_TARGETS,
+        verification._VERIFY_HORIZONS,
+    ):
+        for spec in verify_all_specs(r_min, T):
+            expected = reference_minimum(spec, s, T)
+            assert min_cost(OracleScenario(s, T, spec)).min_cost == float(expected), (spec, s, T)
+            compared += 1
+    assert compared == 360
+
+
+def test_the_flag_reference_prices_the_flag_table_like_the_search():
+    compared = 0
+    for spec in flag_specs():
+        if not (spec.throughput_bounded or (spec.divisible and spec.additive_influence)):
+            continue
+        for s, T in itertools.product(range(4), (1, 2, 3)):
+            expected = reference_minimum(spec, s, T)
+            assert min_cost(OracleScenario(s, T, spec)).min_cost == float(expected), (spec, s, T)
+            compared += 1
+    assert compared == 8 * 12
+
+
 # --- plans ----------------------------------------------------------------
 
 
@@ -398,6 +498,50 @@ def test_verify_bounds_flags_a_wrong_minimum():
     forged = dataclasses.replace(result, min_cost=result.min_cost / 2)
     report = verify_bounds(forged, scenario)
     assert not report.passed
+
+
+# Thresholds from a tenth to billions: at the large ones the witness's float
+# sums carry rounding error far above an absolute 1e-9.
+LARGE_THRESHOLD_CASES = list(
+    itertools.product((0.1, 0.7, 1.1, 123.7, 1e6 + 0.1, 3.7e9), (0.3, 0.5, 0.7), (1, 2, 3),
+                      (1, 2, 5, 9))
+)
+
+
+def test_verify_bounds_passes_a_correct_search_at_every_magnitude():
+    failed = []
+    for r_min, alpha, s, T in LARGE_THRESHOLD_CASES:
+        scenario = OracleScenario(s, T, partial_spec(alpha, r_min))
+        report = verify_bounds(min_cost(scenario), scenario)
+        failed += [(r_min, alpha, s, T, c.name) for c in report.checks if not c.passed]
+    assert len(LARGE_THRESHOLD_CASES) == 216
+    assert failed == []
+
+
+def test_verify_bounds_flags_a_wrong_minimum_at_every_magnitude():
+    for r_min, alpha, s, T in LARGE_THRESHOLD_CASES:
+        scenario = OracleScenario(s, T, partial_spec(alpha, r_min))
+        result = min_cost(scenario)
+        for wrong in (result.min_cost * (1 - 1e-6), result.min_cost * (1 + 1e-6)):
+            forged = dataclasses.replace(result, min_cost=wrong)
+            assert not verify_bounds(forged, scenario).passed, (r_min, alpha, s, T, wrong)
+    # Off by 1.0 at a ten-million total, with the plan short by 1.0 in its first window.
+    scenario = OracleScenario(3, 9, partial_spec(0.7, 1e6 + 0.1))
+    result = min_cost(scenario)
+    for shift, names in ((1.0, {"witness-cost-matches"}),
+                         (-1.0, {"witness-cost-matches", "partial-transfer-floor"})):
+        forged = dataclasses.replace(result, min_cost=result.min_cost + shift)
+        assert {c.name for c in verify_bounds(forged, scenario).checks if not c.passed} == names
+    first, *rest = result.witness.acquisitions
+    short = dataclasses.replace(result.witness, acquisitions=(first - 1.0, *rest))
+    assert plan_feasible(result.witness, scenario)
+    assert not plan_feasible(short, scenario)
+
+
+def test_a_finite_plan_never_reaches_a_target_past_the_float_range():
+    scenario = OracleScenario(10, 1, dataclasses.replace(STAKE, r_min=1e308))
+    assert scenario.target == math.inf
+    assert not plan_feasible(AllocationPlan(1, ((1e308,),), (1e308,)), scenario)
 
 
 def test_witnesses_are_always_feasible():

@@ -15,6 +15,7 @@ import gc
 import itertools
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -191,6 +192,19 @@ def test_repeated_verification_does_not_grow_the_heap():
     finally:
         gc.enable()
     assert grown < 200
+
+
+def test_verification_keeps_only_counts_and_failures():
+    # A passing run formats no description, so its traced peak is the
+    # search's working set; keeping a described pair per check read 120 KiB.
+    verification.verify_all()
+    tracemalloc.start()
+    try:
+        verification.verify_all()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 1024
 
 
 def partial(r_min, alpha):
