@@ -30,15 +30,17 @@ _EXPORTS = {
         "governance_hybrid",
     ),
     "oracle": (
-        "AllocationPlan",
         "OracleResult",
-        "OracleScenario",
         "PlanBudgetExceeded",
         "PlanGrid",
         "min_cost",
+        "verify_bounds",
+    ),
+    "plans": (
+        "AllocationPlan",
+        "OracleScenario",
         "plan_cost",
         "plan_feasible",
-        "verify_bounds",
     ),
     "resources": (
         "ResourceClass",

@@ -9,7 +9,6 @@ scratch file and renames it, so a failed write never leaves a partial dataset.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import itertools
@@ -23,7 +22,8 @@ from pathlib import Path
 from typing import Iterable
 
 # calibration, oracle and simulation are imported by the handlers that use
-# them, so the other commands never load them.
+# them, and csv by the CSV branch of `_table_text`, so the other commands
+# never load them.
 from . import costs, resources
 from .arguments import _SWEEP_PRESETS, OUTPUT_DIR_ENV, _UsageError, build_parser
 
@@ -66,6 +66,8 @@ def _table_text(fmt: str, rows: Iterable[dict[str, object]], /, **payload: objec
         return _json_text(
             {key: list(rows) if value is rows else value for key, value in payload.items()}
         )
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     for index, row in enumerate(rows):

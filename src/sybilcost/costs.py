@@ -15,7 +15,7 @@ C(0, T) = C(s, 0) = 0 by convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -73,13 +73,13 @@ LINEAR_COORDINATION = CoordinationModel.LINEAR_SUM
 class CostReport:
     """Total cost with its stock / flow / coordination decomposition.
 
-    ``total`` is stock + flow + coordination.  `cost_carry_over` sums them in
-    exact rationals and rounds once, and `cost_hybrid` adds its components'
-    totals, so a total can differ from the float sum of the three parts in
-    the last bit.  ``marginal`` is the cost of the s-th unit,
-    Delta(s, T) = C(s, T) - C(s - 1, T), and ``normalized`` is total / (s * T),
-    or None when the target is degenerate; `cost_carry_over` rounds each once
-    too, so at s = 1 the marginal equals the total.
+    ``total`` is stock + flow + coordination.  `cost_carry_over` and
+    `governance_hybrid` sum them in exact rationals and round once, and
+    `cost_hybrid` adds its components' totals, so a total can differ from the
+    float sum of the three parts in the last bit.  ``marginal`` is the cost of
+    the s-th unit, Delta(s, T) = C(s, T) - C(s - 1, T), and ``normalized`` is
+    total / (s * T), or None when the target is degenerate; those two laws
+    round each once too, so at s = 1 the marginal equals the total.
     """
 
     s: int
@@ -254,10 +254,33 @@ def governance_hybrid(
 
     The stake component is parallelizable; the channel component renews every
     window, so the composed cost keeps the channel component's linear floor.
+    Unlike `cost_hybrid`, which only sees two rounded reports, this knows both
+    thresholds: its total, marginal and normalized ratio are each the exact
+    sum of the two components, rounded once.
     """
-    return cost_hybrid(
+    report = cost_hybrid(
         cost_parallelizable(s, T, stake_r_min, coordination),
         cost_throughput_bounded(s, T, channel_r_min),
+    )
+    if s == 0 or T == 0:
+        return report
+    (a, b), (c, d) = stake_r_min.as_integer_ratio(), channel_r_min.as_integer_ratio()
+    # h takes whole-number values, so int() keeps each one exact.
+    overhead = int(report.coordination)
+    step = overhead - int(coordination.evaluate(s - 1, T))
+
+    def once(stake: int, channel: int, h: int, divisor: int = 1) -> float:
+        """(stake * stake_r_min + channel * channel_r_min + h) / divisor, exact, rounded once."""
+        try:
+            return (stake * a * d + channel * c * b + h * b * d) / (b * d * divisor)
+        except OverflowError:
+            return math.inf  # past the float range
+
+    return replace(
+        report,
+        total=once(s, s * T, overhead),
+        marginal=once(1, T, step),
+        normalized=once(s, s * T, overhead, s * T),
     )
 
 

@@ -13,8 +13,9 @@ in each window's aggregate allocation under every carry-over rule, so the
 grid optimum is always a uniform plan built from the best single-window
 configuration and the search is exact over all grid plans despite never
 materializing the cross-window product.  The minimum is priced by `costs`'
-exact helper, rounded to a float once.  Results come with a feasible witness
-plan, which `verify_bounds` checks against the closed-form bounds.
+exact helper, rounded to a float once.  Results come with a witness plan, which
+`verify_bounds` checks for feasibility under `plans`' accounting and against
+the closed-form bounds.
 """
 
 from __future__ import annotations
@@ -26,17 +27,16 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import costs
-from .costs import ZERO_COORDINATION, CoordinationModel
+# The plan model lives in `plans`; its names are also this module's
+# attributes, where `verify_bounds` and the benchmark tracer look them up.
+from .plans import FEASIBILITY_EPS, AllocationPlan, OracleScenario, plan_cost, plan_feasible
 from .resources import ResourceSpec, carry_over
 from .resources import classify  # noqa: F401  (an attribute the benchmark tracer wraps)
 
 __all__ = [
-    "AllocationPlan",
     "AllocationSemantics",
     "DEFAULT_PLAN_CEILING",
-    "FEASIBILITY_EPS",
     "OracleResult",
-    "OracleScenario",
     "PlanBudgetExceeded",
     "PlanGrid",
     "VerificationCheck",
@@ -44,12 +44,9 @@ __all__ = [
     "allocation_semantics",
     "closed_form",
     "min_cost",
-    "plan_cost",
-    "plan_feasible",
     "verify_bounds",
 ]
 
-FEASIBILITY_EPS = 1e-9
 DEFAULT_PLAN_CEILING = 10_000_000
 
 
@@ -82,56 +79,6 @@ def allocation_semantics(spec: ResourceSpec) -> AllocationSemantics:
     if spec.temporally_reusable and spec.identity_transferable:
         return AllocationSemantics.REUSABLE
     return AllocationSemantics.WINDOW_LOCAL
-
-
-@dataclass(frozen=True)
-class AllocationPlan:
-    """Per-window identity allocations plus the acquisition events paying for them.
-
-    ``identities[t]`` holds the allocations of the identities fielded in
-    window t (zero-allocation identities may be omitted); ``acquisitions[t]``
-    is the amount of new resource bought at the start of that window.
-    """
-
-    windows: int
-    identities: tuple[tuple[float, ...], ...]
-    acquisitions: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.windows < 0:
-            raise ValueError(f"windows must be nonnegative, got {self.windows}")
-        if len(self.identities) != self.windows or len(self.acquisitions) != self.windows:
-            raise ValueError("plan rows must cover every window exactly once")
-        for row in self.identities:
-            if any(value < 0 for value in row):
-                raise ValueError("identity allocations must be nonnegative")
-        if any(value < 0 for value in self.acquisitions):
-            raise ValueError("acquisitions must be nonnegative")
-
-    def aggregate(self, window: int) -> float:
-        """Total resource allocated in one (0-based) window."""
-        return sum(self.identities[window])
-
-
-@dataclass(frozen=True)
-class OracleScenario:
-    """A search instance: target s, horizon T, resource, coordination overhead."""
-
-    s: int
-    T: int
-    spec: ResourceSpec
-    coordination: CoordinationModel = ZERO_COORDINATION
-
-    def __post_init__(self) -> None:
-        if type(self.s) is not int or self.s < 0:
-            raise ValueError(f"s must be a nonnegative integer, got {self.s!r}")
-        if type(self.T) is not int or self.T < 1:
-            raise ValueError(f"T must be an integer at least 1, got {self.T!r}")
-
-    @property
-    def target(self) -> float:
-        """Per-window influence the plan must reach: s identities at the threshold."""
-        return self.s * self.spec.r_min
 
 
 @dataclass(frozen=True)
@@ -187,8 +134,22 @@ class PlanGrid:
         return -_floor_units(value, -1, self.step) <= _floor_units(value, 1, self.step)
 
     def configuration_count(self) -> int:
-        """Number of per-window allocation multisets the grid admits."""
-        return math.comb(self.level_count() + self.max_identities - 1, self.max_identities)
+        """Number of per-window allocation multisets the grid admits, counted up to the ceiling.
+
+        C(n + m - 1, m), for n levels and m identities, is built up as
+        C(b + i, i) for i = 1 .. r, where r is the smaller of m and n - 1.
+        Each partial count is at least the one before and at least 2^i, so
+        past the ceiling the count stops within about log2(ceiling) steps
+        and returns that partial count: a lower bound over the ceiling.
+        """
+        levels, m = self.level_count(), self.max_identities
+        r = min(m, levels - 1)
+        count = 1
+        for i in range(1, r + 1):
+            count = count * (levels + m - 1 - r + i) // i
+            if count > self.ceiling:
+                break
+        return count
 
 
 @dataclass(frozen=True)
@@ -225,7 +186,8 @@ def _best_window_config(
     configuration_count = grid.configuration_count()
     if configuration_count > grid.ceiling:
         raise PlanBudgetExceeded(
-            f"{configuration_count} window configurations exceed the ceiling of {grid.ceiling}"
+            f"at least {configuration_count} window configurations"
+            f" exceed the ceiling of {grid.ceiling}"
         )
     spec, step, m = scenario.spec, grid.step, grid.max_identities
     # In grid units, within the grid's tolerance: the lowest active level,
@@ -289,53 +251,6 @@ def closed_form(scenario: OracleScenario) -> float:
     s, T, spec = scenario.s, scenario.T, scenario.spec
     alpha, k = carry_over(spec, T)
     return costs.cost_carry_over(s, T, spec.r_min, alpha, k, scenario.coordination).total
-
-
-# ---------------------------------------------------------------------------
-# Plan accounting
-# ---------------------------------------------------------------------------
-
-
-def plan_cost(plan: AllocationPlan, scenario: OracleScenario) -> float:
-    """Total expenditure of a plan: all acquisition events plus coordination."""
-    return sum(plan.acquisitions) + scenario.coordination.evaluate(scenario.s, scenario.T)
-
-
-def plan_feasible(plan: AllocationPlan, scenario: OracleScenario) -> bool:
-    """Whether a plan meets the influence target and the carry-over accounting.
-
-    Every window must reach s * r_min of influence counting only identities
-    at or above the activation threshold, no identity may exceed the rate
-    limit tau, and the acquisition events must cover each window's aggregate
-    under the spec's carry-over rule (alpha, k) from `resources.carry_over`:
-    a purchase stays usable for k windows, and each deployment spends the
-    (1 - alpha) share of what it used for good.  So the purchases of the last
-    k windows must cover this window's aggregate plus the (1 - alpha) share of
-    the aggregates of the k - 1 windows before it.
-    """
-    if plan.windows != scenario.T:
-        raise ValueError(
-            f"plan covers {plan.windows} windows but the scenario has T={scenario.T}"
-        )
-    spec = scenario.spec
-    alpha, k = carry_over(spec, plan.windows)
-    target = scenario.target
-    # Float sums of large allocations carry rounding error far above 1e-9, so
-    # they compare within FEASIBILITY_EPS scaled by a finite target over 1.
-    eps = FEASIBILITY_EPS * (max(1.0, target) if target < math.inf else 1.0)
-    cap = math.inf if spec.tau is None else spec.tau
-    aggregates = [plan.aggregate(t) for t in range(plan.windows)]
-    for t, row in enumerate(plan.identities):
-        reached = sum(value for value in row if value >= spec.r_min - FEASIBILITY_EPS)
-        over_cap = any(value > cap + FEASIBILITY_EPS for value in row)
-        if over_cap or reached + eps < target:
-            return False
-        first = max(0, t - k + 1)
-        alive = sum(plan.acquisitions[first : t + 1])
-        spent = (1.0 - alpha) * sum(aggregates[first:t])
-        if alive + eps < spent + aggregates[t]:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,119 @@
+"""Allocation plans and their accounting: what a plan costs and whether it is feasible.
+
+A plan fields identities in each window and buys resource at the start of
+windows.  It is feasible when every window reaches the influence target with
+identities at or above the activation threshold r_min and under the rate
+limit tau, and its purchases cover each window's aggregate under the
+resource's carry-over rule (alpha, k) from `resources.carry_over`.  The oracle
+searches these plans; this module only states them.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from .costs import ZERO_COORDINATION, CoordinationModel
+from .resources import ResourceSpec, carry_over
+
+__all__ = [
+    "AllocationPlan",
+    "FEASIBILITY_EPS",
+    "OracleScenario",
+    "plan_cost",
+    "plan_feasible",
+]
+
+FEASIBILITY_EPS = 1e-9
+
+
+@dataclass(frozen=True)
+class AllocationPlan:
+    """Per-window identity allocations plus the acquisition events paying for them.
+
+    ``identities[t]`` holds the allocations of the identities fielded in
+    window t (zero-allocation identities may be omitted); ``acquisitions[t]``
+    is the amount of new resource bought at the start of that window.
+    """
+
+    windows: int
+    identities: tuple[tuple[float, ...], ...]
+    acquisitions: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if self.windows < 0:
+            raise ValueError(f"windows must be nonnegative, got {self.windows}")
+        if len(self.identities) != self.windows or len(self.acquisitions) != self.windows:
+            raise ValueError("plan rows must cover every window exactly once")
+        for row in self.identities:
+            if any(value < 0 for value in row):
+                raise ValueError("identity allocations must be nonnegative")
+        if any(value < 0 for value in self.acquisitions):
+            raise ValueError("acquisitions must be nonnegative")
+
+    def aggregate(self, window: int) -> float:
+        """Total resource allocated in one (0-based) window."""
+        return sum(self.identities[window])
+
+
+@dataclass(frozen=True)
+class OracleScenario:
+    """A search instance: target s, horizon T, resource, coordination overhead."""
+
+    s: int
+    T: int
+    spec: ResourceSpec
+    coordination: CoordinationModel = ZERO_COORDINATION
+
+    def __post_init__(self) -> None:
+        if type(self.s) is not int or self.s < 0:
+            raise ValueError(f"s must be a nonnegative integer, got {self.s!r}")
+        if type(self.T) is not int or self.T < 1:
+            raise ValueError(f"T must be an integer at least 1, got {self.T!r}")
+
+    @property
+    def target(self) -> float:
+        """Per-window influence the plan must reach: s identities at the threshold."""
+        return self.s * self.spec.r_min
+
+
+def plan_cost(plan: AllocationPlan, scenario: OracleScenario) -> float:
+    """Total expenditure of a plan: all acquisition events plus coordination."""
+    return sum(plan.acquisitions) + scenario.coordination.evaluate(scenario.s, scenario.T)
+
+
+def plan_feasible(plan: AllocationPlan, scenario: OracleScenario) -> bool:
+    """Whether a plan meets the influence target and the carry-over accounting.
+
+    Every window must reach s * r_min of influence counting only identities
+    at or above the activation threshold, no identity may exceed the rate
+    limit tau, and the acquisition events must cover each window's aggregate
+    under the spec's carry-over rule (alpha, k) from `resources.carry_over`:
+    a purchase stays usable for k windows, and each deployment spends the
+    (1 - alpha) share of what it used for good.  So the purchases of the last
+    k windows must cover this window's aggregate plus the (1 - alpha) share of
+    the aggregates of the k - 1 windows before it.
+    """
+    if plan.windows != scenario.T:
+        raise ValueError(
+            f"plan covers {plan.windows} windows but the scenario has T={scenario.T}"
+        )
+    spec = scenario.spec
+    alpha, k = carry_over(spec, plan.windows)
+    target = scenario.target
+    # Float sums of large allocations carry rounding error far above 1e-9, so
+    # they compare within FEASIBILITY_EPS scaled by a finite target over 1.
+    eps = FEASIBILITY_EPS * (max(1.0, target) if target < math.inf else 1.0)
+    cap = math.inf if spec.tau is None else spec.tau
+    aggregates = [plan.aggregate(t) for t in range(plan.windows)]
+    for t, row in enumerate(plan.identities):
+        reached = sum(value for value in row if value >= spec.r_min - FEASIBILITY_EPS)
+        over_cap = any(value > cap + FEASIBILITY_EPS for value in row)
+        if over_cap or reached + eps < target:
+            return False
+        first = max(0, t - k + 1)
+        alive = sum(plan.acquisitions[first : t + 1])
+        spent = (1.0 - alpha) * sum(aggregates[first:t])
+        if alive + eps < spent + aggregates[t]:
+            return False
+    return True

@@ -4,8 +4,9 @@
 instances (thresholds, targets and horizons up to 4) and checks each minimum
 against its closed form and bounds, then checks the laws' marginals,
 horizon independence, partition invariance, monotonicity and the sign of the
-stock/renewal crossover.  It calls the oracle through the module, so a
-wrapper or patch on an `oracle` attribute sees every call.
+stock/renewal crossover.  It calls the search and the plan accounting
+through the `oracle` module, so a wrapper or patch on an `oracle` attribute
+sees every call.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import replace
 
 from . import costs, oracle
-from .oracle import FEASIBILITY_EPS, AllocationPlan, OracleScenario
+from .plans import FEASIBILITY_EPS, AllocationPlan, OracleScenario
 from .resources import preset
 
 __all__ = ["verify_all"]

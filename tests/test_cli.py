@@ -4,6 +4,7 @@ import os
 import runpy
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -274,6 +275,19 @@ def test_oracle_budget_guard_counts_without_building_the_grid(capsys):
     assert code == cli.EXIT_BUDGET
     assert "exceed the ceiling" in err
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("s", ["1000", "100000", "1000000"])
+def test_oracle_refuses_a_huge_grid_at_once_in_one_short_line(capsys, s):
+    # At s = 1e6 the whole count has about 830,000 digits: the refusal must
+    # neither compute it nor print it.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "oracle", "--spec", "pos-stake", "--s", s, "--T", "2")
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (cli.EXIT_BUDGET, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 100, err
+    assert "exceed the ceiling of 10000000" in err
+    assert elapsed < 1.0
 
 
 def test_oracle_grid_too_fine_to_count_is_a_usage_error(capsys):

@@ -35,8 +35,8 @@ same_object = all(
 namespace = {}
 exec("from sybilcost import *", namespace)
 # A stale __all__ entry in any submodule makes its star import raise.
-for module in ("arguments", "calibration", "cli", "costs", "oracle", "resources", "simulation",
-               "verification"):
+for module in ("arguments", "calibration", "cli", "costs", "oracle", "plans", "resources",
+               "simulation", "verification"):
     exec(f"from sybilcost.{module} import *", {})
 try:
     sybilcost.no_such_name
@@ -82,7 +82,8 @@ def test_modules_load_on_first_use():
     assert report["unknown"] == "module 'sybilcost' has no attribute 'no_such_name'"
     assert report["after_all"] == [
         "sybilcost.arguments", "sybilcost.calibration", "sybilcost.cli", "sybilcost.costs",
-        "sybilcost.oracle", "sybilcost.resources", "sybilcost.simulation", "sybilcost.verification",
+        "sybilcost.oracle", "sybilcost.plans", "sybilcost.resources", "sybilcost.simulation",
+        "sybilcost.verification",
     ]
 
 
@@ -90,18 +91,31 @@ def test_modules_load_on_first_use():
 # compiler's peak memory is not returned: the largest unit on a run's path sets
 # a floor under that run's peak RSS.
 COMPILE_PEAK_LIMIT = 1_200 * 1024
+# Every searching process compiles the oracle and the plan model, and the
+# larger of the two sets a floor under its peak RSS, so both are held lower.
+SEARCH_COMPILE_PEAK_LIMIT = 700 * 1024
 
 
-@pytest.mark.parametrize("path", sorted((SRC / "sybilcost").glob("*.py")), ids=lambda p: p.name)
-def test_no_module_is_a_large_compile_unit(path):
+def _compile_peak(path):
     source = path.read_text()
     tracemalloc.start()
     try:
         compile(source, str(path), "exec")
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "sybilcost").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_is_a_large_compile_unit(path):
+    peak = _compile_peak(path)
     assert peak <= COMPILE_PEAK_LIMIT, f"{path.name} compiles with a {peak // 1024} KiB peak"
+
+
+@pytest.mark.parametrize("name", ["oracle.py", "plans.py"])
+def test_the_search_modules_are_small_compile_units(name):
+    peak = _compile_peak(SRC / "sybilcost" / name)
+    assert peak <= SEARCH_COMPILE_PEAK_LIMIT, f"{name} compiles with a {peak // 1024} KiB peak"
 
 
 # A fresh `import sybilcost.oracle` loads what the search needs and no more.
@@ -117,7 +131,8 @@ def test_the_oracle_loads_only_what_it_searches_with():
                           env=_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [
-        "sybilcost", "sybilcost.costs", "sybilcost.oracle", "sybilcost.resources",
+        "sybilcost", "sybilcost.costs", "sybilcost.oracle", "sybilcost.plans",
+        "sybilcost.resources",
     ]
 
 
@@ -172,3 +187,30 @@ def test_only_verify_all_loads_the_verification_grid(argv, loads_grid):
     report, verification = _run_probe(argv)
     assert report["exit"] == 0
     assert verification is loads_grid
+
+
+# The CSV writer loads only for a command that writes CSV.
+CSV_PROBE = """
+import contextlib, io, json, sys
+from sybilcost import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.dispatch(sys.argv[1:])
+print(json.dumps([code, "csv" in sys.modules, "_csv" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_csv",
+    [
+        (["verify-all"], False),
+        (["oracle", "--spec", "device-bound", "--s", "2", "--T", "3"], False),
+        (["crossover", "--table"], True),
+    ],
+    ids=["verify-all", "oracle", "crossover-table"],
+)
+def test_only_csv_output_loads_the_csv_writer(argv, loads_csv):
+    proc = subprocess.run([sys.executable, "-c", CSV_PROBE, *argv], capture_output=True,
+                          text=True, env=_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, loads_csv, loads_csv]

@@ -4,7 +4,7 @@
 That is exact only if the cheapest purchases for a plan can only rise when
 some window's aggregate rises, so that the smallest aggregate reaching the
 target, held in every window, is optimal.  These tests solve the purchase half
-of a plan from the accounting `oracle.plan_feasible` states, in exact
+of a plan from the accounting `plans.plan_feasible` states, in exact
 rationals and without the law or its schedule: the purchases of windows
 t - k + 1 .. t must cover a_t plus the (1 - alpha) share of the k - 1
 aggregates before it.
