@@ -130,7 +130,7 @@ class PlanGrid:
         return _floor_units(self.max_value, 1, self.step) + 1
 
     def holds(self, value: float) -> bool:
-        """Whether a level lies within FEASIBILITY_EPS of value, counted like `level_count`."""
+        """Whether some level lies in value * (1 +- FEASIBILITY_EPS), counted like `level_count`."""
         return -_floor_units(value, -1, self.step) <= _floor_units(value, 1, self.step)
 
     def configuration_count(self) -> int:
@@ -175,9 +175,9 @@ _EPS_RATIO = FEASIBILITY_EPS.as_integer_ratio()
 
 
 def _floor_units(value: float, count: int, step: float) -> int:
-    """floor((count * value + FEASIBILITY_EPS) / step) in exact rationals."""
+    """floor((count * value + FEASIBILITY_EPS * |count * value|) / step) in exact rationals."""
     (n, d), (p, q), (e, f) = value.as_integer_ratio(), step.as_integer_ratio(), _EPS_RATIO
-    return (count * n * f + e * d) * q // (d * f * p)
+    return (count * n * f + e * abs(count * n)) * q // (d * f * p)
 
 
 def _best_window_config(
@@ -293,9 +293,9 @@ def verify_bounds(result: OracleResult, scenario: OracleScenario) -> Verificatio
     priced with.  The ceiling and the exact value assume a grid that holds
     r_min; on a step that does not divide it, the grid's lowest active level
     is above r_min and its optimum can exceed the law.  Each comparison allows
-    FEASIBILITY_EPS, scaled by the smaller of the witness's cost and the
-    minimum where that exceeds 1.  Violations come back as failed checks in
-    the report rather than as exceptions, so callers can render them.
+    FEASIBILITY_EPS relative to the values it compares, so the report is the
+    same in any unit.  Violations come back as failed checks in the report
+    rather than as exceptions, so callers can render them.
     """
     checks: list[VerificationCheck] = []
     spec = scenario.spec
@@ -312,8 +312,7 @@ def verify_bounds(result: OracleResult, scenario: OracleScenario) -> Verificatio
         )
     )
     witness_cost = plan_cost(result.witness, scenario)
-    eps = FEASIBILITY_EPS * max(1.0, min(witness_cost, result.min_cost))
-    cost_matches = abs(witness_cost - result.min_cost) <= eps
+    cost_matches = math.isclose(witness_cost, result.min_cost, rel_tol=FEASIBILITY_EPS)
     checks.append(
         VerificationCheck(
             "witness-cost-matches",
@@ -331,7 +330,7 @@ def verify_bounds(result: OracleResult, scenario: OracleScenario) -> Verificatio
         checks.append(
             VerificationCheck(
                 "stock-upper-bound",
-                result.min_cost <= ceiling_value + eps,
+                result.min_cost <= ceiling_value * (1.0 + FEASIBILITY_EPS),
                 f"minimum {result.min_cost} vs one-shot stock cost {ceiling_value}",
             )
         )
@@ -344,7 +343,7 @@ def verify_bounds(result: OracleResult, scenario: OracleScenario) -> Verificatio
     checks.append(
         VerificationCheck(
             name,
-            result.min_cost >= floor_value - eps,
+            result.min_cost >= floor_value * (1.0 - FEASIBILITY_EPS),
             f"minimum {result.min_cost} vs {floor} {floor_value}",
         )
     )
@@ -353,7 +352,7 @@ def verify_bounds(result: OracleResult, scenario: OracleScenario) -> Verificatio
         checks.append(
             VerificationCheck(
                 "tight-plan-value",
-                abs(result.min_cost - tight_value) <= eps,
+                math.isclose(result.min_cost, tight_value, rel_tol=FEASIBILITY_EPS),
                 f"minimum {result.min_cost} vs tight renewal cost {tight_value}",
             )
         )

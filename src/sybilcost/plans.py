@@ -92,7 +92,9 @@ def plan_feasible(plan: AllocationPlan, scenario: OracleScenario) -> bool:
     a purchase stays usable for k windows, and each deployment spends the
     (1 - alpha) share of what it used for good.  So the purchases of the last
     k windows must cover this window's aggregate plus the (1 - alpha) share of
-    the aggregates of the k - 1 windows before it.
+    the aggregates of the k - 1 windows before it.  Each comparison allows
+    FEASIBILITY_EPS relative to the value it compares, so a plan is feasible
+    in any unit, and no finite plan reaches an infinite target.
     """
     if plan.windows != scenario.T:
         raise ValueError(
@@ -100,20 +102,18 @@ def plan_feasible(plan: AllocationPlan, scenario: OracleScenario) -> bool:
         )
     spec = scenario.spec
     alpha, k = carry_over(spec, plan.windows)
-    target = scenario.target
-    # Float sums of large allocations carry rounding error far above 1e-9, so
-    # they compare within FEASIBILITY_EPS scaled by a finite target over 1.
-    eps = FEASIBILITY_EPS * (max(1.0, target) if target < math.inf else 1.0)
-    cap = math.inf if spec.tau is None else spec.tau
+    low = 1.0 - FEASIBILITY_EPS
+    active = spec.r_min * low
+    cap = math.inf if spec.tau is None else spec.tau * (1.0 + FEASIBILITY_EPS)
+    need = scenario.target * low
     aggregates = [plan.aggregate(t) for t in range(plan.windows)]
     for t, row in enumerate(plan.identities):
-        reached = sum(value for value in row if value >= spec.r_min - FEASIBILITY_EPS)
-        over_cap = any(value > cap + FEASIBILITY_EPS for value in row)
-        if over_cap or reached + eps < target:
+        reached = sum(value for value in row if value >= active)
+        if any(value > cap for value in row) or reached < need:
             return False
         first = max(0, t - k + 1)
         alive = sum(plan.acquisitions[first : t + 1])
         spent = (1.0 - alpha) * sum(aggregates[first:t])
-        if alive + eps < spent + aggregates[t]:
+        if alive < (spent + aggregates[t]) * low:
             return False
     return True

@@ -337,7 +337,11 @@ def spec_from_dict(data: Mapping[str, object]) -> ResourceSpec:
 
 def load_specs(source: str | Path) -> tuple[ResourceSpec, ...]:
     """Load one spec or a list of specs from a JSON file."""
-    data = json.loads(Path(source).read_text())
+    text = Path(source).read_text()
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"spec file {str(source)!r} is nested too deeply to parse") from None
     if isinstance(data, Mapping):
         data = [data]
     if not isinstance(data, list) or not all(isinstance(entry, Mapping) for entry in data):

@@ -101,10 +101,10 @@ def verify_all() -> list[tuple[str, int, list[str]]]:
                 for j in range(1, s + 1):
                     plan = AllocationPlan(T, ((stock / j,) * j,) * T, (stock, 0.0))
                     feasible = oracle.plan_feasible(plan, scenario)
-                    drift = abs(oracle.plan_cost(plan, scenario) - par_min[key])
+                    cost = oracle.plan_cost(plan, scenario)
                     at = (s, j, r_min)
                     partition.check(feasible, "re-partition infeasible s={} j={} r_min={}", *at)
-                    partition.check(drift <= FEASIBILITY_EPS,
+                    partition.check(math.isclose(cost, par_min[key], rel_tol=FEASIBILITY_EPS),
                                     "re-partition cost drift s={} j={} r_min={}", *at)
 
     for (r_min, s, T), par in par_min.items():

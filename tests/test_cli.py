@@ -327,6 +327,21 @@ def test_oracle_passes_a_correct_search_at_a_large_threshold(tmp_path, capsys):
     assert json.loads(out)["verification"]["passed"] is True
 
 
+@pytest.mark.parametrize("r_min, minimum", [(1e-9, 2e-09), (1e-12, 2e-12), (1e-320, 2e-320)])
+def test_oracle_finds_the_law_at_a_tiny_threshold(tmp_path, capsys, r_min, minimum):
+    # The oracle's tolerance is relative to the values it compares, so a tiny
+    # unit searches the same 70 configurations as a threshold of 1.
+    data = resources.spec_to_dict(resources.preset("pos-stake"))
+    data["r_min"] = r_min
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "oracle", "--spec", str(path), "--s", "2", "--T", "2")
+    assert (code, err) == (cli.EXIT_OK, "")
+    payload = json.loads(out)
+    assert (payload["min_cost"], payload["plans_examined"]) == (minimum, 70)
+    assert payload["verification"]["passed"] is True
+
+
 def test_oracle_verification_failure_is_exit_two(capsys, monkeypatch):
     forced = oracle.VerificationReport(
         checks=(oracle.VerificationCheck(name="forced", passed=False, detail="test hook"),)
@@ -751,6 +766,23 @@ def test_spec_file_with_non_object_entries_is_a_one_line_error(tmp_path, capsys)
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert err == "error: spec file must hold an object or an array of objects\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify",),
+        ("oracle", "--s", "1", "--T", "1"),
+        ("simulate", "--s", "1", "--n", "1", "--T", "1"),
+    ],
+    ids=["classify", "oracle", "simulate"],
+)
+def test_a_deeply_nested_spec_file_is_a_one_line_error(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, *argv, "--spec", str(path))
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == f"error: spec file {str(path)!r} is nested too deeply to parse\n"
 
 
 def test_spec_file_with_a_wrongly_typed_field_names_it(tmp_path, capsys):

@@ -91,8 +91,9 @@ def test_modules_load_on_first_use():
 # compiler's peak memory is not returned: the largest unit on a run's path sets
 # a floor under that run's peak RSS.
 COMPILE_PEAK_LIMIT = 1_200 * 1024
-# Every searching process compiles the oracle and the plan model, and the
-# larger of the two sets a floor under its peak RSS, so both are held lower.
+# Every searching process compiles the oracle, the plan model and the resource
+# specs, and the largest of the three sets a floor under its peak RSS, so all
+# three are held lower.
 SEARCH_COMPILE_PEAK_LIMIT = 700 * 1024
 
 
@@ -112,7 +113,7 @@ def test_no_module_is_a_large_compile_unit(path):
     assert peak <= COMPILE_PEAK_LIMIT, f"{path.name} compiles with a {peak // 1024} KiB peak"
 
 
-@pytest.mark.parametrize("name", ["oracle.py", "plans.py"])
+@pytest.mark.parametrize("name", ["oracle.py", "plans.py", "resources.py"])
 def test_the_search_modules_are_small_compile_units(name):
     peak = _compile_peak(SRC / "sybilcost" / name)
     assert peak <= SEARCH_COMPILE_PEAK_LIMIT, f"{name} compiles with a {peak // 1024} KiB peak"

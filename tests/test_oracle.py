@@ -500,11 +500,12 @@ def test_verify_bounds_flags_a_wrong_minimum():
     assert not report.passed
 
 
-# Thresholds from a tenth to billions: at the large ones the witness's float
-# sums carry rounding error far above an absolute 1e-9.
+# Thresholds from 1e-300 to billions: at the large ones the witness's float
+# sums carry rounding error far above an absolute 1e-9, and at the small ones
+# an absolute 1e-9 would exceed the whole minimum.
 LARGE_THRESHOLD_CASES = list(
-    itertools.product((0.1, 0.7, 1.1, 123.7, 1e6 + 0.1, 3.7e9), (0.3, 0.5, 0.7), (1, 2, 3),
-                      (1, 2, 5, 9))
+    itertools.product((1e-300, 2**-40, 1e-9, 0.1, 0.7, 1.1, 123.7, 1e6 + 0.1, 3.7e9),
+                      (0.3, 0.5, 0.7), (1, 2, 3), (1, 2, 5, 9))
 )
 
 
@@ -514,7 +515,7 @@ def test_verify_bounds_passes_a_correct_search_at_every_magnitude():
         scenario = OracleScenario(s, T, partial_spec(alpha, r_min))
         report = verify_bounds(min_cost(scenario), scenario)
         failed += [(r_min, alpha, s, T, c.name) for c in report.checks if not c.passed]
-    assert len(LARGE_THRESHOLD_CASES) == 216
+    assert len(LARGE_THRESHOLD_CASES) == 324
     assert failed == []
 
 
@@ -536,6 +537,37 @@ def test_verify_bounds_flags_a_wrong_minimum_at_every_magnitude():
     short = dataclasses.replace(result.witness, acquisitions=(first - 1.0, *rest))
     assert plan_feasible(result.witness, scenario)
     assert not plan_feasible(short, scenario)
+
+
+# The laws are linear in the threshold, and a power of two scales a float
+# exactly, so the search must give the same answer in every unit.
+SCALE_EXPONENTS = (-1000, -300, -60, -40, -30, -20, -14, -1, 0, 1, 14, 28, 35, 60, 300, 990)
+SCALE_SPECS = {
+    "reusable": lambda r_min: dataclasses.replace(STAKE, r_min=r_min),
+    "window-local": lambda r_min: dataclasses.replace(DEVICE, r_min=r_min, tau=r_min),
+    "partial-transfer": lambda r_min: partial_spec(0.5, r_min),
+    "bounded-reuse": lambda r_min: bounded_spec(2, r_min),
+}
+
+
+def test_the_search_gives_the_same_answer_in_every_unit():
+    failed = []
+    cases = 0
+    for base, semantics, s, T in itertools.product((1.0, 0.7), SCALE_SPECS, (1, 2, 3), (1, 3)):
+        reference = min_cost(OracleScenario(s, T, SCALE_SPECS[semantics](base)))
+        for j in SCALE_EXPONENTS:
+            cases += 1
+            scenario = OracleScenario(s, T, SCALE_SPECS[semantics](math.ldexp(base, j)))
+            result = min_cost(scenario)
+            wrong = [dataclasses.replace(result, min_cost=result.min_cost * (1 + shift))
+                     for shift in (-1e-6, 1e-6)]
+            if (result.min_cost != math.ldexp(reference.min_cost, j)
+                    or result.plans_examined != reference.plans_examined
+                    or not verify_bounds(result, scenario).passed
+                    or any(verify_bounds(forged, scenario).passed for forged in wrong)):
+                failed.append((base, j, semantics, s, T))
+    assert cases == 768
+    assert failed == []
 
 
 def test_a_finite_plan_never_reaches_a_target_past_the_float_range():

@@ -2,8 +2,9 @@
 
 `reference_best_window` is the float brute-force scan the oracle used before
 it counted in grid units: it enumerates every multiset of float levels and
-compares within FEASIBILITY_EPS.  The integer scan must pick the same
-configuration and build the same witness.  Off the dyadic grids the float
+compares within FEASIBILITY_EPS relative to each value it compares, the rule
+the integer scan applies in exact rationals.  The integer scan must pick the
+same configuration and build the same witness.  Off the dyadic grids the float
 sums of rounded levels can differ in the last bit where the unit totals tie:
 there the reference breaks the tie on rounding error, the integer scan by the
 documented rule, and the witness's acquisitions, priced from the exact unit
@@ -42,21 +43,21 @@ DEVICE = resources.preset("device-bound")
 
 def reference_best_window(scenario, grid):
     """The float scan: (aggregate, active count, descending allocations) or None."""
-    count = int(math.floor(grid.max_value / grid.step + FEASIBILITY_EPS)) + 1
+    count = int(math.floor(grid.max_value * (1 + FEASIBILITY_EPS) / grid.step)) + 1
     levels = tuple(index * grid.step for index in range(count))
     target = scenario.target
     r_min, tau = scenario.spec.r_min, scenario.spec.tau
     best = None
     for combo in itertools.combinations_with_replacement(levels, grid.max_identities):
-        if tau is not None and combo[-1] > tau + FEASIBILITY_EPS:
+        if tau is not None and combo[-1] > tau * (1 + FEASIBILITY_EPS):
             continue
         reached = 0.0
         active = 0
         for value in combo:
-            if value >= r_min - FEASIBILITY_EPS:
+            if value >= r_min * (1 - FEASIBILITY_EPS):
                 reached += value
                 active += 1
-        if reached + FEASIBILITY_EPS < target:
+        if reached < target * (1 - FEASIBILITY_EPS):
             continue
         key = (sum(combo), active, combo[::-1])
         if best is None or key < best:
@@ -129,14 +130,16 @@ def test_level_count_is_the_float_count_it_replaced():
         shares = (0.25, 0.3, 0.5, 0.7, 1.0, 0.1, 0.2, 1 / 3)
         for spec, s, share in itertools.product(specs, range(12), shares):
             grid = PlanGrid.for_scenario(OracleScenario(s, 3, spec), step=share * r_min)
-            assert grid.level_count() == math.floor(grid.max_value / grid.step + FEASIBILITY_EPS) + 1
+            expected = math.floor(grid.max_value * (1 + FEASIBILITY_EPS) / grid.step) + 1
+            assert grid.level_count() == expected
             compared += 1
     assert compared == 5280
 
 
 @pytest.mark.parametrize("step, holds", [(0.25, True), (0.1, True), (0.3, False), (0.7, False)])
 def test_a_grid_holds_r_min_when_a_level_is_within_tolerance(step, holds):
-    # 0.1 does not divide 1.0 in binary floating point, but ten steps land within FEASIBILITY_EPS.
+    # 0.1 does not divide 1.0 in binary floating point, but ten steps land within
+    # FEASIBILITY_EPS of it, relative to 1.0.
     grid = PlanGrid(step=step, max_value=3.0, max_identities=3)
     assert grid.holds(1.0) is holds
     assert grid.holds(step) and grid.holds(0.0)
