@@ -1,0 +1,36 @@
+"""`sybilcost calibrate`: the two calibration panels of one scenario, as CSV files."""
+
+import argparse
+
+from .. import calibration, cli, costs
+
+# Per scenario: its default coordination and the (file, metric) of its left and
+# right panels: staking totals and ratios, mining ratios and marginal costs.
+_CALIBRATIONS = {
+    "eth": ("zero", (("fig4-left.csv", "total"), ("fig4-right.csv", "normalized"))),
+    "btc": ("linear", (("fig5-left.csv", "normalized"), ("fig5-right.csv", "marginal"))),
+}
+
+
+def run(args: argparse.Namespace) -> int:
+    scenario = calibration.eth_scenario() if args.scenario == "eth" else calibration.btc_tiers()
+    default_coord, panels = _CALIBRATIONS[args.scenario]
+    coordination = costs.CoordinationModel(args.coord or default_coord)
+    series = calibration.run_calibration(scenario, law=args.law, coordination=coordination)
+
+    def panel(metric: str) -> str:
+        columns = {f"{metric}_{one.law}_{one.tier}": one.reports for one in series}
+        rows = (
+            {"T": T, **{name: getattr(reports[index], metric) for name, reports in columns.items()}}
+            for index, T in enumerate(scenario.T_range)
+        )
+        return cli._table_text("csv", rows)
+
+    # Both panels are built before either is written, so a failure writes neither.
+    texts = [(name, panel(metric)) for name, metric in panels]
+    out_dir = cli._resolve_out(args.out or ".")
+    for name, text in texts:
+        target = out_dir / name
+        cli._write_text(target, text)
+        print(f"wrote {target}")
+    return cli.EXIT_OK

@@ -1,0 +1,11 @@
+"""`sybilcost taxonomy`: the built-in presets as a table."""
+
+import argparse
+
+from .. import cli, resources
+
+
+def run(args: argparse.Namespace) -> int:
+    rows = resources.taxonomy_rows()
+    cli._emit(args, cli._table_text(args.format, rows, meta=cli._meta(args), rows=rows))
+    return cli.EXIT_OK

@@ -46,14 +46,10 @@ class AllocationPlan:
         if len(self.identities) != self.windows or len(self.acquisitions) != self.windows:
             raise ValueError("plan rows must cover every window exactly once")
         for row in self.identities:
-            if any(value < 0 for value in row):
+            if not all(value >= 0 for value in row):
                 raise ValueError("identity allocations must be nonnegative")
-        if any(value < 0 for value in self.acquisitions):
+        if not all(value >= 0 for value in self.acquisitions):
             raise ValueError("acquisitions must be nonnegative")
-
-    def aggregate(self, window: int) -> float:
-        """Total resource allocated in one (0-based) window."""
-        return sum(self.identities[window])
 
 
 @dataclass(frozen=True)
@@ -106,14 +102,40 @@ def plan_feasible(plan: AllocationPlan, scenario: OracleScenario) -> bool:
     active = spec.r_min * low
     cap = math.inf if spec.tau is None else spec.tau * (1.0 + FEASIBILITY_EPS)
     need = scenario.target * low
-    aggregates = [plan.aggregate(t) for t in range(plan.windows)]
+    # The sums over the last k windows are kept exactly, in units of 1/scale
+    # (every finite float is a dyadic rational), and each is rounded to a
+    # float once.  An infinite value counts 2**1024 floats, so a sum holding
+    # it rounds to inf.
+    scale = max([value.as_integer_ratio()[1] for row in (plan.acquisitions, *plan.identities)
+                 for value in row if value < math.inf], default=1)
+
+    def units(value: float) -> int:
+        if value == math.inf:
+            return scale << 1024
+        numerator, denominator = value.as_integer_ratio()
+        return numerator * (scale // denominator)
+
+    def rounded(total: int) -> float:
+        try:
+            return total / scale
+        except OverflowError:
+            return math.inf
+
+    bought = [units(value) for value in plan.acquisitions]
+    aggregates = [sum(map(units, row)) for row in plan.identities]
+    # alive: the purchases of windows t - k + 1 .. t; before: the aggregates
+    # of windows t - k + 1 .. t - 1.
+    alive = before = 0
     for t, row in enumerate(plan.identities):
         reached = sum(value for value in row if value >= active)
         if any(value > cap for value in row) or reached < need:
             return False
-        first = max(0, t - k + 1)
-        alive = sum(plan.acquisitions[first : t + 1])
-        spent = (1.0 - alpha) * sum(aggregates[first:t])
-        if alive < (spent + aggregates[t]) * low:
+        alive += bought[t]
+        spent = (1.0 - alpha) * rounded(before)
+        if rounded(alive) < (spent + rounded(aggregates[t])) * low:
             return False
+        before += aggregates[t]
+        if t >= k - 1:
+            alive -= bought[t - k + 1]
+            before -= aggregates[t - k + 1]
     return True

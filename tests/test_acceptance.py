@@ -16,7 +16,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
-from sybilcost import cli, costs, oracle, resources
+from sybilcost import arguments, cli, costs, oracle, resources
 
 TOL = 0.05 + 1e-9  # table tolerance, plus headroom for a one-ulp boundary case
 
@@ -208,7 +208,7 @@ def test_criterion_07_intermediate_regimes():
 def test_criterion_08_hybrid_floor():
     points = set()
     for preset in ("fig1", "fig2"):
-        s_values, T_values, r_min_values, _coordination = cli._SWEEP_PRESETS[preset]
+        s_values, T_values, r_min_values, _coordination = arguments._SWEEP_PRESETS[preset]
         points.update(itertools.product(s_values, T_values, r_min_values))
     # Stretch to the documented grid extremes on a logarithmic sample.
     points.update(
@@ -277,7 +277,7 @@ def test_criterion_09_normalized_threshold():
         report.stock == s * r_min and report.coordination == s + T and report.flow == 0
     )
     # fig1: s = 1..1000 at T=100, r_min=1
-    s_sweep, (T_sweep,), (r_sweep,), _coordination = cli._SWEEP_PRESETS["fig1"]
+    s_sweep, (T_sweep,), (r_sweep,), _coordination = arguments._SWEEP_PRESETS["fig1"]
     gap_misses = [
         point for point in s_sweep
         if _stock_ratio(point, T_sweep, r_sweep)[1] - asymptote != Fraction(1, point)

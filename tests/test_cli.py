@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from sybilcost import cli, costs, oracle, resources
+from sybilcost.commands import sweep
 
 
 def run_cli(capsys, *argv):
@@ -567,7 +568,7 @@ def test_csv_from_a_generator_matches_csv_from_a_list():
 
 def test_sweep_csv_streams_within_a_small_multiple_of_its_text():
     def sweep_text(axes):
-        return cli._table_text("csv", map(cli._sweep_row, itertools.product(*axes)))
+        return cli._table_text("csv", map(sweep._sweep_row, itertools.product(*axes)))
 
     # Built before tracing: itertools.product materializes its inputs.
     axes = (tuple(range(1, 20_001)), (100,), (1.0,), ("linear",))
@@ -696,13 +697,30 @@ def test_verify_all_reports_a_failing_group(capsys, monkeypatch):
     assert lines[-1] == "verification FAILED"
 
 
-def test_module_entry_point_runs_a_command():
+def _run_module(*argv):
+    """Run `python -m sybilcost.cli ARGV` on this checkout's package."""
     src = Path(cli.__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    argv = [sys.executable, "-m", "sybilcost.cli", "crossover", "--T", "10", "--rmin", "1"]
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    argv = [sys.executable, "-m", "sybilcost.cli", *argv]
+    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_module_entry_point_runs_a_command():
+    proc = _run_module("crossover", "--T", "10", "--rmin", "1")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1.25\n", "")
+
+
+def test_module_entry_point_writes_the_bytes_dispatch_writes(tmp_path, capsys):
+    proc = _run_module("calibrate", "eth", "--out", str(tmp_path / "module"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    code, out, _ = run_cli(capsys, "calibrate", "eth", "--out", str(tmp_path / "dispatch"))
+    assert code == cli.EXIT_OK
+    assert proc.stdout.replace(str(tmp_path / "module"), str(tmp_path / "dispatch")) == out
+    written = sorted(path.name for path in (tmp_path / "module").iterdir())
+    assert written == ["fig4-left.csv", "fig4-right.csv"]
+    for name in written:
+        assert (tmp_path / "module" / name).read_bytes() == (tmp_path / "dispatch" / name).read_bytes()
 
 
 @pytest.mark.parametrize(

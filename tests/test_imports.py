@@ -1,5 +1,7 @@
 """The package loads each module on first use: a fresh interpreter's footprint."""
 
+import argparse
+import importlib
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+
+from sybilcost import arguments
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -89,12 +93,10 @@ def test_modules_load_on_first_use():
 
 # With no bytecode cache, each process compiles every module it loads, and the
 # compiler's peak memory is not returned: the largest unit on a run's path sets
-# a floor under that run's peak RSS.
-COMPILE_PEAK_LIMIT = 1_200 * 1024
-# Every searching process compiles the oracle, the plan model and the resource
-# specs, and the largest of the three sets a floor under its peak RSS, so all
-# three are held lower.
-SEARCH_COMPILE_PEAK_LIMIT = 700 * 1024
+# a floor under that run's peak RSS.  Every process compiles `cli`, and a
+# command's own module holds its handler, so `cli` is held lower still.
+COMPILE_PEAK_LIMIT = 700 * 1024
+CLI_COMPILE_PEAK_LIMIT = 400 * 1024
 
 
 def _compile_peak(path):
@@ -107,16 +109,38 @@ def _compile_peak(path):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("path", sorted((SRC / "sybilcost").glob("*.py")), ids=lambda p: p.name)
+MODULE_PATHS = sorted((SRC / "sybilcost").rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULE_PATHS,
+                         ids=lambda p: p.relative_to(SRC / "sybilcost").as_posix())
 def test_no_module_is_a_large_compile_unit(path):
     peak = _compile_peak(path)
     assert peak <= COMPILE_PEAK_LIMIT, f"{path.name} compiles with a {peak // 1024} KiB peak"
 
 
-@pytest.mark.parametrize("name", ["oracle.py", "plans.py", "resources.py"])
-def test_the_search_modules_are_small_compile_units(name):
-    peak = _compile_peak(SRC / "sybilcost" / name)
-    assert peak <= SEARCH_COMPILE_PEAK_LIMIT, f"{name} compiles with a {peak // 1024} KiB peak"
+def test_cli_is_a_small_compile_unit():
+    peak = _compile_peak(SRC / "sybilcost" / "cli.py")
+    assert peak <= CLI_COMPILE_PEAK_LIMIT, f"cli.py compiles with a {peak // 1024} KiB peak"
+
+
+def _module_name(command):
+    return "sybilcost.commands." + command.replace("-", "_")
+
+
+def _subcommands():
+    """The subcommand names `arguments.build_parser()` accepts."""
+    (subcommands,) = [action.choices for action in arguments.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    return set(subcommands)
+
+
+def test_every_subcommand_has_a_command_module():
+    subcommands = _subcommands()
+    for command in subcommands:
+        assert callable(importlib.import_module(_module_name(command)).run), command
+    modules = {path.stem for path in (SRC / "sybilcost" / "commands").glob("*.py")}
+    assert modules - {"__init__"} == {command.replace("-", "_") for command in subcommands}
 
 
 # A fresh `import sybilcost.oracle` loads what the search needs and no more.
@@ -215,3 +239,37 @@ def test_only_csv_output_loads_the_csv_writer(argv, loads_csv):
                           text=True, env=_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0, loads_csv, loads_csv]
+
+
+# Each command loads its own command module and no other.
+COMMAND_PROBE = """
+import contextlib, io, json, sys
+from sybilcost import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.dispatch(sys.argv[1:])
+print(json.dumps([code, sorted(name for name in sys.modules
+                               if name.startswith("sybilcost.commands."))]))
+"""
+
+
+def _readme_commands():
+    """The argv of each `sybilcost ...` line in the README's shell blocks."""
+    readme = (SRC.parent / "README.md").read_text()
+    return [line.split("#")[0].split()[1:] for line in readme.splitlines()
+            if line.startswith("sybilcost ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_the_readme_names_every_subcommand():
+    assert {argv[0] for argv in README_COMMANDS} == _subcommands()
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_each_command_loads_only_its_own_module(tmp_path, argv):
+    proc = subprocess.run([sys.executable, "-c", COMMAND_PROBE, *argv], capture_output=True,
+                          text=True, env=_env(), cwd=tmp_path, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, [_module_name(argv[0])]]

@@ -433,6 +433,11 @@ def test_plan_validation_rejects_bad_shapes():
         AllocationPlan(windows=2, identities=((1.0,),), acquisitions=(1.0, 0.0))
     with pytest.raises(ValueError):
         AllocationPlan(windows=1, identities=((-1.0,),), acquisitions=(1.0,))
+    # nan is not nonnegative either: the accounting has no exact sum for it.
+    with pytest.raises(ValueError, match="identity allocations must be nonnegative"):
+        AllocationPlan(windows=1, identities=((math.nan,),), acquisitions=(1.0,))
+    with pytest.raises(ValueError, match="acquisitions must be nonnegative"):
+        AllocationPlan(windows=1, identities=((1.0,),), acquisitions=(math.nan,))
 
 
 # --- equivalence with the closed forms -------------------------------------
