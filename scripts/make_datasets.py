@@ -6,16 +6,24 @@ Each file is produced by the CLI, so re-running this script is byte-stable.
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
 from sybilcost import cli
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    # Built once: each build makes new attribute-name strings, and CPython's type
+    # attribute cache keeps one per slot, so a parser per call would keep memory.
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="datasets", help="target directory (default: ./datasets)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     # Each write makes its own directory, under $SYBILCOST_OUT when that is set.
     out = Path(args.out)
 

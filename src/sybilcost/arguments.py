@@ -28,7 +28,7 @@ budget exceeded.
 
 OUTPUT_DIR_ENV = "SYBILCOST_OUT"
 
-_COORDINATION = tuple(model.value for model in costs.CoordinationModel)
+_COORDINATION = tuple([model.value for model in costs.CoordinationModel])
 
 # Each sweep preset's (s, T, r_min, coordination) axes.
 _SWEEP_PRESETS: dict[str, tuple[tuple, tuple, tuple, tuple]] = {
@@ -76,14 +76,14 @@ def _positive_float(text: str) -> float:
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part != "")
+        return tuple([int(part) for part in text.split(",") if part != ""])
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _float_list(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(part) for part in text.split(",") if part != "")
+        values = tuple([float(part) for part in text.split(",") if part != ""])
         if all(math.isfinite(value) for value in values):
             return values
     except ValueError:
@@ -92,7 +92,7 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 
 def _coord_list(text: str) -> tuple[str, ...]:
-    kinds = tuple(part for part in text.split(",") if part != "")
+    kinds = tuple([part for part in text.split(",") if part != ""])
     for kind in kinds:
         if kind not in _COORDINATION:
             raise argparse.ArgumentTypeError(f"unknown coordination kind {kind!r}")

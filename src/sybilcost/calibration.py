@@ -120,8 +120,9 @@ def eth_scenario() -> CalibrationScenario:
 
 def btc_tiers() -> CalibrationScenario:
     tiers = tuple(
-        (label, int(round(share * BTC_NETWORK_UNITS))) for label, share in BTC_POOL_SHARES
-    ) + (("small", BTC_SMALL_POOL_UNITS),)
+        [(label, int(round(share * BTC_NETWORK_UNITS))) for label, share in BTC_POOL_SHARES]
+        + [("small", BTC_SMALL_POOL_UNITS)]
+    )
     return CalibrationScenario(
         name="bitcoin-pow",
         r_min=1.0,
@@ -151,12 +152,14 @@ def run_calibration(
         for one_law in selected:
             if one_law == "par":
                 reports = tuple(
-                    cost_parallelizable(s, T, scenario.r_min, coordination)
-                    for T in scenario.T_range
+                    [
+                        cost_parallelizable(s, T, scenario.r_min, coordination)
+                        for T in scenario.T_range
+                    ]
                 )
             else:
                 reports = tuple(
-                    cost_throughput_bounded(s, T, scenario.r_min) for T in scenario.T_range
+                    [cost_throughput_bounded(s, T, scenario.r_min) for T in scenario.T_range]
                 )
             series.append(CalibrationSeries(tier=tier, s=s, law=one_law, reports=reports))
     return tuple(series)

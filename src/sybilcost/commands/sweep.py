@@ -32,7 +32,7 @@ def run(args: argparse.Namespace) -> int:
     """
     preset = _SWEEP_PRESETS.get(args.preset, (None, None, None, ("zero",)))
     flags = (args.s, args.T, args.rmin, args.coord)
-    axes = tuple(preset_axis if flag is None else flag for preset_axis, flag in zip(preset, flags))
+    axes = [preset_axis if flag is None else flag for preset_axis, flag in zip(preset, flags)]
     s_values, T_values, r_min_values, _kinds = axes
     if s_values is None or T_values is None or r_min_values is None:
         raise _UsageError("sweep needs --preset or explicit --s, --T, and --rmin grids")

@@ -314,5 +314,5 @@ def crossover(T: int, r_min: float) -> float | None:
 def crossover_table() -> tuple[tuple[int, float, float | None], ...]:
     """Crossover thresholds over CROSSOVER_HORIZONS x CROSSOVER_THRESHOLDS, one row per cell."""
     return tuple(
-        (T, r, crossover(T, r)) for T in CROSSOVER_HORIZONS for r in CROSSOVER_THRESHOLDS
+        [(T, r, crossover(T, r)) for T in CROSSOVER_HORIZONS for r in CROSSOVER_THRESHOLDS]
     )

@@ -346,4 +346,4 @@ def load_specs(source: str | Path) -> tuple[ResourceSpec, ...]:
         data = [data]
     if not isinstance(data, list) or not all(isinstance(entry, Mapping) for entry in data):
         raise ValueError("spec file must hold an object or an array of objects")
-    return tuple(spec_from_dict(entry) for entry in data)
+    return tuple([spec_from_dict(entry) for entry in data])

@@ -143,5 +143,6 @@ def non_amplification_experiment(m_range, s_values, n: int) -> Iterator[tuple[fl
             "identity counts do not all exceed the channel range; share columns may differ",
             stacklevel=2,
         )
-    # A list per row: tuple() over a generator shrinks an over-allocated row and fragments the heap.
+    # A list per row: tuple() over a generator shrinks a spare-slot tuple, and a freed
+    # shrunk tuple joins its size's free list without having taken from it.
     return (tuple([influence_share(m, s, n) for s in s_tuple]) for m in m_values)

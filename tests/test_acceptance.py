@@ -175,7 +175,7 @@ def test_criterion_06_marginal_separation():
 
 
 def test_criterion_07_intermediate_regimes():
-    eps = oracle.FEASIBILITY_EPS
+    # The grid is dyadic, so every floor and minimum is exact: no tolerance.
     misses = []
     checked = 0
     for s, T, r_min in itertools.product(GRID_S, GRID_T, GRID_R):
@@ -183,12 +183,12 @@ def test_criterion_07_intermediate_regimes():
             found = _min_cost("alpha", s, T, r_min, alpha)
             floor = (1.0 - alpha) * ((s * T) * r_min)
             checked += 1
-            if found + eps < floor:
+            if found < floor:
                 misses.append(("alpha-floor", alpha, s, T, r_min))
         for k in sorted({1, 2, T}):
             found = _min_cost("k", s, T, r_min, k)
             checked += 1
-            if found + eps < (s * T) * r_min / k:
+            if found < (s * T) * r_min / k:
                 misses.append(("k-floor", k, s, T, r_min))
         # Endpoints collapse to the extremal laws exactly.
         checked += 4

@@ -1,6 +1,7 @@
 """The package loads each module on first use: a fresh interpreter's footprint."""
 
 import argparse
+import ast
 import importlib
 import json
 import os
@@ -131,6 +132,23 @@ def test_the_search_modules_are_small_compile_units(name):
 def test_cli_is_a_small_compile_unit():
     peak = _compile_peak(SRC / "sybilcost" / "cli.py")
     assert peak <= CLI_COMPILE_PEAK_LIMIT, f"cli.py compiles with a {peak // 1024} KiB peak"
+
+
+# A tuple built from a generator is kept on a free list after every call, so
+# repeated commands grow the heap (see test_memory.py); build it from a list.
+def test_no_tuple_is_built_from_a_generator():
+    sites = []
+    for path in MODULE_PATHS:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "tuple"
+                and node.args
+                and isinstance(node.args[0], ast.GeneratorExp)
+            ):
+                sites.append(f"{path.relative_to(SRC).as_posix()}:{node.lineno}")
+    assert not sites, f"tuple(<generator>) at {', '.join(sorted(sites))}"
 
 
 def _module_name(command):
