@@ -18,8 +18,6 @@ _EXPORTS = {
         "run_calibration",
     ),
     "costs": (
-        "CoordinationModel",
-        "CostReport",
         "cost_bounded_reuse",
         "cost_hybrid",
         "cost_parallelizable",
@@ -29,16 +27,20 @@ _EXPORTS = {
         "crossover_table",
         "governance_hybrid",
     ),
+    "law": (
+        "CoordinationModel",
+        "CostReport",
+    ),
     "oracle": (
         "OracleResult",
-        "PlanBudgetExceeded",
-        "PlanGrid",
         "min_cost",
         "verify_bounds",
     ),
     "plans": (
         "AllocationPlan",
         "OracleScenario",
+        "PlanBudgetExceeded",
+        "PlanGrid",
         "plan_cost",
         "plan_feasible",
     ),

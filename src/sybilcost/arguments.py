@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 
-from . import costs
+from . import law
 
 __all__ = ["OUTPUT_DIR_ENV", "build_parser"]
 
@@ -28,7 +28,7 @@ budget exceeded.
 
 OUTPUT_DIR_ENV = "SYBILCOST_OUT"
 
-_COORDINATION = tuple([model.value for model in costs.CoordinationModel])
+_COORDINATION = tuple([model.value for model in law.CoordinationModel])
 
 # Each sweep preset's (s, T, r_min, coordination) axes.
 _SWEEP_PRESETS: dict[str, tuple[tuple, tuple, tuple, tuple]] = {

@@ -11,13 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .costs import (
-    ZERO_COORDINATION,
-    CoordinationModel,
-    CostReport,
-    cost_parallelizable,
-    cost_throughput_bounded,
-)
+from .costs import cost_parallelizable, cost_throughput_bounded
+from .law import ZERO_COORDINATION, CoordinationModel, CostReport
 
 __all__ = [
     "BTC_NETWORK_UNITS",

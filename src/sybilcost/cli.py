@@ -127,7 +127,9 @@ def _resolve_spec(token: str) -> resources.ResourceSpec:
         pass
     path = Path(token)
     if path.exists():
-        specs = resources.load_specs(path)
+        from .specfiles import load_specs  # only a spec file loads the JSON reader
+
+        specs = load_specs(path)
         if len(specs) != 1:
             raise _UsageError(f"spec file {token!r} must contain exactly one spec, found {len(specs)}")
         return specs[0]

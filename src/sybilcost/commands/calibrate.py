@@ -2,7 +2,7 @@
 
 import argparse
 
-from .. import calibration, cli, costs
+from .. import calibration, cli, law
 
 # Per scenario: its default coordination and the (file, metric) of its left and
 # right panels: staking totals and ratios, mining ratios and marginal costs.
@@ -15,7 +15,7 @@ _CALIBRATIONS = {
 def run(args: argparse.Namespace) -> int:
     scenario = calibration.eth_scenario() if args.scenario == "eth" else calibration.btc_tiers()
     default_coord, panels = _CALIBRATIONS[args.scenario]
-    coordination = costs.CoordinationModel(args.coord or default_coord)
+    coordination = law.CoordinationModel(args.coord or default_coord)
     series = calibration.run_calibration(scenario, law=args.law, coordination=coordination)
 
     def panel(metric: str) -> str:

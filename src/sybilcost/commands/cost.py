@@ -5,6 +5,7 @@ from dataclasses import asdict
 
 from .. import cli, costs
 from ..arguments import _UsageError
+from ..law import CoordinationModel
 
 
 def run(args: argparse.Namespace) -> int:
@@ -19,7 +20,7 @@ def run(args: argparse.Namespace) -> int:
         raise _UsageError("--k applies only to --class bounded-reuse")
     if args.coord is not None and law in ("bnd", "bounded-reuse"):
         raise _UsageError("--coord applies only to --class par, hybrid or partial")
-    coordination = costs.CoordinationModel(args.coord or "zero")
+    coordination = CoordinationModel(args.coord or "zero")
 
     row: dict[str, object] = {
         "law": law, "s": args.s, "T": args.T, "r_min": args.rmin, "alpha": args.alpha

@@ -4,23 +4,23 @@ import argparse
 import sys
 from dataclasses import asdict
 
-from .. import cli, costs, oracle
+from .. import cli, law, oracle, plans
 from ..arguments import _UsageError
 
 
 def run(args: argparse.Namespace) -> int:
     spec = cli._resolve_spec(args.spec)
-    scenario = oracle.OracleScenario(
-        s=args.s, T=args.T, spec=spec, coordination=costs.CoordinationModel(args.coord)
+    scenario = plans.OracleScenario(
+        s=args.s, T=args.T, spec=spec, coordination=law.CoordinationModel(args.coord)
     )
-    ceiling = oracle.DEFAULT_PLAN_CEILING if args.ceiling is None else args.ceiling
-    grid = oracle.PlanGrid.for_scenario(scenario, step=args.grid_step, ceiling=ceiling)
+    ceiling = plans.DEFAULT_PLAN_CEILING if args.ceiling is None else args.ceiling
+    grid = plans.PlanGrid.for_scenario(scenario, step=args.grid_step, ceiling=ceiling)
     # verify_bounds compares with the law at r_min itself, so the grid must hold r_min.
     if not grid.holds(spec.r_min):
         raise _UsageError(f"--grid-step {grid.step} does not divide r_min {spec.r_min} of {spec.name!r}")
     try:
         result = oracle.min_cost(scenario, grid=grid)
-    except oracle.PlanBudgetExceeded as exc:
+    except plans.PlanBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return cli.EXIT_BUDGET
     report = oracle.verify_bounds(result, scenario)

@@ -3,13 +3,13 @@
 import argparse
 import itertools
 
-from .. import cli, costs
+from .. import cli, costs, law
 from ..arguments import _SWEEP_PRESETS, _UsageError
 
 
 def _sweep_row(point: tuple[int, int, float, str]) -> dict[str, object]:
     s, T, r_min, coord_name = point
-    par = costs.cost_parallelizable(s, T, r_min, costs.CoordinationModel(coord_name))
+    par = costs.cost_parallelizable(s, T, r_min, law.CoordinationModel(coord_name))
     bnd = costs.cost_throughput_bounded(s, T, r_min)
     return {
         "s": s,

@@ -2,20 +2,20 @@
 
 Influence is additive: an identity at or above the activation threshold r_min
 contributes its allocation, and one below it contributes nothing.  The oracle
-scans, in integer units of the grid step, every way of filling one window
-from a finite grid of per-identity allocations up to the rate limit tau,
-then combines windows through the cheapest acquisition schedule under the
-resource's carry-over rule: the (alpha, k) pair that `resources.carry_over`
-reads from the spec's property flags.  The closed form it is checked against
-is `costs.cost_carry_over` at that rule, and the floor in `verify_bounds`
-reads alpha and k from the spec's fields on its own.  Plan cost is monotone
-in each window's aggregate allocation under every carry-over rule, so the
-grid optimum is always a uniform plan built from the best single-window
-configuration and the search is exact over all grid plans despite never
-materializing the cross-window product.  The minimum is priced by `costs`'
-exact helper, rounded to a float once.  Results come with a witness plan, which
-`verify_bounds` checks for feasibility under `plans`' accounting and against
-the closed-form bounds.
+scans, in integer units of the grid step, every way of filling one window from
+a finite grid of per-identity allocations (`plans.PlanGrid`) up to the rate
+limit tau, then combines windows through the cheapest acquisition schedule
+under the resource's carry-over rule: the (alpha, k) pair that
+`resources.carry_over` reads from the spec's property flags.  The closed form
+it is checked against is `law.cost_carry_over` at that rule, and the floor in
+`verify_bounds` reads alpha and k from the spec's fields on its own.  Plan
+cost is monotone in each window's aggregate allocation under every carry-over
+rule, so the grid optimum is always a uniform plan built from the best
+single-window configuration and the search is exact over all grid plans
+despite never materializing the cross-window product.  The minimum is priced
+by `law`'s exact helper, rounded to a float once.  Results come with a witness
+plan, which `verify_bounds` checks for feasibility under `plans`' accounting
+and against the closed-form bounds.
 """
 
 from __future__ import annotations
@@ -26,19 +26,26 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from . import costs
-# The plan model lives in `plans`; its names are also this module's
-# attributes, where `verify_bounds` and the benchmark tracer look them up.
-from .plans import FEASIBILITY_EPS, AllocationPlan, OracleScenario, plan_cost, plan_feasible
+from .law import _rounded_once, acquisition_schedule, cost_carry_over
+# The plan model and the grid live in `plans`; the names used here are also
+# this module's attributes, where `verify_bounds` and the benchmark tracer look
+# them up.
+from .plans import (
+    FEASIBILITY_EPS,
+    AllocationPlan,
+    OracleScenario,
+    PlanBudgetExceeded,
+    PlanGrid,
+    _floor_units,
+    plan_cost,
+    plan_feasible,
+)
 from .resources import ResourceSpec, carry_over
 from .resources import classify  # noqa: F401  (an attribute the benchmark tracer wraps)
 
 __all__ = [
     "AllocationSemantics",
-    "DEFAULT_PLAN_CEILING",
     "OracleResult",
-    "PlanBudgetExceeded",
-    "PlanGrid",
     "VerificationCheck",
     "VerificationReport",
     "allocation_semantics",
@@ -46,12 +53,6 @@ __all__ = [
     "min_cost",
     "verify_bounds",
 ]
-
-DEFAULT_PLAN_CEILING = 10_000_000
-
-
-class PlanBudgetExceeded(RuntimeError):
-    """Enumeration would exceed the configured plan-count ceiling."""
 
 
 class AllocationSemantics(Enum):
@@ -82,77 +83,6 @@ def allocation_semantics(spec: ResourceSpec) -> AllocationSemantics:
 
 
 @dataclass(frozen=True)
-class PlanGrid:
-    """Finite allocation grid the search enumerates.
-
-    The default grid steps in half-thresholds from zero up to the larger of
-    the rate limit and the full stock s * r_min, and fields at most s + 2
-    identities per window: enough to express every optimal configuration and
-    the wasteful near-misses around it.
-    """
-
-    step: float
-    max_value: float
-    max_identities: int
-    ceiling: int = DEFAULT_PLAN_CEILING
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError(f"step must be finite and positive, got {self.step}")
-        if not (math.isfinite(self.max_value) and self.max_value >= 0):
-            raise ValueError(f"max_value must be finite and nonnegative, got {self.max_value}")
-        if not math.isfinite(self.max_value / self.step):
-            raise ValueError(f"step {self.step} is too fine to count levels up to {self.max_value}")
-        for field in ("max_identities", "ceiling"):
-            value = getattr(self, field)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{field} must be an integer at least 1, got {value!r}")
-
-    @classmethod
-    def for_scenario(
-        cls,
-        scenario: OracleScenario,
-        step: float | None = None,
-        ceiling: int = DEFAULT_PLAN_CEILING,
-    ) -> "PlanGrid":
-        spec = scenario.spec
-        grid_step = step if step is not None else spec.r_min / 2
-        top = max(spec.tau or 0.0, scenario.s * spec.r_min, grid_step)
-        return cls(
-            step=grid_step,
-            max_value=top,
-            max_identities=scenario.s + 2,
-            ceiling=ceiling,
-        )
-
-    def level_count(self) -> int:
-        """Number of allocation levels: 0, step, 2 * step, ... up to max_value."""
-        return _floor_units(self.max_value, 1, self.step) + 1
-
-    def holds(self, value: float) -> bool:
-        """Whether some level lies in value * (1 +- FEASIBILITY_EPS), counted like `level_count`."""
-        return -_floor_units(value, -1, self.step) <= _floor_units(value, 1, self.step)
-
-    def configuration_count(self) -> int:
-        """Number of per-window allocation multisets the grid admits, counted up to the ceiling.
-
-        C(n + m - 1, m), for n levels and m identities, is built up as
-        C(b + i, i) for i = 1 .. r, where r is the smaller of m and n - 1.
-        Each partial count is at least the one before and at least 2^i, so
-        past the ceiling the count stops within about log2(ceiling) steps
-        and returns that partial count: a lower bound over the ceiling.
-        """
-        levels, m = self.level_count(), self.max_identities
-        r = min(m, levels - 1)
-        count = 1
-        for i in range(1, r + 1):
-            count = count * (levels + m - 1 - r + i) // i
-            if count > self.ceiling:
-                break
-        return count
-
-
-@dataclass(frozen=True)
 class OracleResult:
     """Minimum plan cost on the grid, with the witness that attains it.
 
@@ -171,13 +101,6 @@ class OracleResult:
 # descending order), all in grid units; tuple comparison gives the
 # deterministic tie-break.
 _ConfigKey = tuple[int, int, tuple[int, ...]]
-_EPS_RATIO = FEASIBILITY_EPS.as_integer_ratio()
-
-
-def _floor_units(value: float, count: int, step: float) -> int:
-    """floor((count * value + FEASIBILITY_EPS * |count * value|) / step) in exact rationals."""
-    (n, d), (p, q), (e, f) = value.as_integer_ratio(), step.as_integer_ratio(), _EPS_RATIO
-    return (count * n * f + e * abs(count * n)) * q // (d * f * p)
 
 
 def _best_window_config(
@@ -233,24 +156,24 @@ def min_cost(scenario: OracleScenario, grid: PlanGrid | None = None) -> OracleRe
             raise ValueError("no feasible window configuration on this grid")
         units, _active, descending = best
         fielded = tuple([value * step for value in descending if value])
-    acquisitions = costs.acquisition_schedule(alpha, k, T, units * step)
+    acquisitions = acquisition_schedule(alpha, k, T, units * step)
     witness = AllocationPlan(T, (fielded,) * T, acquisitions)
     # The law's exact helper prices `units` grid steps at the rule (alpha, k).
     overhead = scenario.coordination.evaluate(s, T)
-    total = costs._rounded_once(units, -(-T // k), T, step, alpha, overhead)
+    total = _rounded_once(units, -(-T // k), T, step, alpha, overhead)
     return OracleResult(total, witness, examined, effective_grid)
 
 
 def closed_form(scenario: OracleScenario) -> float:
     """The closed-form cost the grid optimum is checked against.
 
-    `costs.cost_carry_over` at the spec's carry-over rule, with the
+    `law.cost_carry_over` at the spec's carry-over rule, with the
     scenario's coordination overhead h(s, T), which every plan the search
     prices pays.
     """
     s, T, spec = scenario.s, scenario.T, scenario.spec
     alpha, k = carry_over(spec, T)
-    return costs.cost_carry_over(s, T, spec.r_min, alpha, k, scenario.coordination).total
+    return cost_carry_over(s, T, spec.r_min, alpha, k, scenario.coordination).total
 
 
 # ---------------------------------------------------------------------------

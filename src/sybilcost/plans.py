@@ -5,7 +5,8 @@ windows.  It is feasible when every window reaches the influence target with
 identities at or above the activation threshold r_min and under the rate
 limit tau, and its purchases cover each window's aggregate under the
 resource's carry-over rule (alpha, k) from `resources.carry_over`.  The oracle
-searches these plans; this module only states them.
+searches these plans on a `PlanGrid` of allocation levels; this module states
+the plans and the grid, and counts in exact rationals what the grid holds.
 """
 
 from __future__ import annotations
@@ -13,18 +14,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .costs import ZERO_COORDINATION, CoordinationModel
+from .law import ZERO_COORDINATION, CoordinationModel
 from .resources import ResourceSpec, carry_over
 
 __all__ = [
     "AllocationPlan",
+    "DEFAULT_PLAN_CEILING",
     "FEASIBILITY_EPS",
     "OracleScenario",
+    "PlanBudgetExceeded",
+    "PlanGrid",
     "plan_cost",
     "plan_feasible",
 ]
 
 FEASIBILITY_EPS = 1e-9
+_EPS_RATIO = FEASIBILITY_EPS.as_integer_ratio()
+DEFAULT_PLAN_CEILING = 10_000_000
+
+
+class PlanBudgetExceeded(RuntimeError):
+    """Enumeration would exceed the configured plan-count ceiling."""
 
 
 @dataclass(frozen=True)
@@ -71,6 +81,83 @@ class OracleScenario:
     def target(self) -> float:
         """Per-window influence the plan must reach: s identities at the threshold."""
         return self.s * self.spec.r_min
+
+
+def _floor_units(value: float, count: int, step: float) -> int:
+    """floor((count * value + FEASIBILITY_EPS * |count * value|) / step) in exact rationals."""
+    (n, d), (p, q), (e, f) = value.as_integer_ratio(), step.as_integer_ratio(), _EPS_RATIO
+    return (count * n * f + e * abs(count * n)) * q // (d * f * p)
+
+
+@dataclass(frozen=True)
+class PlanGrid:
+    """Finite allocation grid the search enumerates.
+
+    The default grid steps in half-thresholds from zero up to the larger of
+    the rate limit and the full stock s * r_min, and fields at most s + 2
+    identities per window: enough to express every optimal configuration and
+    the wasteful near-misses around it.
+    """
+
+    step: float
+    max_value: float
+    max_identities: int
+    ceiling: int = DEFAULT_PLAN_CEILING
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"step must be finite and positive, got {self.step}")
+        if not (math.isfinite(self.max_value) and self.max_value >= 0):
+            raise ValueError(f"max_value must be finite and nonnegative, got {self.max_value}")
+        if not math.isfinite(self.max_value / self.step):
+            raise ValueError(f"step {self.step} is too fine to count levels up to {self.max_value}")
+        for field in ("max_identities", "ceiling"):
+            value = getattr(self, field)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{field} must be an integer at least 1, got {value!r}")
+
+    @classmethod
+    def for_scenario(
+        cls,
+        scenario: OracleScenario,
+        step: float | None = None,
+        ceiling: int = DEFAULT_PLAN_CEILING,
+    ) -> "PlanGrid":
+        spec = scenario.spec
+        grid_step = step if step is not None else spec.r_min / 2
+        top = max(spec.tau or 0.0, scenario.s * spec.r_min, grid_step)
+        return cls(
+            step=grid_step,
+            max_value=top,
+            max_identities=scenario.s + 2,
+            ceiling=ceiling,
+        )
+
+    def level_count(self) -> int:
+        """Number of allocation levels: 0, step, 2 * step, ... up to max_value."""
+        return _floor_units(self.max_value, 1, self.step) + 1
+
+    def holds(self, value: float) -> bool:
+        """Whether some level lies in value * (1 +- FEASIBILITY_EPS), counted like `level_count`."""
+        return -_floor_units(value, -1, self.step) <= _floor_units(value, 1, self.step)
+
+    def configuration_count(self) -> int:
+        """Number of per-window allocation multisets the grid admits, counted up to the ceiling.
+
+        C(n + m - 1, m), for n levels and m identities, is built up as
+        C(b + i, i) for i = 1 .. r, where r is the smaller of m and n - 1.
+        Each partial count is at least the one before and at least 2^i, so
+        past the ceiling the count stops within about log2(ceiling) steps
+        and returns that partial count: a lower bound over the ceiling.
+        """
+        levels, m = self.level_count(), self.max_identities
+        r = min(m, levels - 1)
+        count = 1
+        for i in range(1, r + 1):
+            count = count * (levels + m - 1 - r + i) // i
+            if count > self.ceiling:
+                break
+        return count
 
 
 def plan_cost(plan: AllocationPlan, scenario: OracleScenario) -> float:

@@ -6,19 +6,16 @@ between identities.  Those properties, rather than the protocol rules layered
 on top, determine how cheaply influence backed by the resource can be
 concentrated.  This module provides the property flags, the classification
 into the two extremal scaling classes plus the intermediate and unclassified
-buckets, the carry-over rule between windows that the flags imply (`costs`
-prices it), a built-in taxonomy of concrete resource types, and JSON import
-and export of specs.
+buckets, the carry-over rule between windows that the flags imply (`law`
+prices it), and a built-in taxonomy of concrete resource types.  Spec files
+are read and written by `specfiles`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
-from pathlib import Path
-from typing import Mapping
 
 __all__ = [
     "ResourceClass",
@@ -28,11 +25,8 @@ __all__ = [
     "carry_over",
     "classify",
     "is_parallelizable",
-    "load_specs",
     "preset",
     "scaling_label",
-    "spec_from_dict",
-    "spec_to_dict",
     "taxonomy_rows",
 ]
 
@@ -276,74 +270,8 @@ def taxonomy_rows() -> tuple[dict[str, object], ...]:
     """Taxonomy presets as flat export rows (spec fields plus class and scaling)."""
     rows = []
     for spec in TAXONOMY:
-        row: dict[str, object] = spec_to_dict(spec)
+        row: dict[str, object] = asdict(spec)
         row["resource_class"] = classify(spec).resource_class.value
         row["scaling"] = scaling_label(spec)
         rows.append(row)
     return tuple(rows)
-
-
-# ---------------------------------------------------------------------------
-# JSON import/export
-# ---------------------------------------------------------------------------
-
-# Each field's JSON type, and whether it may be null.
-_FIELD_TYPES: dict[str, tuple[type, bool]] = {
-    "name": (str, False),
-    "divisible": (bool, False),
-    "additive_influence": (bool, False),
-    "temporally_reusable": (bool, True),
-    "identity_transferable": (bool, True),
-    "throughput_bounded": (bool, False),
-    "r_min": (float, False),
-    "tau": (float, True),
-    "alpha": (float, True),
-    "k": (int, True),
-}
-_TYPE_NAMES = {str: "a string", bool: "true or false", float: "a finite number", int: "an integer"}
-
-
-def _has_type(value: object, expected: type) -> bool:
-    if expected is float:
-        return type(value) is int or (type(value) is float and math.isfinite(value))
-    if expected is int:
-        return type(value) is int
-    return isinstance(value, expected)
-
-
-def spec_to_dict(spec: ResourceSpec) -> dict[str, object]:
-    """Spec as a JSON-ready dict whose keys mirror the field names."""
-    return asdict(spec)
-
-
-def spec_from_dict(data: Mapping[str, object]) -> ResourceSpec:
-    """Build a spec from a dict with the same keys as the dataclass fields."""
-    unknown = set(data) - set(_FIELD_TYPES)
-    if unknown:
-        raise ValueError(f"unknown resource fields: {sorted(unknown)}")
-    for key, value in data.items():
-        expected, nullable = _FIELD_TYPES[key]
-        if not (_has_type(value, expected) or (nullable and value is None)):
-            kind = _TYPE_NAMES[expected]
-            raise ValueError(f"resource field {key!r} must be {kind}, got {value!r}")
-    kwargs = {key: data[key] for key in _FIELD_TYPES if key in data}
-    kwargs.setdefault("temporally_reusable", None)
-    kwargs.setdefault("identity_transferable", None)
-    try:
-        return ResourceSpec(**kwargs)
-    except TypeError as exc:
-        raise ValueError(f"incomplete resource spec: {exc}") from exc
-
-
-def load_specs(source: str | Path) -> tuple[ResourceSpec, ...]:
-    """Load one spec or a list of specs from a JSON file."""
-    text = Path(source).read_text()
-    try:
-        data = json.loads(text)
-    except RecursionError:
-        raise ValueError(f"spec file {str(source)!r} is nested too deeply to parse") from None
-    if isinstance(data, Mapping):
-        data = [data]
-    if not isinstance(data, list) or not all(isinstance(entry, Mapping) for entry in data):
-        raise ValueError("spec file must hold an object or an array of objects")
-    return tuple([spec_from_dict(entry) for entry in data])

@@ -7,7 +7,7 @@ each identity must occupy its own channel, which caps the number of active
 identities at the channel count and makes extra identities worthless.  The
 windows are paid for under the resource's carry-over rule from `resources`,
 the same rule the oracle prices plans with, and the total is that rule's
-closed form from `costs`, so a simulation never loads the oracle.
+closed form from `law`, so a simulation never loads the oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import warnings
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from . import costs
+from . import law
 from .resources import ResourceSpec, carry_over
 from .resources import classify  # noqa: F401  (an attribute the benchmark tracer wraps)
 
@@ -93,7 +93,7 @@ def run(config: ScenarioConfig) -> SimTrace:
     Each active identity holds the threshold, and the windows are paid for by
     the acquisition schedule of the resource's carry-over rule (alpha, k) for
     that aggregate: anew every window for window-local flow, (0, 1), once up
-    front for reusable stock, (1, T).  The total is `costs.cost_carry_over` at
+    front for reusable stock, (1, T).  The total is `law.cost_carry_over` at
     that rule, the law's exactly rounded sum, not the float sum of the rows.  A
     resource with no carry-over rule, or a scenario with no participants,
     raises ValueError.
@@ -105,7 +105,7 @@ def run(config: ScenarioConfig) -> SimTrace:
     active = min(channels, config.s)
     adversary = active * spec.r_min
     total = (active + config.n_honest) * spec.r_min
-    schedule = costs.acquisition_schedule(alpha, k, config.T, adversary)
+    schedule = law.acquisition_schedule(alpha, k, config.T, adversary)
     rows = [
         WindowRow(
             window=window,
@@ -117,7 +117,7 @@ def run(config: ScenarioConfig) -> SimTrace:
         )
         for window, cost in enumerate(schedule, start=1)
     ]
-    total = costs.cost_carry_over(active, config.T, spec.r_min, alpha, k).total
+    total = law.cost_carry_over(active, config.T, spec.r_min, alpha, k).total
     return SimTrace(tuple(rows), total)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from . import costs, oracle
+from . import costs, law, oracle
 from .plans import FEASIBILITY_EPS, AllocationPlan, OracleScenario
 from .resources import preset
 
@@ -131,7 +131,7 @@ def verify_all() -> list[tuple[str, int, list[str]]]:
             continue
         top = math.ceil(threshold)
         for s in [*range(1, math.floor(threshold)), *range(top + 1, top + 11)]:
-            par = costs.cost_parallelizable(s, T, r_min, costs.LINEAR_COORDINATION).total
+            par = costs.cost_parallelizable(s, T, r_min, law.LINEAR_COORDINATION).total
             bnd = costs.cost_throughput_bounded(s, T, r_min).total
             side, passed = ("below", bnd < par) if s < threshold else ("above", bnd > par)
             sign.check(passed, "sign {} crossover fails at s={} T={} r_min={}", side, s, T, r_min)

@@ -16,7 +16,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
-from sybilcost import arguments, cli, costs, oracle, resources
+from sybilcost import arguments, cli, costs, law, oracle, resources
 
 TOL = 0.05 + 1e-9  # table tolerance, plus headroom for a one-ulp boundary case
 
@@ -107,7 +107,7 @@ def test_criterion_03_btc_calibration():
     scenario = btc_tiers()
     sizes = dict(scenario.s_tiers)
     tiers_ok = {sizes[name] for name in ("pool1", "pool2", "pool3", "pool4")} == {1650, 1550, 1200, 1150}
-    series = run_calibration(scenario, law="par", coordination=costs.LINEAR_COORDINATION)
+    series = run_calibration(scenario, law="par", coordination=law.LINEAR_COORDINATION)
     decreasing = all(
         all(a > b for a, b in zip(ratios, ratios[1:]))
         for ratios in ([report.normalized for report in one.reports] for one in series)
@@ -220,7 +220,7 @@ def test_criterion_08_hybrid_floor():
     )
     misses = []
     for s, T, r_min in sorted(points):
-        report = costs.governance_hybrid(s, T, r_min, r_min, costs.LINEAR_COORDINATION)
+        report = costs.governance_hybrid(s, T, r_min, r_min, law.LINEAR_COORDINATION)
         if report.total < (s * T) * r_min:
             misses.append((s, T, r_min, report.total))
     _criterion("08", "hybrid floor", not misses,
@@ -257,8 +257,8 @@ def test_criterion_09_normalized_regimes():
                f"{len(rows_t)} T-points; renewal ratio equals r_min at every point")
 
 
-def _stock_ratio(s: int, T: int, r_min: float) -> tuple[costs.CostReport, Fraction]:
-    report = costs.cost_parallelizable(s, T, r_min, costs.LINEAR_COORDINATION)
+def _stock_ratio(s: int, T: int, r_min: float) -> tuple[law.CostReport, Fraction]:
+    report = costs.cost_parallelizable(s, T, r_min, law.LINEAR_COORDINATION)
     return report, Fraction(report.total) / (s * T)
 
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from sybilcost import calibration, costs
+from sybilcost import calibration, costs, law
 from sybilcost.calibration import CalibrationScenario, btc_tiers, eth_scenario, run_calibration
 
 
@@ -53,7 +53,7 @@ def test_eth_normalized_renewal_cost_is_the_threshold():
 
 def test_btc_normalized_ratios_strictly_decrease_with_horizon():
     scenario = btc_tiers()
-    series = run_calibration(scenario, law="par", coordination=costs.LINEAR_COORDINATION)
+    series = run_calibration(scenario, law="par", coordination=law.LINEAR_COORDINATION)
     for one in series:
         ratios = [report.normalized for report in one.reports]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
@@ -62,7 +62,7 @@ def test_btc_normalized_ratios_strictly_decrease_with_horizon():
 def test_btc_tier_ordering_is_horizon_invariant():
     # Bigger pools always have the smaller normalized cost under LinearSum.
     scenario = btc_tiers()
-    series = run_calibration(scenario, law="par", coordination=costs.LINEAR_COORDINATION)
+    series = run_calibration(scenario, law="par", coordination=law.LINEAR_COORDINATION)
     ordered = sorted(series, key=lambda one: one.s, reverse=True)
     for index in range(len(scenario.T_range)):
         column = [one.reports[index].normalized for one in ordered]
@@ -71,11 +71,11 @@ def test_btc_tier_ordering_is_horizon_invariant():
 
 def test_series_reproduce_cost_engine_outputs_exactly():
     scenario = btc_tiers()
-    series = run_calibration(scenario, coordination=costs.LINEAR_COORDINATION)
+    series = run_calibration(scenario, coordination=law.LINEAR_COORDINATION)
     for one in series:
         for T, report in zip(scenario.T_range, one.reports):
             if one.law == "par":
-                expected = costs.cost_parallelizable(one.s, T, scenario.r_min, costs.LINEAR_COORDINATION)
+                expected = costs.cost_parallelizable(one.s, T, scenario.r_min, law.LINEAR_COORDINATION)
             else:
                 expected = costs.cost_throughput_bounded(one.s, T, scenario.r_min)
             assert report == expected

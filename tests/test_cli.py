@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from sybilcost import cli, costs, oracle, resources
+from sybilcost import cli, law, oracle, resources, specfiles
 from sybilcost.commands import sweep
 
 
@@ -98,7 +98,7 @@ COORD_COMMANDS = {
 @pytest.mark.parametrize("command", sorted(COORD_COMMANDS))
 def test_coord_accepts_exactly_the_coordination_model_values(capsys, command):
     parser = cli.build_parser()
-    for model in costs.CoordinationModel:
+    for model in law.CoordinationModel:
         args = parser.parse_args([*COORD_COMMANDS[command], "--coord", model.value])
         assert args.coord in (model.value, (model.value,))
     for name in ("quadratic", "LINEAR_SUM", "Linear"):
@@ -184,7 +184,7 @@ def test_classify_preset(capsys):
 
 def test_classify_spec_file(tmp_path, capsys):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(resources.spec_to_dict(resources.preset("pos-stake"))))
+    path.write_text(json.dumps(specfiles.spec_to_dict(resources.preset("pos-stake"))))
     code, out, _ = run_cli(capsys, "classify", "--spec", str(path))
     assert code == cli.EXIT_OK
     assert json.loads(out)["resource_class"] == "Parallelizable"
@@ -193,8 +193,8 @@ def test_classify_spec_file(tmp_path, capsys):
 def test_classify_rejects_multi_spec_files(tmp_path, capsys):
     path = tmp_path / "specs.json"
     payload = [
-        resources.spec_to_dict(resources.preset("pos-stake")),
-        resources.spec_to_dict(resources.preset("device-bound")),
+        specfiles.spec_to_dict(resources.preset("pos-stake")),
+        specfiles.spec_to_dict(resources.preset("device-bound")),
     ]
     path.write_text(json.dumps(payload))
     code, _, err = run_cli(capsys, "classify", "--spec", str(path))
@@ -319,7 +319,7 @@ def test_oracle_accepts_a_grid_step_that_divides_r_min(capsys, step):
 
 
 def test_oracle_passes_a_correct_search_at_a_large_threshold(tmp_path, capsys):
-    data = resources.spec_to_dict(resources.preset("pos-stake"))
+    data = specfiles.spec_to_dict(resources.preset("pos-stake"))
     data.update(identity_transferable=None, alpha=0.7, r_min=1e6 + 0.1)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
@@ -332,7 +332,7 @@ def test_oracle_passes_a_correct_search_at_a_large_threshold(tmp_path, capsys):
 def test_oracle_finds_the_law_at_a_tiny_threshold(tmp_path, capsys, r_min, minimum):
     # The oracle's tolerance is relative to the values it compares, so a tiny
     # unit searches the same 70 configurations as a threshold of 1.
-    data = resources.spec_to_dict(resources.preset("pos-stake"))
+    data = specfiles.spec_to_dict(resources.preset("pos-stake"))
     data["r_min"] = r_min
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
@@ -751,7 +751,7 @@ def test_non_finite_numbers_are_a_one_line_usage_error(capsys, argv):
      ("json", "error: Out of range float values are not JSON compliant: inf\n")],
 )
 def test_simulate_refuses_an_aggregate_past_the_float_range(tmp_path, capsys, fmt, message):
-    data = resources.spec_to_dict(resources.preset("pos-stake"))
+    data = specfiles.spec_to_dict(resources.preset("pos-stake"))
     data["r_min"] = 1e308
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
@@ -804,7 +804,7 @@ def test_a_deeply_nested_spec_file_is_a_one_line_error(tmp_path, capsys, argv):
 
 
 def test_spec_file_with_a_wrongly_typed_field_names_it(tmp_path, capsys):
-    data = resources.spec_to_dict(resources.preset("pos-stake"))
+    data = specfiles.spec_to_dict(resources.preset("pos-stake"))
     data["r_min"] = "1"
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))

@@ -7,13 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sybilcost.costs import (
-    LINEAR_COORDINATION,
-    ZERO_COORDINATION,
-    CoordinationModel,
-    CostReport,
-    acquisition_schedule,
     cost_bounded_reuse,
-    cost_carry_over,
     cost_hybrid,
     cost_parallelizable,
     cost_partial_transferability,
@@ -21,6 +15,14 @@ from sybilcost.costs import (
     crossover,
     crossover_table,
     governance_hybrid,
+)
+from sybilcost.law import (
+    LINEAR_COORDINATION,
+    ZERO_COORDINATION,
+    CoordinationModel,
+    CostReport,
+    acquisition_schedule,
+    cost_carry_over,
 )
 
 # Dyadic thresholds keep every product below exactly representable, so the

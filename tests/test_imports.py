@@ -40,8 +40,8 @@ same_object = all(
 namespace = {}
 exec("from sybilcost import *", namespace)
 # A stale __all__ entry in any submodule makes its star import raise.
-for module in ("arguments", "calibration", "cli", "costs", "oracle", "plans", "resources",
-               "simulation", "verification"):
+for module in ("arguments", "calibration", "cli", "costs", "law", "oracle", "plans", "resources",
+               "simulation", "specfiles", "verification"):
     exec(f"from sybilcost.{module} import *", {})
 try:
     sybilcost.no_such_name
@@ -79,7 +79,7 @@ def test_modules_load_on_first_use():
     report = json.loads(proc.stdout)
     assert report["after_package"] == []
     assert report["after_cli"] == [
-        "sybilcost.arguments", "sybilcost.cli", "sybilcost.costs", "sybilcost.resources",
+        "sybilcost.arguments", "sybilcost.cli", "sybilcost.law", "sybilcost.resources",
     ]
     assert report["all"] == PUBLIC_NAMES
     assert report["same_object"] is True
@@ -87,8 +87,8 @@ def test_modules_load_on_first_use():
     assert report["unknown"] == "module 'sybilcost' has no attribute 'no_such_name'"
     assert report["after_all"] == [
         "sybilcost.arguments", "sybilcost.calibration", "sybilcost.cli", "sybilcost.costs",
-        "sybilcost.oracle", "sybilcost.plans", "sybilcost.resources", "sybilcost.simulation",
-        "sybilcost.verification",
+        "sybilcost.law", "sybilcost.oracle", "sybilcost.plans", "sybilcost.resources",
+        "sybilcost.simulation", "sybilcost.specfiles", "sybilcost.verification",
     ]
 
 
@@ -120,13 +120,17 @@ def test_no_module_is_a_large_compile_unit(path):
     assert peak <= COMPILE_PEAK_LIMIT, f"{path.name} compiles with a {peak // 1024} KiB peak"
 
 
-# Every searching process compiles the oracle, the plan model and the resource
-# specs, so each of the three is pinned by name: a rename or a split that moves
-# the search's code out of reach of the guard above shows here.
-@pytest.mark.parametrize("name", ["oracle.py", "plans.py", "resources.py"])
+# A process that searches and checks the minimum against the regime laws
+# (`from sybilcost import costs, oracle, resources`) compiles these five, so
+# each is pinned by name and held lower than the rest: a rename or a split that
+# moves the search's code out of reach of the guard shows here.
+SEARCH_COMPILE_PEAK_LIMIT = 550 * 1024
+
+
+@pytest.mark.parametrize("name", ["costs.py", "law.py", "oracle.py", "plans.py", "resources.py"])
 def test_the_search_modules_are_small_compile_units(name):
     peak = _compile_peak(SRC / "sybilcost" / name)
-    assert peak <= COMPILE_PEAK_LIMIT, f"{name} compiles with a {peak // 1024} KiB peak"
+    assert peak <= SEARCH_COMPILE_PEAK_LIMIT, f"{name} compiles with a {peak // 1024} KiB peak"
 
 
 def test_cli_is_a_small_compile_unit():
@@ -183,7 +187,7 @@ def test_the_oracle_loads_only_what_it_searches_with():
                           env=_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [
-        "sybilcost", "sybilcost.costs", "sybilcost.oracle", "sybilcost.plans",
+        "sybilcost", "sybilcost.law", "sybilcost.oracle", "sybilcost.plans",
         "sybilcost.resources",
     ]
 
@@ -268,16 +272,36 @@ def test_only_csv_output_loads_the_csv_writer(argv, loads_csv):
     assert json.loads(proc.stdout) == [0, loads_csv, loads_csv]
 
 
-# Each command loads its own command module and no other.
+# Each command loads its own command module and no other, and of the library
+# only the modules it calls.
 COMMAND_PROBE = """
 import contextlib, io, json, sys
 from sybilcost import cli
 
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.dispatch(sys.argv[1:])
-print(json.dumps([code, sorted(name for name in sys.modules
-                               if name.startswith("sybilcost.commands."))]))
+loaded = sorted(name for name in sys.modules if name.startswith("sybilcost."))
+print(json.dumps([code, [name for name in loaded if name.startswith("sybilcost.commands.")],
+                  [name for name in loaded if name.count(".") == 1]]))
 """
+
+# Every command loads these: the parser names the coordination models, and
+# `cli` resolves spec names.
+CLI_MODULES = {"arguments", "cli", "commands", "law", "resources"}
+# What each command loads besides: only `oracle` and `verify-all` search, and
+# `taxonomy`, `classify`, `oracle`, `simulate` and `fig3` price no regime law.
+LIBRARY_MODULES = {
+    "calibrate": {"calibration", "costs"},
+    "classify": set(),
+    "cost": {"costs"},
+    "crossover": {"costs"},
+    "fig3": {"simulation"},
+    "oracle": {"oracle", "plans"},
+    "simulate": {"simulation"},
+    "sweep": {"costs"},
+    "taxonomy": set(),
+    "verify-all": {"costs", "oracle", "plans", "verification"},
+}
 
 
 def _readme_commands():
@@ -294,9 +318,29 @@ def test_the_readme_names_every_subcommand():
     assert {argv[0] for argv in README_COMMANDS} == _subcommands()
 
 
+def _loaded_by(argv, cwd):
+    """Run COMMAND_PROBE on ARGV: exit code, command modules, library modules by short name."""
+    proc = subprocess.run([sys.executable, "-c", COMMAND_PROBE, *argv], capture_output=True,
+                          text=True, env=_env(), cwd=cwd, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, commands, library = json.loads(proc.stdout)
+    return code, commands, {name.split(".")[1] for name in library}
+
+
 @pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
 def test_each_command_loads_only_its_own_module(tmp_path, argv):
-    proc = subprocess.run([sys.executable, "-c", COMMAND_PROBE, *argv], capture_output=True,
-                          text=True, env=_env(), cwd=tmp_path, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0, [_module_name(argv[0])]]
+    code, commands, library = _loaded_by(argv, tmp_path)
+    assert (code, commands) == (0, [_module_name(argv[0])])
+    assert library == CLI_MODULES | LIBRARY_MODULES[argv[0]]
+
+
+# `classify --spec pos-stake` above loads no JSON reader; a spec file loads `specfiles`.
+def test_a_spec_file_loads_the_spec_reader(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "name": "stake-file", "divisible": True, "additive_influence": True,
+        "temporally_reusable": True, "identity_transferable": True,
+    }))
+    code, _commands, library = _loaded_by(["classify", "--spec", str(spec)], tmp_path)
+    assert code == 0
+    assert library == CLI_MODULES | {"specfiles"}

@@ -8,13 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sybilcost import costs, oracle, resources, verification
+from sybilcost import costs, law, oracle, resources, verification
 from sybilcost.oracle import (
     AllocationPlan,
     AllocationSemantics,
     OracleScenario,
-    PlanBudgetExceeded,
-    PlanGrid,
     allocation_semantics,
     closed_form,
     min_cost,
@@ -22,6 +20,7 @@ from sybilcost.oracle import (
     plan_feasible,
     verify_bounds,
 )
+from sybilcost.plans import PlanBudgetExceeded, PlanGrid
 
 STAKE = resources.preset("pos-stake")
 DEVICE = resources.preset("device-bound")
@@ -71,7 +70,7 @@ def test_empty_attack_is_free():
 
 
 def test_coordination_is_added_to_the_plan_cost():
-    scenario = OracleScenario(s=2, T=3, spec=STAKE, coordination=costs.LINEAR_COORDINATION)
+    scenario = OracleScenario(s=2, T=3, spec=STAKE, coordination=law.LINEAR_COORDINATION)
     result = min_cost(scenario)
     assert result.min_cost == 2.0 + 5.0
 
@@ -485,8 +484,8 @@ def test_closed_form_is_each_semantics_law(spec, law):
 
 @pytest.mark.parametrize("spec", [STAKE, DEVICE, partial_spec(0.5), bounded_spec(2)])
 def test_closed_form_carries_the_overhead_every_plan_pays(spec):
-    scenario = OracleScenario(s=2, T=3, spec=spec, coordination=costs.LINEAR_COORDINATION)
-    free = dataclasses.replace(scenario, coordination=costs.ZERO_COORDINATION)
+    scenario = OracleScenario(s=2, T=3, spec=spec, coordination=law.LINEAR_COORDINATION)
+    free = dataclasses.replace(scenario, coordination=law.ZERO_COORDINATION)
     assert closed_form(scenario) == closed_form(free) + 5.0 == min_cost(scenario).min_cost
 
 

@@ -1,4 +1,4 @@
-"""The integer-unit window scan against the float scan it replaced, and exactness.
+"""The integer-unit window scan against the float scan and the arithmetic solver, and exactness.
 
 `reference_best_window` is the float brute-force scan the oracle used before
 it counted in grid units: it enumerates every multiset of float levels and
@@ -9,6 +9,9 @@ sums of rounded levels can differ in the last bit where the unit totals tie:
 there the reference breaks the tie on rounding error, the integer scan by the
 documented rule, and the witness's acquisitions, priced from the exact unit
 total, may differ in the last bit.
+
+`arithmetic_best_window` finds the scan's key in O(m) steps, without
+enumerating; it is checked against the scan wherever the scan is cheap.
 """
 
 import dataclasses
@@ -23,22 +26,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sybilcost import costs, oracle, resources, verification
+from sybilcost import law, oracle, plans, resources, verification
 from sybilcost.oracle import (
     FEASIBILITY_EPS,
     AllocationPlan,
     OracleScenario,
-    PlanGrid,
     closed_form,
     min_cost,
     plan_feasible,
     verify_bounds,
 )
-from sybilcost.costs import acquisition_schedule
+from sybilcost.law import acquisition_schedule
+from sybilcost.plans import PlanGrid
 from sybilcost.resources import carry_over
 
 STAKE = resources.preset("pos-stake")
 DEVICE = resources.preset("device-bound")
+ENERGY = resources.preset("pow-energy")
 
 
 def reference_best_window(scenario, grid):
@@ -182,6 +186,88 @@ def test_scan_matches_the_float_reference_on_other_grid_steps(step, r_min):
     assert compared >= 5
 
 
+# --- the arithmetic window solver ------------------------------------------
+
+
+def arithmetic_best_window(scenario, grid):
+    """The scan's best key without enumerating: O(m) in the grid's identity count m.
+
+    With j active identities, each in [lo, hi] grid units, the reachable
+    aggregates are every integer in [j * lo, j * hi].  So the best key
+    (aggregate, active, descending) takes the smallest aggregate
+    max(need, j * lo) over the j <= m with j * hi >= need, then the fewest such
+    j, then fills greedily, each part max(lo, ceil(rem / parts_left)), and pads
+    the other m - j identities with zeros.  lo, need and hi come from
+    `_floor_units` exactly as the scan takes them.
+    """
+    spec, step, m = scenario.spec, grid.step, grid.max_identities
+    lo = -plans._floor_units(spec.r_min, -1, step)
+    need = -plans._floor_units(spec.r_min, -scenario.s, step)
+    hi = grid.level_count() - 1
+    if spec.tau is not None:
+        hi = min(hi, plans._floor_units(spec.tau, 1, step))
+    if lo > hi:
+        return None
+    reachable = [(max(need, j * lo), j) for j in range(1, m + 1) if j * hi >= need]
+    if not reachable:
+        return None
+    aggregate, active = min(reachable)
+    parts, rem = [], aggregate
+    for parts_left in range(active, 0, -1):
+        part = max(lo, -(-rem // parts_left))
+        parts.append(part)
+        rem -= part
+    return aggregate, active, (*parts, *(0,) * (m - active))
+
+
+def solver_specs(r_min):
+    """pos-stake and pow-energy, uncapped, and device-bound at three rate limits."""
+    return (
+        stake(r_min),
+        dataclasses.replace(ENERGY, name=f"energy-r{r_min}", r_min=r_min),
+        *(device(r_min, share * r_min) for share in (1.0, 2.5, 3.3)),
+    )
+
+
+# Steps r/2 (the default) and r/5, on dyadic and non-dyadic thresholds from
+# 2^-40 to 3.7e9; s stops where the scan passes this many configurations.
+SOLVER_SCAN_LIMIT = 10_000
+SOLVER_THRESHOLDS = (0.5, 1.0, 2.0, 0.1, 0.3, 0.7, 1.1, 2.0**-40, 3.7e9)
+
+
+def test_arithmetic_solver_matches_the_scan():
+    compared = 0
+    cases = [(r_min, spec) for r_min in SOLVER_THRESHOLDS for spec in solver_specs(r_min)]
+    for (r_min, spec), divisor, s, T in itertools.product(cases, (2, 5), range(1, 6), (1, 3)):
+        scenario = OracleScenario(s, T, spec)
+        grid = PlanGrid.for_scenario(scenario, step=r_min / divisor)
+        if grid.configuration_count() > SOLVER_SCAN_LIMIT:
+            continue
+        solved = arithmetic_best_window(scenario, grid)
+        key, _count = oracle._best_window_config(scenario, grid)
+        assert solved == key, (scenario, grid)
+        # The witness `min_cost` would build from the solver's key.
+        units, _active, descending = solved
+        alpha, k = carry_over(scenario.spec, T)
+        fielded = tuple([value * grid.step for value in descending if value])
+        witness = AllocationPlan(
+            T, (fielded,) * T, acquisition_schedule(alpha, k, T, units * grid.step)
+        )
+        assert min_cost(scenario, grid).witness == witness
+        compared += 1
+    assert compared == 540
+
+
+def test_arithmetic_solver_finds_no_window_where_the_scan_finds_none():
+    # A rate limit under r_min on the grid, and a target past m identities at tau.
+    spec = device(1.0, 1.0)
+    scenario = OracleScenario(2, 1, spec)
+    assert arithmetic_best_window(scenario, PlanGrid(0.5, 2.0, 4)) is not None
+    for grid in (PlanGrid(0.5, 2.0, 1), PlanGrid(0.3, 2.0, 4)):
+        key, _count = oracle._best_window_config(scenario, grid)
+        assert arithmetic_best_window(scenario, grid) is key is None
+
+
 def test_repeated_verification_does_not_grow_the_heap():
     # A full collection empties the free lists, so none may run in between.
     gc.collect()
@@ -255,7 +341,7 @@ def test_partial_transfer_is_its_exact_total_rounded_once(alpha, r_min):
     spec = partial(r_min, alpha)
     for s in range(1, 5):
         for T in range(1, 5):
-            for coordination in (costs.ZERO_COORDINATION, costs.LINEAR_COORDINATION):
+            for coordination in (law.ZERO_COORDINATION, law.LINEAR_COORDINATION):
                 scenario = OracleScenario(s, T, spec, coordination)
                 # One full purchase of s * r_min, then the (1 - alpha) share
                 # it spends in each of the other T - 1 windows.

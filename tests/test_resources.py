@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from sybilcost import costs, resources
+from sybilcost import costs, resources, specfiles
 from sybilcost.resources import (
     TAXONOMY,
     ResourceClass,
@@ -171,15 +171,15 @@ def test_k_must_be_positive():
 
 def test_spec_round_trips_through_dict():
     spec = preset("rate-limited")
-    again = resources.spec_from_dict(resources.spec_to_dict(spec))
+    again = specfiles.spec_from_dict(specfiles.spec_to_dict(spec))
     assert again == spec
 
 
 def test_spec_from_dict_rejects_unknown_keys():
-    data = resources.spec_to_dict(preset("pos-stake"))
+    data = specfiles.spec_to_dict(preset("pos-stake"))
     data["color"] = "red"
     with pytest.raises(ValueError):
-        resources.spec_from_dict(data)
+        specfiles.spec_from_dict(data)
 
 
 @pytest.mark.parametrize(
@@ -187,31 +187,31 @@ def test_spec_from_dict_rejects_unknown_keys():
     [("name", 3), ("divisible", 1), ("r_min", "1"), ("r_min", float("nan")), ("tau", True), ("k", 2.0)],
 )
 def test_spec_from_dict_names_a_wrongly_typed_field(field, value):
-    data = resources.spec_to_dict(preset("pos-stake"))
+    data = specfiles.spec_to_dict(preset("pos-stake"))
     data[field] = value
     with pytest.raises(ValueError, match=f"resource field '{field}' must be"):
-        resources.spec_from_dict(data)
+        specfiles.spec_from_dict(data)
 
 
 def test_load_specs_rejects_non_object_entries(tmp_path):
     path = tmp_path / "specs.json"
-    path.write_text(json.dumps([resources.spec_to_dict(preset("pos-stake")), 2]))
+    path.write_text(json.dumps([specfiles.spec_to_dict(preset("pos-stake")), 2]))
     with pytest.raises(ValueError, match="array of objects"):
-        resources.load_specs(path)
+        specfiles.load_specs(path)
 
 
 def test_load_specs_single_object(tmp_path):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(resources.spec_to_dict(preset("pos-stake"))))
-    loaded = resources.load_specs(path)
+    path.write_text(json.dumps(specfiles.spec_to_dict(preset("pos-stake"))))
+    loaded = specfiles.load_specs(path)
     assert loaded == (preset("pos-stake"),)
 
 
 def test_load_specs_array(tmp_path):
     path = tmp_path / "specs.json"
-    payload = [resources.spec_to_dict(preset("pos-stake")), resources.spec_to_dict(preset("device-bound"))]
+    payload = [specfiles.spec_to_dict(preset("pos-stake")), specfiles.spec_to_dict(preset("device-bound"))]
     path.write_text(json.dumps(payload))
-    loaded = resources.load_specs(path)
+    loaded = specfiles.load_specs(path)
     assert [spec.name for spec in loaded] == ["pos-stake", "device-bound"]
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sybilcost import costs, resources, simulation
+from sybilcost import law, resources, simulation
 from sybilcost.simulation import ScenarioConfig, influence_share, non_amplification_experiment, run
 
 STAKE = resources.preset("pos-stake")
@@ -80,7 +80,7 @@ def test_total_cost_is_the_law_at_the_carry_over_rule():
         spec = dataclasses.replace(spec, r_min=r_min, tau=tau)
         trace = run(ScenarioConfig(n_honest=3, m=s, s=s, T=T, spec=spec))
         alpha, k = resources.carry_over(spec, T)
-        if trace.total_cost != costs.cost_carry_over(s, T, r_min, alpha, k).total:
+        if trace.total_cost != law.cost_carry_over(s, T, r_min, alpha, k).total:
             misses.append((spec.name, r_min, s, T, trace.total_cost))
     assert misses == []
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sybilcost import costs, resources
+from sybilcost import law, resources
 from sybilcost.plans import FEASIBILITY_EPS, AllocationPlan, OracleScenario, plan_feasible
 from sybilcost.resources import carry_over
 
@@ -98,8 +98,8 @@ def test_greedy_on_a_uniform_plan_is_the_law_and_its_schedule(alpha):
     for T in range(1, 65):
         for k in sorted({1, 2, 3, 5, T // 2 or 1, T - 1 or 1, T, T + 1}):
             greedy = rightmost_greedy(alpha, k, (Fraction(r_min),) * T)
-            assert float(sum(greedy)) == costs.cost_carry_over(1, T, r_min, alpha, k).total, (T, k)
-            assert tuple(map(float, greedy)) == costs.acquisition_schedule(alpha, k, T, r_min), (T, k)
+            assert float(sum(greedy)) == law.cost_carry_over(1, T, r_min, alpha, k).total, (T, k)
+            assert tuple(map(float, greedy)) == law.acquisition_schedule(alpha, k, T, r_min), (T, k)
 
 
 @settings(deadline=None, max_examples=100)
