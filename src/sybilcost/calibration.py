@@ -8,11 +8,10 @@ renewal, not a market model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .costs import cost_parallelizable, cost_throughput_bounded
-from .law import ZERO_COORDINATION, CoordinationModel, CostReport
+from .law import ZERO_COORDINATION, CoordinationModel, CostReport, _check_positive
 
 __all__ = [
     "BTC_NETWORK_UNITS",
@@ -72,11 +71,9 @@ class CalibrationScenario:
     supply_reference: float | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.r_min) and self.r_min > 0):
-            raise ValueError(f"r_min must be finite and positive, got {self.r_min}")
-        supply = self.supply_reference
-        if supply is not None and not (math.isfinite(supply) and supply > 0):
-            raise ValueError(f"supply_reference must be finite and positive, got {supply}")
+        _check_positive("r_min", self.r_min)
+        if self.supply_reference is not None:
+            _check_positive("supply_reference", self.supply_reference)
         if not self.s_tiers:
             raise ValueError("scenario needs at least one tier")
         sizes = [size for _, size in self.s_tiers]

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .law import ZERO_COORDINATION, CoordinationModel, CostReport, _check_args, cost_carry_over
+from .law import ZERO_COORDINATION, CoordinationModel, CostReport, _check_args, _check_count
+from .law import _check_positive, cost_carry_over
 
 __all__ = [
     "CROSSOVER_HORIZONS",
@@ -173,10 +174,8 @@ def crossover(T: int, r_min: float) -> float | None:
     Returns None when the horizon is too short for the comparison to flip
     (T * r_min <= r_min + 1), in which case renewal stays the cheaper side for every s.
     """
-    if T < 1:
-        raise ValueError(f"T must be at least 1, got {T}")
-    if not (math.isfinite(r_min) and r_min > 0):
-        raise ValueError(f"r_min must be finite and positive, got {r_min}")
+    _check_count("T", T, 1)
+    _check_positive("r_min", r_min)
     p, q = r_min.as_integer_ratio()
     denominator = (T - 1) * p - q
     if denominator <= 0:

@@ -8,7 +8,9 @@ k windows and the rest is bought anew every window.  `acquisition_schedule`
 is the same law window by window.  The named regimes, composition and
 crossover are in `costs`; the oracle, the plan model and the simulation
 price with this module alone.  Degenerate targets cost nothing:
-C(0, T) = C(s, 0) = 0 by convention.
+C(0, T) = C(s, 0) = 0 by convention.  The input rules that every module
+checks its arguments with (counts, thresholds and the carry-over bounds) are
+written once here, in `_check_count`, `_check_positive` and `_check_rule`.
 """
 
 from __future__ import annotations
@@ -27,11 +29,30 @@ __all__ = [
 ]
 
 
+def _check_count(name: str, value: int, least: int = 0) -> None:
+    """Refuse a count that is not an int (a bool is not one) at least `least`."""
+    if type(value) is not int or value < least:
+        kind = f"an integer at least {least}" if least else "a nonnegative integer"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def _check_positive(name: str, value: float) -> None:
+    """Refuse a threshold that is not finite and above zero."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _check_rule(alpha: float | None, k: int | None) -> None:
+    """Refuse alpha outside [0, 1] or k not an int at least 1; None leaves either unset."""
+    if alpha is not None and not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    if k is not None and (type(k) is not int or k < 1):
+        raise ValueError(f"k must be a positive integer window count, got {k!r}")
+
+
 def _check_counts(s: int, T: int) -> None:
-    if type(s) is not int or s < 0:
-        raise ValueError(f"s must be a nonnegative integer, got {s!r}")
-    if type(T) is not int or T < 0:
-        raise ValueError(f"T must be a nonnegative integer, got {T!r}")
+    _check_count("s", s)
+    _check_count("T", T)
 
 
 class CoordinationModel(Enum):
@@ -81,8 +102,7 @@ class CostReport:
 
 def _check_args(s: int, T: int, r_min: float) -> None:
     _check_counts(s, T)
-    if not (math.isfinite(r_min) and r_min > 0):
-        raise ValueError(f"r_min must be finite and positive, got {r_min}")
+    _check_positive("r_min", r_min)
 
 
 def _rounded_once(
@@ -119,10 +139,7 @@ def cost_carry_over(
     bought anew every window and h = 0.
     """
     _check_args(s, T, r_min)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if k is not None and (type(k) is not int or k < 1):
-        raise ValueError(f"k must be a positive integer window count, got {k!r}")
+    _check_rule(alpha, k)
     if s == 0 or T == 0:
         return CostReport(s, T, 0.0, 0.0, 0.0, 0.0, 0.0, None)
     renewals = 1 if k is None else -(-T // k)

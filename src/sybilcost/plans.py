@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .law import ZERO_COORDINATION, CoordinationModel
+from .law import ZERO_COORDINATION, CoordinationModel, _check_count, _check_positive
 from .resources import ResourceSpec, carry_over
 
 __all__ = [
@@ -51,8 +51,7 @@ class AllocationPlan:
     acquisitions: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.windows < 0:
-            raise ValueError(f"windows must be nonnegative, got {self.windows}")
+        _check_count("windows", self.windows)
         if len(self.identities) != self.windows or len(self.acquisitions) != self.windows:
             raise ValueError("plan rows must cover every window exactly once")
         for row in self.identities:
@@ -72,10 +71,8 @@ class OracleScenario:
     coordination: CoordinationModel = ZERO_COORDINATION
 
     def __post_init__(self) -> None:
-        if type(self.s) is not int or self.s < 0:
-            raise ValueError(f"s must be a nonnegative integer, got {self.s!r}")
-        if type(self.T) is not int or self.T < 1:
-            raise ValueError(f"T must be an integer at least 1, got {self.T!r}")
+        _check_count("s", self.s)
+        _check_count("T", self.T, 1)
 
     @property
     def target(self) -> float:
@@ -105,16 +102,13 @@ class PlanGrid:
     ceiling: int = DEFAULT_PLAN_CEILING
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError(f"step must be finite and positive, got {self.step}")
+        _check_positive("step", self.step)
         if not (math.isfinite(self.max_value) and self.max_value >= 0):
             raise ValueError(f"max_value must be finite and nonnegative, got {self.max_value}")
         if not math.isfinite(self.max_value / self.step):
             raise ValueError(f"step {self.step} is too fine to count levels up to {self.max_value}")
-        for field in ("max_identities", "ceiling"):
-            value = getattr(self, field)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{field} must be an integer at least 1, got {value!r}")
+        _check_count("max_identities", self.max_identities, 1)
+        _check_count("ceiling", self.ceiling, 1)
 
     @classmethod
     def for_scenario(

@@ -8,14 +8,15 @@ concentrated.  This module provides the property flags, the classification
 into the two extremal scaling classes plus the intermediate and unclassified
 buckets, the carry-over rule between windows that the flags imply (`law`
 prices it), and a built-in taxonomy of concrete resource types.  Spec files
-are read and written by `specfiles`.
+are read by `specfiles`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from enum import Enum
+
+from .law import _check_positive, _check_rule
 
 __all__ = [
     "ResourceClass",
@@ -65,25 +66,20 @@ class ResourceSpec:
     k: int | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.r_min) and self.r_min > 0):
-            raise ValueError(f"r_min must be finite and positive, got {self.r_min}")
+        _check_positive("r_min", self.r_min)
         if (self.tau is not None) != self.throughput_bounded:
             raise ValueError("tau must be present exactly when throughput_bounded is set")
         if self.tau is not None:
-            if not (math.isfinite(self.tau) and self.tau > 0):
-                raise ValueError(f"tau must be finite and positive, got {self.tau}")
+            _check_positive("tau", self.tau)
             if self.r_min > self.tau:
                 raise ValueError(
                     f"activation threshold r_min={self.r_min} exceeds rate limit tau={self.tau}"
                 )
         if (self.alpha is None) == (self.identity_transferable is None):
             raise ValueError("set exactly one of identity_transferable or alpha")
-        if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if (self.k is None) == (self.temporally_reusable is None):
             raise ValueError("set exactly one of temporally_reusable or k")
-        if self.k is not None and (type(self.k) is not int or self.k < 1):
-            raise ValueError(f"k must be a positive integer window count, got {self.k!r}")
+        _check_rule(self.alpha, self.k)
         if self.throughput_bounded and (
             self.temporally_reusable is not False or self.identity_transferable is not False
         ):

@@ -38,8 +38,7 @@ def influence_share(m: int, s: int, n: int) -> float:
     supply does not move it.
     """
     for name, value in (("m", m), ("s", s), ("n", n)):
-        if type(value) is not int or value < 0:
-            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+        law._check_count(name, value)
     active = min(m, s)
     denominator = active + n
     if denominator == 0:
@@ -59,11 +58,8 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for field in ("n_honest", "m", "s"):
-            value = getattr(self, field)
-            if type(value) is not int or value < 0:
-                raise ValueError(f"{field} must be a nonnegative integer, got {value!r}")
-        if type(self.T) is not int or self.T < 1:
-            raise ValueError(f"T must be an integer at least 1, got {self.T!r}")
+            law._check_count(field, getattr(self, field))
+        law._check_count("T", self.T, 1)
 
 
 @dataclass(frozen=True)
@@ -138,6 +134,10 @@ def non_amplification_experiment(m_range, s_values, n: int) -> Iterator[tuple[fl
         raise ValueError("m_range and s_values must be nonempty")
     if len(set(s_tuple)) != len(s_tuple):
         raise ValueError(f"s_values must not repeat an identity count, got {list(s_tuple)}")
+    law._check_count("n", n)
+    for name, values in (("m", m_values), ("s", s_tuple)):
+        for value in values:
+            law._check_count(name, value)
     if min(s_tuple) <= max(m_values):
         warnings.warn(
             "identity counts do not all exceed the channel range; share columns may differ",

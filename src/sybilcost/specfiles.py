@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
 from pathlib import Path
 from typing import Mapping
 
 from .resources import ResourceSpec
 
-__all__ = ["load_specs", "spec_from_dict", "spec_to_dict"]
+__all__ = ["load_specs", "spec_from_dict"]
 
 # Each field's JSON type, and whether it may be null.
 _FIELD_TYPES: dict[str, tuple[type, bool]] = {
@@ -40,11 +39,6 @@ def _has_type(value: object, expected: type) -> bool:
     if expected is int:
         return type(value) is int
     return isinstance(value, expected)
-
-
-def spec_to_dict(spec: ResourceSpec) -> dict[str, object]:
-    """Spec as a JSON-ready dict whose keys mirror the field names."""
-    return asdict(spec)
 
 
 def spec_from_dict(data: Mapping[str, object]) -> ResourceSpec:

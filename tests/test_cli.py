@@ -6,11 +6,12 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from sybilcost import cli, law, oracle, resources, specfiles
+from sybilcost import cli, law, oracle, resources
 from sybilcost.commands import sweep
 
 
@@ -184,7 +185,7 @@ def test_classify_preset(capsys):
 
 def test_classify_spec_file(tmp_path, capsys):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(specfiles.spec_to_dict(resources.preset("pos-stake"))))
+    path.write_text(json.dumps(asdict(resources.preset("pos-stake"))))
     code, out, _ = run_cli(capsys, "classify", "--spec", str(path))
     assert code == cli.EXIT_OK
     assert json.loads(out)["resource_class"] == "Parallelizable"
@@ -193,8 +194,8 @@ def test_classify_spec_file(tmp_path, capsys):
 def test_classify_rejects_multi_spec_files(tmp_path, capsys):
     path = tmp_path / "specs.json"
     payload = [
-        specfiles.spec_to_dict(resources.preset("pos-stake")),
-        specfiles.spec_to_dict(resources.preset("device-bound")),
+        asdict(resources.preset("pos-stake")),
+        asdict(resources.preset("device-bound")),
     ]
     path.write_text(json.dumps(payload))
     code, _, err = run_cli(capsys, "classify", "--spec", str(path))
@@ -319,7 +320,7 @@ def test_oracle_accepts_a_grid_step_that_divides_r_min(capsys, step):
 
 
 def test_oracle_passes_a_correct_search_at_a_large_threshold(tmp_path, capsys):
-    data = specfiles.spec_to_dict(resources.preset("pos-stake"))
+    data = asdict(resources.preset("pos-stake"))
     data.update(identity_transferable=None, alpha=0.7, r_min=1e6 + 0.1)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
@@ -332,7 +333,7 @@ def test_oracle_passes_a_correct_search_at_a_large_threshold(tmp_path, capsys):
 def test_oracle_finds_the_law_at_a_tiny_threshold(tmp_path, capsys, r_min, minimum):
     # The oracle's tolerance is relative to the values it compares, so a tiny
     # unit searches the same 70 configurations as a threshold of 1.
-    data = specfiles.spec_to_dict(resources.preset("pos-stake"))
+    data = asdict(resources.preset("pos-stake"))
     data["r_min"] = r_min
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
@@ -751,7 +752,7 @@ def test_non_finite_numbers_are_a_one_line_usage_error(capsys, argv):
      ("json", "error: Out of range float values are not JSON compliant: inf\n")],
 )
 def test_simulate_refuses_an_aggregate_past_the_float_range(tmp_path, capsys, fmt, message):
-    data = specfiles.spec_to_dict(resources.preset("pos-stake"))
+    data = asdict(resources.preset("pos-stake"))
     data["r_min"] = 1e308
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
@@ -804,7 +805,7 @@ def test_a_deeply_nested_spec_file_is_a_one_line_error(tmp_path, capsys, argv):
 
 
 def test_spec_file_with_a_wrongly_typed_field_names_it(tmp_path, capsys):
-    data = specfiles.spec_to_dict(resources.preset("pos-stake"))
+    data = asdict(resources.preset("pos-stake"))
     data["r_min"] = "1"
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))

@@ -333,6 +333,12 @@ def test_crossover_undefined_for_short_horizons():
     assert crossover(2, 0.5) is None
 
 
+@pytest.mark.parametrize("T", [0, 10.5, math.nan, math.inf, True])
+def test_crossover_horizon_must_be_a_window_count(T):
+    with pytest.raises(ValueError, match="T must be an integer at least 1"):
+        crossover(T, 1.0)
+
+
 def test_crossover_example_value():
     assert crossover(10, 1.0) == pytest.approx(1.25)
     # The float algebra T / (T * r_min - r_min - 1) gives 7.500000000000006.

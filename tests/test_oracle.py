@@ -439,6 +439,12 @@ def test_plan_validation_rejects_bad_shapes():
         AllocationPlan(windows=1, identities=((1.0,),), acquisitions=(math.nan,))
 
 
+@pytest.mark.parametrize("windows", [-1, 2.0, True])
+def test_plan_windows_must_be_a_count(windows):
+    with pytest.raises(ValueError, match="windows must be a nonnegative integer"):
+        AllocationPlan(windows=windows, identities=((1.0,),) * 2, acquisitions=(1.0, 0.0))
+
+
 # --- equivalence with the closed forms -------------------------------------
 
 
@@ -487,6 +493,62 @@ def test_closed_form_carries_the_overhead_every_plan_pays(spec):
     scenario = OracleScenario(s=2, T=3, spec=spec, coordination=law.LINEAR_COORDINATION)
     free = dataclasses.replace(scenario, coordination=law.ZERO_COORDINATION)
     assert closed_form(scenario) == closed_form(free) + 5.0 == min_cost(scenario).min_cost
+
+
+# --- the abstract's separation, read from oracle minima alone ---------------
+
+THEOREM_HORIZONS = (1, 2, 3, 4, 16, 64, 1000)
+
+
+def _slack(*weighted):
+    """Half an ulp of each weighted float: the error of a sum of once-rounded minima."""
+    return sum(Fraction(abs(weight)) * Fraction(math.ulp(value)) / 2 for weight, value in weighted)
+
+
+@pytest.mark.parametrize("r_min", [0.5, 1.0, 0.7])
+def test_oracle_minima_separate_the_scaling_classes(r_min):
+    # Zero coordination, s <= 4.  Each statement is exact on a dyadic threshold;
+    # on 0.7 it holds within the rounding of the minima it combines.
+    r, alpha = Fraction(r_min), Fraction(1, 2)
+    specs = {
+        "par": dataclasses.replace(STAKE, r_min=r_min),
+        "bnd": dataclasses.replace(DEVICE, r_min=r_min, tau=r_min),
+        "partial": partial_spec(float(alpha), r_min),
+        "reuse": bounded_spec(3, r_min),
+    }
+    per_unit = {
+        "par": lambda T: r,
+        "bnd": lambda T: r * T,
+        "partial": lambda T: r * ((1 - alpha) * T + alpha),
+        "reuse": lambda T: r * -(-T // 3),
+    }
+    C = {
+        (name, s, T): min_cost(OracleScenario(s=s, T=T, spec=spec)).min_cost
+        for name, spec in specs.items()
+        for s in range(5)
+        for T in THEOREM_HORIZONS
+    }
+    dyadic = r_min in (0.5, 1.0)
+    misses = []
+
+    def check(label, got, exact, *weighted):
+        if abs(got - exact) > (0 if dyadic else _slack(*weighted)):
+            misses.append((label, got, exact))
+
+    for s in range(1, 5):
+        for T in THEOREM_HORIZONS:
+            # Parallelizable stock is flat in T, so C = o(sT).
+            check(("flat", s, T), Fraction(C["par", s, T]), Fraction(C["par", s, 1]),
+                  (1, C["par", s, T]), (1, C["par", s, 1]))
+            # Delta(s, T) per class: r_min, r_min * T (so C = Omega(sT)), and in between.
+            for name, unit in per_unit.items():
+                upper, lower = C[name, s, T], C[name, s - 1, T]
+                check((name, s, T), Fraction(upper) - Fraction(lower), unit(T),
+                      (1, upper), (1, lower))
+            # The two classes' costs are in the exact ratio T.
+            check(("ratio", s, T), Fraction(C["bnd", s, T]), T * Fraction(C["par", s, T]),
+                  (1, C["bnd", s, T]), (T, C["par", s, T]))
+    assert misses == []
 
 
 def test_verify_bounds_passes_on_witnesses():

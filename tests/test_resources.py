@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 
@@ -171,12 +172,12 @@ def test_k_must_be_positive():
 
 def test_spec_round_trips_through_dict():
     spec = preset("rate-limited")
-    again = specfiles.spec_from_dict(specfiles.spec_to_dict(spec))
+    again = specfiles.spec_from_dict(asdict(spec))
     assert again == spec
 
 
 def test_spec_from_dict_rejects_unknown_keys():
-    data = specfiles.spec_to_dict(preset("pos-stake"))
+    data = asdict(preset("pos-stake"))
     data["color"] = "red"
     with pytest.raises(ValueError):
         specfiles.spec_from_dict(data)
@@ -187,7 +188,7 @@ def test_spec_from_dict_rejects_unknown_keys():
     [("name", 3), ("divisible", 1), ("r_min", "1"), ("r_min", float("nan")), ("tau", True), ("k", 2.0)],
 )
 def test_spec_from_dict_names_a_wrongly_typed_field(field, value):
-    data = specfiles.spec_to_dict(preset("pos-stake"))
+    data = asdict(preset("pos-stake"))
     data[field] = value
     with pytest.raises(ValueError, match=f"resource field '{field}' must be"):
         specfiles.spec_from_dict(data)
@@ -195,21 +196,21 @@ def test_spec_from_dict_names_a_wrongly_typed_field(field, value):
 
 def test_load_specs_rejects_non_object_entries(tmp_path):
     path = tmp_path / "specs.json"
-    path.write_text(json.dumps([specfiles.spec_to_dict(preset("pos-stake")), 2]))
+    path.write_text(json.dumps([asdict(preset("pos-stake")), 2]))
     with pytest.raises(ValueError, match="array of objects"):
         specfiles.load_specs(path)
 
 
 def test_load_specs_single_object(tmp_path):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(specfiles.spec_to_dict(preset("pos-stake"))))
+    path.write_text(json.dumps(asdict(preset("pos-stake"))))
     loaded = specfiles.load_specs(path)
     assert loaded == (preset("pos-stake"),)
 
 
 def test_load_specs_array(tmp_path):
     path = tmp_path / "specs.json"
-    payload = [specfiles.spec_to_dict(preset("pos-stake")), specfiles.spec_to_dict(preset("device-bound"))]
+    payload = [asdict(preset("pos-stake")), asdict(preset("device-bound"))]
     path.write_text(json.dumps(payload))
     loaded = specfiles.load_specs(path)
     assert [spec.name for spec in loaded] == ["pos-stake", "device-bound"]

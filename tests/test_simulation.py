@@ -165,6 +165,15 @@ def test_experiment_rejects_empty_ranges():
         non_amplification_experiment([10], (), 200)
 
 
+@pytest.mark.parametrize(
+    "m_range, s_values, n, name",
+    [(range(1, 5), [10], -1, "n"), ([1.5, 2], [10], 3, "m"), ([1, 2], [10, 2.5], 3, "s")],
+)
+def test_experiment_checks_its_counts_when_called(m_range, s_values, n, name):
+    with pytest.raises(ValueError, match=f"{name} must be a nonnegative integer"):
+        non_amplification_experiment(m_range, s_values, n)
+
+
 def test_experiment_rejects_a_repeated_identity_count():
     # Shares are keyed by identity count, so a repeat would collapse a column.
     with pytest.raises(ValueError, match="must not repeat"):
