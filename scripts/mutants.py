@@ -7,13 +7,12 @@ patched there, never in the checkout, and these checks run one subprocess at
 a time until one fails: tests/test_oracle.py, tests/test_oracle_scan.py,
 tests/test_uniform_plan.py and `python -m sybilcost.cli verify-all`.  A mutant
 is killed by the first check that fails, and survives if all pass.  The
-unmutated copy must pass them all first.  The kill table goes to stdout.
+unmutated copy must pass them all first.  Every mutant is run, and the kill
+table goes to stdout.
 
-    python scripts/mutants.py                       # every mutant, a few minutes
-    python scripts/mutants.py bounded-reuse-k-is-T  # only the named ones
+    python scripts/mutants.py   # a few minutes
 """
 
-import argparse
 import os
 import re
 import shutil
@@ -100,16 +99,7 @@ def _patch(tree, file, old, new):
     path.write_text(text.replace(old, new))
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    args = parser.parse_args(argv)
-    known = [name for name, *_ in MUTANTS]
-    unknown = sorted(set(args.names) - set(known))
-    if unknown:
-        parser.error(f"unknown mutants {unknown}; known: {', '.join(known)}")
-    selected = [mutant for mutant in MUTANTS if not args.names or mutant[0] in args.names]
-
+def main():
     with tempfile.TemporaryDirectory(prefix="sybilcost-mutants-") as scratch:
         base = Path(scratch) / "base"
         _copy_tree(base)
@@ -118,7 +108,7 @@ def main(argv=None):
             print(f"the unmutated tree fails {failure}; no mutant was run", file=sys.stderr)
             return 1
         rows = []
-        for name, file, old, new in selected:
+        for name, file, old, new in MUTANTS:
             tree = Path(scratch) / name
             _copy_tree(tree)
             _patch(tree, file, old, new)

@@ -42,9 +42,9 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-def _check_rule(alpha: float | None, k: int | None) -> None:
-    """Refuse alpha outside [0, 1] or k not an int at least 1; None leaves either unset."""
-    if alpha is not None and not 0.0 <= alpha <= 1.0:
+def _check_rule(alpha: float, k: int | None) -> None:
+    """Refuse alpha outside [0, 1] or k not an int at least 1; k = None is no renewal."""
+    if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if k is not None and (type(k) is not int or k < 1):
         raise ValueError(f"k must be a positive integer window count, got {k!r}")

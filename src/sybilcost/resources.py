@@ -79,7 +79,7 @@ class ResourceSpec:
             raise ValueError("set exactly one of identity_transferable or alpha")
         if (self.k is None) == (self.temporally_reusable is None):
             raise ValueError("set exactly one of temporally_reusable or k")
-        _check_rule(self.alpha, self.k)
+        _check_rule(0.0 if self.alpha is None else self.alpha, self.k)
         if self.throughput_bounded and (
             self.temporally_reusable is not False or self.identity_transferable is not False
         ):

@@ -134,10 +134,11 @@ def non_amplification_experiment(m_range, s_values, n: int) -> Iterator[tuple[fl
         raise ValueError("m_range and s_values must be nonempty")
     if len(set(s_tuple)) != len(s_tuple):
         raise ValueError(f"s_values must not repeat an identity count, got {list(s_tuple)}")
-    law._check_count("n", n)
     for name, values in (("m", m_values), ("s", s_tuple)):
         for value in values:
             law._check_count(name, value)
+    # This checks n, and fails exactly when some cell has no participants.
+    influence_share(min(m_values), min(s_tuple), n)
     if min(s_tuple) <= max(m_values):
         warnings.warn(
             "identity counts do not all exceed the channel range; share columns may differ",
@@ -145,4 +146,4 @@ def non_amplification_experiment(m_range, s_values, n: int) -> Iterator[tuple[fl
         )
     # A list per row: tuple() over a generator shrinks a spare-slot tuple, and a freed
     # shrunk tuple joins its size's free list without having taken from it.
-    return (tuple([influence_share(m, s, n) for s in s_tuple]) for m in m_values)
+    return (tuple([min(m, s) / (min(m, s) + n) for s in s_tuple]) for m in m_values)

@@ -218,6 +218,10 @@ def test_partial_transfer_alpha_validation():
         cost_partial_transferability(2, 2, 1.0, -0.1)
     with pytest.raises(ValueError):
         cost_partial_transferability(2, 2, 1.0, 1.1)
+    # The law checks alpha before it prices a degenerate target as free.
+    for s, T in ((0, 5), (5, 0)):
+        with pytest.raises(TypeError):
+            cost_carry_over(s, T, 1.0, None, None)
 
 
 def test_bounded_reuse_examples():

@@ -174,6 +174,11 @@ def test_experiment_checks_its_counts_when_called(m_range, s_values, n, name):
         non_amplification_experiment(m_range, s_values, n)
 
 
+def test_experiment_checks_for_a_cell_without_participants_when_called():
+    with pytest.raises(ValueError, match="share is undefined"):
+        non_amplification_experiment([3, 0], [5], 0)
+
+
 def test_experiment_rejects_a_repeated_identity_count():
     # Shares are keyed by identity count, so a repeat would collapse a column.
     with pytest.raises(ValueError, match="must not repeat"):
