@@ -8,7 +8,7 @@ a time until one fails: tests/test_oracle.py, tests/test_oracle_scan.py,
 tests/test_uniform_plan.py and `python -m sybilcost.cli verify-all`.  A mutant
 is killed by the first check that fails, and survives if all pass.  The
 unmutated copy must pass them all first.  Every mutant is run, and the kill
-table goes to stdout.
+table goes to stdout.  The exit code is 0 only when every mutant is killed.
 
     python scripts/mutants.py   # a few minutes
 """
@@ -123,7 +123,7 @@ def main():
         print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
     survivors = sum(row[2] == "SURVIVED" for row in rows)
     print(f"{len(rows) - survivors} of {len(rows)} killed")
-    return 0
+    return 1 if survivors else 0
 
 
 if __name__ == "__main__":

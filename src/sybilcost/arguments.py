@@ -39,13 +39,10 @@ _SWEEP_PRESETS: dict[str, tuple[tuple, tuple, tuple, tuple]] = {
 }
 
 
-class _UsageError(Exception):
-    """Bad invocation; converted to a one-line diagnostic and exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
+        # `cli.dispatch` prints every ValueError as one line and exits 1.
+        raise ValueError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -53,24 +50,12 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
+# fig3's channel range needs m >= 1, a rule of the command: the library accepts
+# m = 0.  Every other number is checked by the library rule that owns it.
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
     return value
 
 
@@ -131,11 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("cost", parents=[common], help="evaluate one closed-form cost law")
     sub.add_argument("--class", dest="cost_class", required=True,
                      choices=("par", "bnd", "hybrid", "partial", "bounded-reuse"))
-    sub.add_argument("--s", type=_nonnegative_int, required=True)
-    sub.add_argument("--T", type=_nonnegative_int, required=True)
-    sub.add_argument("--rmin", type=_positive_float, required=True)
+    sub.add_argument("--s", type=int, required=True)
+    sub.add_argument("--T", type=int, required=True)
+    sub.add_argument("--rmin", type=float, required=True)
     sub.add_argument("--alpha", type=float, default=None)
-    sub.add_argument("--k", type=_positive_int, default=None)
+    sub.add_argument("--k", type=int, default=None)
     sub.add_argument("--coord", choices=_COORDINATION, default=None, help="default: zero")
     sub.add_argument("--format", choices=("csv", "json"), default="json")
     sub.add_argument("--out", default=None)
@@ -144,30 +129,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("crossover", parents=[common, _format_options(None)],
                                 help="regime-crossover thresholds")
     sub.add_argument("--table", action="store_true", help="emit the full default (T, r_min) grid")
-    sub.add_argument("--T", type=_positive_int, default=None)
-    sub.add_argument("--rmin", type=_positive_float, default=None)
+    sub.add_argument("--T", type=int, default=None)
+    sub.add_argument("--rmin", type=float, default=None)
 
     sub = subparsers.add_parser("oracle", parents=[common], help="exact minimum plan cost on a grid")
     sub.add_argument("--spec", required=True)
-    sub.add_argument("--s", type=_nonnegative_int, required=True)
-    sub.add_argument("--T", type=_positive_int, required=True)
-    sub.add_argument("--grid-step", type=_positive_float, default=None)
+    sub.add_argument("--s", type=int, required=True)
+    sub.add_argument("--T", type=int, required=True)
+    sub.add_argument("--grid-step", type=float, default=None)
     # None stands for oracle.DEFAULT_PLAN_CEILING, so building the parser loads no oracle.
-    sub.add_argument("--ceiling", type=_positive_int, default=None)
+    sub.add_argument("--ceiling", type=int, default=None)
     sub.add_argument("--coord", choices=_COORDINATION, default="zero")
     sub.add_argument("--out", default=None)
 
     sub = subparsers.add_parser("simulate", parents=[common, fmt], help="window-by-window share trace")
     sub.add_argument("--spec", required=True)
-    sub.add_argument("--m", type=_nonnegative_int, default=None,
+    sub.add_argument("--m", type=int, default=None,
                      help="adversarial channel count of a throughput-bounded spec (default: 0)")
-    sub.add_argument("--s", type=_nonnegative_int, required=True)
-    sub.add_argument("--n", type=_nonnegative_int, required=True, help="honest validator count")
-    sub.add_argument("--T", type=_positive_int, required=True)
+    sub.add_argument("--s", type=int, required=True)
+    sub.add_argument("--n", type=int, required=True, help="honest validator count")
+    sub.add_argument("--T", type=int, required=True)
 
     sub = subparsers.add_parser("fig3", parents=[common, fmt],
                                 help="identity-vs-channel share dataset")
-    sub.add_argument("--n", type=_nonnegative_int, default=200)
+    sub.add_argument("--n", type=int, default=200)
     sub.add_argument("--s-values", dest="s_values", type=_int_list, default=(400, 700, 1000))
     sub.add_argument("--m-min", dest="m_min", type=_positive_int, default=10)
     sub.add_argument("--m-max", dest="m_max", type=_positive_int, default=200)

@@ -24,7 +24,7 @@ from typing import Iterable
 # csv is imported by the CSV branch of `_table_text`, so the other commands
 # never load it.
 from . import resources
-from .arguments import OUTPUT_DIR_ENV, _UsageError, build_parser
+from .arguments import OUTPUT_DIR_ENV, build_parser
 
 __all__ = [
     "EXIT_BUDGET",
@@ -131,9 +131,9 @@ def _resolve_spec(token: str) -> resources.ResourceSpec:
 
         specs = load_specs(path)
         if len(specs) != 1:
-            raise _UsageError(f"spec file {token!r} must contain exactly one spec, found {len(specs)}")
+            raise ValueError(f"spec file {token!r} must contain exactly one spec, found {len(specs)}")
         return specs[0]
-    raise _UsageError(f"{token!r} is neither a built-in preset nor a spec file")
+    raise ValueError(f"{token!r} is neither a built-in preset nor a spec file")
 
 
 @functools.cache
@@ -149,7 +149,7 @@ def dispatch(argv: list[str] | None = None) -> int:
         args = _shared_parser().parse_args(argv)
         command = importlib.import_module(f".commands.{args.command.replace('-', '_')}", __package__)
         return command.run(args)
-    except (_UsageError, ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

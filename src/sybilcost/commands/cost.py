@@ -4,22 +4,21 @@ import argparse
 from dataclasses import asdict
 
 from .. import cli, costs
-from ..arguments import _UsageError
 from ..law import CoordinationModel
 
 
 def run(args: argparse.Namespace) -> int:
     law = args.cost_class
     if law == "partial" and args.alpha is None:
-        raise _UsageError("--class partial requires --alpha")
+        raise ValueError("--class partial requires --alpha")
     if law == "bounded-reuse" and args.k is None:
-        raise _UsageError("--class bounded-reuse requires --k")
+        raise ValueError("--class bounded-reuse requires --k")
     if args.alpha is not None and law != "partial":
-        raise _UsageError("--alpha applies only to --class partial")
+        raise ValueError("--alpha applies only to --class partial")
     if args.k is not None and law != "bounded-reuse":
-        raise _UsageError("--k applies only to --class bounded-reuse")
+        raise ValueError("--k applies only to --class bounded-reuse")
     if args.coord is not None and law in ("bnd", "bounded-reuse"):
-        raise _UsageError("--coord applies only to --class par, hybrid or partial")
+        raise ValueError("--coord applies only to --class par, hybrid or partial")
     coordination = CoordinationModel(args.coord or "zero")
 
     row: dict[str, object] = {

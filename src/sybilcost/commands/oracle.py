@@ -5,7 +5,6 @@ import sys
 from dataclasses import asdict
 
 from .. import cli, law, oracle, plans
-from ..arguments import _UsageError
 
 
 def run(args: argparse.Namespace) -> int:
@@ -17,7 +16,7 @@ def run(args: argparse.Namespace) -> int:
     grid = plans.PlanGrid.for_scenario(scenario, step=args.grid_step, ceiling=ceiling)
     # verify_bounds compares with the law at r_min itself, so the grid must hold r_min.
     if not grid.holds(spec.r_min):
-        raise _UsageError(f"--grid-step {grid.step} does not divide r_min {spec.r_min} of {spec.name!r}")
+        raise ValueError(f"--grid-step {grid.step} does not divide r_min {spec.r_min} of {spec.name!r}")
     try:
         result = oracle.min_cost(scenario, grid=grid)
     except plans.PlanBudgetExceeded as exc:

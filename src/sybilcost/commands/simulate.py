@@ -4,13 +4,12 @@ import argparse
 from dataclasses import asdict
 
 from .. import cli, simulation
-from ..arguments import _UsageError
 
 
 def run(args: argparse.Namespace) -> int:
     spec = cli._resolve_spec(args.spec)
     if args.m is not None and not spec.throughput_bounded:
-        raise _UsageError("--m applies only to a throughput-bounded spec")
+        raise ValueError("--m applies only to a throughput-bounded spec")
     config = simulation.ScenarioConfig(n_honest=args.n, m=args.m or 0, s=args.s, T=args.T, spec=spec)
     trace = simulation.run(config)
     rows = (asdict(row) for row in trace.per_window)

@@ -4,7 +4,7 @@ import argparse
 import itertools
 
 from .. import cli, costs, law
-from ..arguments import _SWEEP_PRESETS, _UsageError
+from ..arguments import _SWEEP_PRESETS
 
 
 def _sweep_row(point: tuple[int, int, float, str]) -> dict[str, object]:
@@ -28,20 +28,20 @@ def _sweep_row(point: tuple[int, int, float, str]) -> dict[str, object]:
 def run(args: argparse.Namespace) -> int:
     """Both closed-form laws over the grid, one row per point in nested axis order.
 
-    Each flag replaces its preset axis; coordination defaults to zero.
+    Each flag replaces its preset axis; coordination defaults to zero.  The
+    law refuses a threshold that is not positive in the row that holds it,
+    before any byte is written.
     """
     preset = _SWEEP_PRESETS.get(args.preset, (None, None, None, ("zero",)))
     flags = (args.s, args.T, args.rmin, args.coord)
     axes = [preset_axis if flag is None else flag for preset_axis, flag in zip(preset, flags)]
     s_values, T_values, r_min_values, _kinds = axes
     if s_values is None or T_values is None or r_min_values is None:
-        raise _UsageError("sweep needs --preset or explicit --s, --T, and --rmin grids")
+        raise ValueError("sweep needs --preset or explicit --s, --T, and --rmin grids")
     if not all(axes):
-        raise _UsageError("sweep grids must be nonempty")
+        raise ValueError("sweep grids must be nonempty")
     if min(s_values) < 1 or min(T_values) < 1:
-        raise _UsageError("sweep targets and horizons must be positive")
-    if min(r_min_values) <= 0:
-        raise _UsageError("sweep thresholds must be positive")
+        raise ValueError("sweep targets and horizons must be positive")
     rows = map(_sweep_row, itertools.product(*axes))
     cli._emit(args, cli._table_text(args.format, rows, meta=cli._meta(args), rows=rows))
     return cli.EXIT_OK

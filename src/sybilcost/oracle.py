@@ -140,8 +140,10 @@ def min_cost(scenario: OracleScenario, grid: PlanGrid | None = None) -> OracleRe
     identities, then lexicographically on the descending allocation tuple,
     so results are deterministic.  Raises PlanBudgetExceeded before
     scanning a grid whose configuration count exceeds the ceiling, and
-    ValueError when no grid configuration can reach the per-window influence
-    target.
+    before building a witness whose T allocation rows and T acquisitions
+    hold more than the ceiling's count of values (so an empty attack is
+    bounded too); raises ValueError when no grid configuration can reach the
+    per-window influence target.
     """
     s, T = scenario.s, scenario.T
     alpha, k = carry_over(scenario.spec, T)
@@ -156,6 +158,12 @@ def min_cost(scenario: OracleScenario, grid: PlanGrid | None = None) -> OracleRe
             raise ValueError("no feasible window configuration on this grid")
         units, _active, descending = best
         fielded = tuple([value * step for value in descending if value])
+    # The witness holds T rows of allocations and T acquisitions.
+    size = T * (len(fielded) + 1)
+    if size > effective_grid.ceiling:
+        raise PlanBudgetExceeded(
+            f"a witness of {size} values exceeds the ceiling of {effective_grid.ceiling}"
+        )
     acquisitions = acquisition_schedule(alpha, k, T, units * step)
     witness = AllocationPlan(T, (fielded,) * T, acquisitions)
     # The law's exact helper prices `units` grid steps at the rule (alpha, k).

@@ -34,7 +34,7 @@ DEFAULT_PLAN_CEILING = 10_000_000
 
 
 class PlanBudgetExceeded(RuntimeError):
-    """Enumeration would exceed the configured plan-count ceiling."""
+    """The search would scan, or its witness hold, more than the grid's ceiling allows."""
 
 
 @dataclass(frozen=True)

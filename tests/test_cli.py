@@ -292,6 +292,17 @@ def test_oracle_refuses_a_huge_grid_at_once_in_one_short_line(capsys, s):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("s", ["0", "3"])
+def test_oracle_refuses_a_huge_horizon_at_once_in_one_line(capsys, s):
+    # The witness alone would hold about 10^8 values, even with no identity fielded.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "oracle", "--spec", "pos-stake", "--s", s, "--T", "99999999")
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (cli.EXIT_BUDGET, "")
+    assert err.startswith("error: a witness of ") and err.count("\n") == 1, err
+    assert elapsed < 1.0
+
+
 def test_oracle_grid_too_fine_to_count_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "oracle", "--spec", "pos-stake", "--s", "2", "--T", "3",
                            "--grid-step", "5e-324")
@@ -744,6 +755,52 @@ def test_non_finite_numbers_are_a_one_line_usage_error(capsys, argv):
     assert out == ""
     assert err.startswith("error:")
     assert err.count("\n") == 1
+
+
+# A valid invocation of each command; a case appends one option, whose last
+# value is the one argparse keeps.
+_VALID_ARGV = {
+    "cost": ("cost", "--class", "par", "--s", "2", "--T", "3", "--rmin", "1"),
+    "cost-k": ("cost", "--class", "bounded-reuse", "--s", "2", "--T", "3", "--rmin", "1",
+               "--k", "2"),
+    "crossover": ("crossover", "--T", "10", "--rmin", "1"),
+    "oracle": ("oracle", "--spec", "pos-stake", "--s", "2", "--T", "2"),
+    "simulate": ("simulate", "--spec", "device-bound", "--s", "2", "--n", "1", "--T", "2"),
+    "fig3": ("fig3",),
+}
+_THRESHOLDS = ("0", "-2", "nan", "inf")
+_OUT_OF_RANGE = [
+    *[("cost", flag, "-1") for flag in ("--s", "--T")],
+    *[("cost", "--rmin", value) for value in _THRESHOLDS],
+    *[("cost-k", "--k", value) for value in ("0", "-1")],
+    *[("crossover", "--T", value) for value in ("0", "-1")],
+    *[("crossover", "--rmin", value) for value in _THRESHOLDS],
+    ("oracle", "--s", "-1"),
+    *[("oracle", flag, value) for flag in ("--T", "--ceiling") for value in ("0", "-1")],
+    *[("oracle", "--grid-step", value) for value in _THRESHOLDS],
+    *[("simulate", flag, "-1") for flag in ("--m", "--s", "--n")],
+    *[("simulate", "--T", value) for value in ("0", "-1")],
+    ("fig3", "--n", "-1"),
+    # The channel range is the one count the CLI checks itself: the library accepts m = 0.
+    *[("fig3", flag, "0") for flag in ("--m-min", "--m-max", "--m-step")],
+    ("fig3", "--m-step", "-1"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value", _OUT_OF_RANGE, ids=[f"{c}{f}={v}" for c, f, v in _OUT_OF_RANGE]
+)
+def test_out_of_range_numbers_are_a_one_line_usage_error(capsys, command, flag, value):
+    code, out, err = run_cli(capsys, *_VALID_ARGV[command], flag, value)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", sorted(_VALID_ARGV))
+def test_the_out_of_range_cases_start_from_valid_invocations(capsys, command):
+    code, _, _ = run_cli(capsys, *_VALID_ARGV[command])
+    assert code == cli.EXIT_OK
 
 
 @pytest.mark.parametrize(

@@ -94,8 +94,22 @@ def test_plan_budget_ceiling_is_enforced():
         min_cost(scenario, grid=grid)
 
 
-@pytest.mark.parametrize("field", ["s", "T"])
-@pytest.mark.parametrize("value", [2.5, 2.0, True])
+@pytest.mark.parametrize("s, fielded", [(0, 0), (3, 1)])
+def test_the_witness_ceiling_counts_allocations_and_acquisitions(s, fielded):
+    # T windows of `fielded` allocations and one acquisition each fit exactly;
+    # the grid has 4 configurations, below either ceiling.
+    scenario = OracleScenario(s=s, T=5, spec=STAKE)
+    grid = PlanGrid(step=1.0, max_value=3.0, max_identities=1, ceiling=5 * (fielded + 1))
+    assert len(min_cost(scenario, grid=grid).witness.identities[0]) == fielded
+    tight = dataclasses.replace(grid, ceiling=grid.ceiling - 1)
+    with pytest.raises(PlanBudgetExceeded, match="witness"):
+        min_cost(scenario, grid=tight)
+
+
+# A horizon must also hold at least one window.
+@pytest.mark.parametrize(
+    "value, field", [*itertools.product([2.5, 2.0, True], ["s", "T"]), (0, "T")]
+)
 def test_scenario_counts_must_be_integers(field, value):
     fields = {**dict(s=2, T=2), field: value}
     with pytest.raises(ValueError, match=f"{field} must be"):
@@ -109,6 +123,13 @@ def test_plan_grid_numbers_must_be_finite(field, value):
     # The two counts must be integers, which no non-finite float is.
     kind = "an integer" if field in ("max_identities", "ceiling") else "finite"
     with pytest.raises(ValueError, match=f"{field} must be {kind}"):
+        PlanGrid(**fields)
+
+
+@pytest.mark.parametrize("field, value", [("step", 0.0), ("max_identities", 0), ("ceiling", 0)])
+def test_plan_grid_step_and_counts_must_be_positive(field, value):
+    fields = {**dict(step=0.5, max_value=2.0, max_identities=3), field: value}
+    with pytest.raises(ValueError, match=f"{field} must be"):
         PlanGrid(**fields)
 
 
