@@ -30,7 +30,7 @@ MUTANTS = (
     ("partial-transfer-alpha-is-1", "resources.py",
      "if spec.alpha is None else spec.alpha", "if spec.alpha is None else 1.0"),
     ("renewals-plus-one", "law.py",
-     "(a * renewals + (b - a) * T)", "(a * (renewals + 1) + (b - a) * T)"),
+     "flow += a * renewals * p * scale", "flow += a * (renewals + 1) * p * scale"),
     ("renew-every-k-plus-1-windows", "law.py",
      "window % k == 0", "window % (k + 1) == 0"),
     ("floor-units-eps-toward-zero", "plans.py",

@@ -8,7 +8,6 @@ holds what each command does.
 from __future__ import annotations
 
 import argparse
-import math
 
 from . import law
 
@@ -68,9 +67,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _float_list(text: str) -> tuple[float, ...]:
     try:
-        values = tuple([float(part) for part in text.split(",") if part != ""])
-        if all(math.isfinite(value) for value in values):
-            return values
+        return tuple([float(part) for part in text.split(",") if part != ""])
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers, got {text!r}")

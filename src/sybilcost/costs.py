@@ -3,17 +3,18 @@
 Each regime is one point on the carry-over scale of `law.cost_carry_over`:
 parallelizable stock is (1, None), bought once; throughput-bounded flow is
 (0, 1), nothing carried over; partial transferability (alpha, None) and
-bounded reuse (1, k) lie in between.  Hybrid resources compose additively.
-Degenerate targets cost nothing: C(0, T) = C(s, 0) = 0 by convention.
+bounded reuse (1, k) lie in between.  `governance_hybrid` is the law at two
+parts, stake and channel, and `cost_hybrid` adds two reports.  Only
+`crossover` does arithmetic here, one integer quotient.  Degenerate targets
+cost nothing: C(0, T) = C(s, 0) = 0 by convention.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .law import ZERO_COORDINATION, CoordinationModel, CostReport, _check_args, _check_count
-from .law import _check_positive, cost_carry_over
+from .law import _check_positive, _report, cost_carry_over
 
 __all__ = [
     "CROSSOVER_HORIZONS",
@@ -124,38 +125,14 @@ def governance_hybrid(
     channel share renews, so the cost keeps the channel's linear floor:
     s * r_stake + s * T * r_channel + h(s, T).  With stake-weighted votes the
     cap is gone and one identity can pool all the stake behind one channel for
-    s * r_stake + T * r_channel, which this law does not price.  Unlike
-    `cost_hybrid`, which only sees two rounded reports, this knows both
-    thresholds: its stock and flow shares, total, marginal and normalized ratio
-    are each an exact sum, rounded once.
+    s * r_stake + T * r_channel, which this law does not price.  It is the
+    law at two parts, stake (r_stake, 1, None) and channel (r_channel, 0, 1),
+    so unlike `cost_hybrid`, which only sees two rounded reports, its shares,
+    total, marginal and normalized ratio are each an exact sum, rounded once.
     """
     _check_args(s, T, stake_r_min)
     _check_args(s, T, channel_r_min)
-    if s == 0 or T == 0:
-        return CostReport(s, T, 0.0, 0.0, 0.0, 0.0, 0.0, None)
-    (a, b), (c, d) = stake_r_min.as_integer_ratio(), channel_r_min.as_integer_ratio()
-    overhead = coordination.evaluate(s, T)
-    # h takes whole-number values, so int() keeps each one exact.
-    whole = int(overhead)
-    step = whole - int(coordination.evaluate(s - 1, T))
-
-    def once(stake: int, channel: int, h: int = 0, divisor: int = 1) -> float:
-        """(stake * stake_r_min + channel * channel_r_min + h) / divisor, exact, rounded once."""
-        try:
-            return (stake * a * d + channel * c * b + h * b * d) / (b * d * divisor)
-        except OverflowError:
-            return math.inf  # past the float range
-
-    return CostReport(
-        s,
-        T,
-        total=once(s, s * T, whole),
-        stock=once(s, 0),
-        flow=once(0, s * T),
-        coordination=overhead,
-        marginal=once(1, T, step),
-        normalized=once(s, s * T, whole, s * T),
-    )
+    return _report(s, T, ((stake_r_min, 1.0, None), (channel_r_min, 0.0, 1)), coordination)
 
 
 # ---------------------------------------------------------------------------

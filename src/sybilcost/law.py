@@ -4,13 +4,15 @@ The central quantity is the minimum expenditure needed to keep s units of
 influence active for T consecutive windows.  One law, `cost_carry_over`,
 states it for every carry-over rule (alpha, k) that `resources.carry_over`
 reads from a resource's property flags: the alpha share of a purchase lasts
-k windows and the rest is bought anew every window.  `acquisition_schedule`
-is the same law window by window.  The named regimes, composition and
-crossover are in `costs`; the oracle, the plan model and the simulation
-price with this module alone.  Degenerate targets cost nothing:
-C(0, T) = C(s, 0) = 0 by convention.  The input rules that every module
-checks its arguments with (counts, thresholds and the carry-over bounds) are
-written once here, in `_check_count`, `_check_positive` and `_check_rule`.
+k windows and the rest is bought anew every window.  A resource is priced as
+(r_min, alpha, k) parts, summed exactly per identity and rounded once per
+figure, so a hybrid is two parts.  `acquisition_schedule` is the same law
+window by window.  The named regimes, composition and crossover are in
+`costs`; the oracle, the plan model and the simulation price with this module
+alone.  Degenerate targets cost nothing: C(0, T) = C(s, 0) = 0 by convention.
+The input rules that every module checks its arguments with (counts,
+thresholds and the carry-over bounds) are written once here, in
+`_check_count`, `_check_positive` and `_check_rule`.
 """
 
 from __future__ import annotations
@@ -82,12 +84,13 @@ class CostReport:
     """Total cost with its stock / flow / coordination decomposition.
 
     ``total`` is stock + flow + coordination.  `cost_carry_over` and
-    `costs.governance_hybrid` sum them in exact rationals and round once, and
-    `costs.cost_hybrid` adds its components' totals, so a total can differ from
-    the float sum of the three parts in the last bit.  ``marginal`` is the cost
-    of the s-th unit, Delta(s, T) = C(s, T) - C(s - 1, T), and ``normalized``
-    is total / (s * T), or None when the target is degenerate; those two laws
-    round each once too, so at s = 1 the marginal equals the total.
+    `costs.governance_hybrid` build their reports in one place, which sums
+    them in exact rationals and rounds once, and `costs.cost_hybrid` adds its
+    components' totals, so a total can differ from the float sum of the three
+    parts in the last bit.  ``marginal`` is the cost of the s-th unit,
+    Delta(s, T) = C(s, T) - C(s - 1, T), and ``normalized`` is total / (s * T),
+    or None when the target is degenerate; those two laws round each once too,
+    so at s = 1 the marginal equals the total.
     """
 
     s: int
@@ -105,16 +108,48 @@ def _check_args(s: int, T: int, r_min: float) -> None:
     _check_positive("r_min", r_min)
 
 
-def _rounded_once(
-    count: int, renewals: int, T: int, unit: float, alpha: float, h: float = 0.0, divisor: int = 1
-) -> float:
-    """(count * unit * (alpha * renewals + (1 - alpha) * T) + h) / divisor, exact, rounded once."""
-    (a, b), (p, q) = alpha.as_integer_ratio(), unit.as_integer_ratio()
-    c, d = h.as_integer_ratio()
+# A resource as its parts, each one share (r_min, alpha, k) under the carry-over rule (alpha, k).
+_Parts = tuple[tuple[float, float, int | None], ...]
+
+
+def _exact(T: int, parts: _Parts) -> tuple[int, int, int]:
+    """(stock, flow, scale): one identity's exact stock / scale and flow / scale over T windows."""
+    stock, flow, scale = 0, 0, 1
+    for r_min, alpha, k in parts:
+        (p, q), (a, b) = r_min.as_integer_ratio(), alpha.as_integer_ratio()
+        d = b * q
+        stock, flow = stock * d, flow * d + (b - a) * T * p * scale
+        if k is None:
+            stock += a * p * scale  # the alpha share is bought once
+        else:
+            renewals = -(-T // k)
+            flow += a * renewals * p * scale
+        scale *= d
+    return stock, flow, scale
+
+
+def _quotient(numerator: int, denominator: int) -> float:
+    """numerator / denominator rounded once, or inf past the float range."""
     try:
-        return (count * p * (a * renewals + (b - a) * T) * d + c * b * q) / (b * q * d * divisor)
+        return numerator / denominator
     except OverflowError:
-        return math.inf  # past the float range
+        return math.inf
+
+
+def _report(s: int, T: int, parts: _Parts, coordination: CoordinationModel) -> CostReport:
+    """The report for s identities holding every part for T windows, each figure rounded once."""
+    if s == 0 or T == 0:
+        return CostReport(s, T, 0.0, 0.0, 0.0, 0.0, 0.0, None)
+    stock, flow, scale = _exact(T, parts)
+    overhead = coordination.evaluate(s, T)
+    # h takes whole-number values, so int() keeps each one exact.
+    h = int(overhead)
+    total = s * (stock + flow) + h * scale
+    step = h - int(coordination.evaluate(s - 1, T))
+    marginal = stock + flow + step * scale
+    return CostReport(s, T, _quotient(total, scale), _quotient(s * stock, scale),
+                      _quotient(s * flow, scale), overhead, _quotient(marginal, scale),
+                      _quotient(total, scale * s * T))
 
 
 def cost_carry_over(
@@ -140,22 +175,7 @@ def cost_carry_over(
     """
     _check_args(s, T, r_min)
     _check_rule(alpha, k)
-    if s == 0 or T == 0:
-        return CostReport(s, T, 0.0, 0.0, 0.0, 0.0, 0.0, None)
-    renewals = 1 if k is None else -(-T // k)
-    if k is None:
-        # T = 0 leaves the alpha share alone, and renewals = 0 the (1 - alpha) share.
-        stock = _rounded_once(s, renewals, 0, r_min, alpha)
-        flow = _rounded_once(s, 0, T, r_min, alpha)
-    else:
-        stock, flow = 0.0, _rounded_once(s, renewals, T, r_min, alpha)
-    overhead = coordination.evaluate(s, T)
-    total = _rounded_once(s, renewals, T, r_min, alpha, overhead)
-    # h takes whole-number values, so the float difference of two of them is exact.
-    step = overhead - coordination.evaluate(s - 1, T)
-    marginal = _rounded_once(1, renewals, T, r_min, alpha, step)
-    normalized = _rounded_once(s, renewals, T, r_min, alpha, overhead, s * T)
-    return CostReport(s, T, total, stock, flow, overhead, marginal, normalized)
+    return _report(s, T, ((r_min, alpha, k),), coordination)
 
 
 def acquisition_schedule(alpha: float, k: int, T: int, aggregate: float) -> tuple[float, ...]:
@@ -164,5 +184,7 @@ def acquisition_schedule(alpha: float, k: int, T: int, aggregate: float) -> tupl
     The law's per-window form under the rule (alpha, k): the aggregate every k windows,
     and in between the (1 - alpha) share the previous window spent, rounded once.
     """
-    spent = _rounded_once(1, 0, 1, aggregate, alpha) if math.isfinite(aggregate) else math.inf
+    # One window of the aggregate under (alpha, None): its flow is the spent share.
+    part = ((aggregate, alpha, None),)
+    spent = _report(1, 1, part, ZERO_COORDINATION).flow if math.isfinite(aggregate) else math.inf
     return tuple([aggregate if window % k == 0 else spent for window in range(T)])

@@ -13,9 +13,9 @@ cost is monotone in each window's aggregate allocation under every carry-over
 rule, so the grid optimum is always a uniform plan built from the best
 single-window configuration and the search is exact over all grid plans
 despite never materializing the cross-window product.  The minimum is priced
-by `law`'s exact helper, rounded to a float once.  Results come with a witness
-plan, which `verify_bounds` checks for feasibility under `plans`' accounting
-and against the closed-form bounds.
+by `law`'s exact per-identity sum, rounded to a float once.  Results come with
+a witness plan, which `verify_bounds` checks for feasibility under `plans`'
+accounting and against the closed-form bounds.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .law import _rounded_once, acquisition_schedule, cost_carry_over
+from .law import _exact, _quotient, acquisition_schedule, cost_carry_over
 # The plan model and the grid live in `plans`; the names used here are also
 # this module's attributes, where `verify_bounds` and the benchmark tracer look
 # them up.
@@ -166,9 +166,10 @@ def min_cost(scenario: OracleScenario, grid: PlanGrid | None = None) -> OracleRe
         )
     acquisitions = acquisition_schedule(alpha, k, T, units * step)
     witness = AllocationPlan(T, (fielded,) * T, acquisitions)
-    # The law's exact helper prices `units` grid steps at the rule (alpha, k).
-    overhead = scenario.coordination.evaluate(s, T)
-    total = _rounded_once(units, -(-T // k), T, step, alpha, overhead)
+    # The law's exact sum prices one grid step at the rule (alpha, k), times `units`.
+    stock, flow, scale = _exact(T, ((step, alpha, k),))
+    overhead = int(scenario.coordination.evaluate(s, T))
+    total = _quotient(units * (stock + flow) + overhead * scale, scale)
     return OracleResult(total, witness, examined, effective_grid)
 
 

@@ -741,13 +741,15 @@ def test_module_entry_point_writes_the_bytes_dispatch_writes(tmp_path, capsys):
         ("cost", "--class", "par", "--s", "10", "--T", "10", "--rmin", "nan"),
         ("crossover", "--T", "10", "--rmin", "inf"),
         ("sweep", "--s", "1", "--T", "2", "--rmin", "nan", "--format", "json"),
+        ("sweep", "--s", "1", "--T", "2", "--rmin", "inf"),
+        ("sweep", "--s", "1", "--T", "2", "--rmin", "1,nan"),
         # Finite input whose total overflows: the JSON and CSV emitters refuse inf.
         ("cost", "--class", "par", "--s", "10", "--T", "10", "--rmin", "1e308"),
         ("cost", "--class", "par", "--s", "10", "--T", "10", "--rmin", "1e308", "--format", "csv"),
         ("sweep", "--s", "10", "--T", "10", "--rmin", "1e308"),
     ],
-    ids=["cost-nan", "crossover-inf", "sweep-nan", "cost-overflow", "cost-overflow-csv",
-         "sweep-overflow-csv"],
+    ids=["cost-nan", "crossover-inf", "sweep-nan", "sweep-inf", "sweep-finite-then-nan",
+         "cost-overflow", "cost-overflow-csv", "sweep-overflow-csv"],
 )
 def test_non_finite_numbers_are_a_one_line_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -289,17 +289,23 @@ def test_hybrid_first_identity_marginal_is_the_total(coordination):
 
 @pytest.mark.parametrize("coordination", list(CoordinationModel), ids=lambda model: model.value)
 def test_governance_hybrid_rounds_the_exact_sum_once(coordination):
-    # Adding the two components' rounded totals missed this in 63 of the 256 cases.
+    # At s = 1, adding the two components' rounded totals missed this in 63 of the 256 cases.
     thresholds = (0.1, 0.3, 0.7, 1.1)
-    for stake_r in thresholds:
-        for channel_r in thresholds:
-            for T in range(1, 9):
-                report = governance_hybrid(1, T, stake_r, channel_r, coordination)
-                h = Fraction(coordination.evaluate(1, T))
-                exact = Fraction(stake_r) + T * Fraction(channel_r) + h
-                assert report.total == float(exact), (stake_r, channel_r, T)
-                assert report.marginal == float(exact), (stake_r, channel_r, T)
-                assert report.normalized == float(exact / T), (stake_r, channel_r, T)
+    for s in (1, 2, 7):
+        for stake_r in thresholds:
+            for channel_r in thresholds:
+                for T in range(1, 9):
+                    case = (s, stake_r, channel_r, T)
+                    report = governance_hybrid(s, T, stake_r, channel_r, coordination)
+                    h = Fraction(coordination.evaluate(s, T))
+                    step = h - Fraction(coordination.evaluate(s - 1, T))
+                    stock, flow = s * Fraction(stake_r), s * T * Fraction(channel_r)
+                    assert report.stock == float(stock), case
+                    assert report.flow == float(flow), case
+                    assert report.total == float(stock + flow + h), case
+                    marginal = Fraction(stake_r) + T * Fraction(channel_r) + step
+                    assert report.marginal == float(marginal), case
+                    assert report.normalized == float((stock + flow + h) / (s * T)), case
 
 
 @given(st.integers(min_value=2, max_value=300), DYADIC_R)
