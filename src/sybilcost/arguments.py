@@ -58,27 +58,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple([int(part) for part in text.split(",") if part != ""])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+def _comma_list(item, kind: str):
+    """A converter of comma-separated items, each read by `item`; empty items are skipped."""
+
+    def convert(text: str) -> tuple:
+        try:
+            return tuple([item(part) for part in text.split(",") if part != ""])
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {kind}, got {text!r}") from None
+
+    return convert
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple([float(part) for part in text.split(",") if part != ""])
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers, got {text!r}")
-
-
-def _coord_list(text: str) -> tuple[str, ...]:
-    kinds = tuple([part for part in text.split(",") if part != ""])
-    for kind in kinds:
-        if kind not in _COORDINATION:
-            raise argparse.ArgumentTypeError(f"unknown coordination kind {kind!r}")
-    return kinds
+_int_list = _comma_list(int, "integers")
+_float_list = _comma_list(float, "numbers")
+_coord_list = _comma_list(lambda name: law.CoordinationModel(name).value, "coordination kinds")
 
 
 # ---------------------------------------------------------------------------

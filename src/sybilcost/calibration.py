@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .costs import cost_parallelizable, cost_throughput_bounded
-from .law import ZERO_COORDINATION, CoordinationModel, CostReport, _check_positive
+from .law import ZERO_COORDINATION, CoordinationModel, CostReport, _check_count, _check_positive
 
 __all__ = [
     "BTC_NETWORK_UNITS",
@@ -77,14 +77,14 @@ class CalibrationScenario:
         if not self.s_tiers:
             raise ValueError("scenario needs at least one tier")
         sizes = [size for _, size in self.s_tiers]
-        if not all(type(size) is int and size >= 1 for size in sizes):
-            raise ValueError(f"s_tiers sizes must be positive integers, got {sizes}")
+        for size in sizes:
+            _check_count("s", size, 1)
         if sizes != sorted(sizes, reverse=True):
             raise ValueError("tiers must be ordered from largest to smallest")
-        if not self.T_range or not all(type(T) is int and T >= 1 for T in self.T_range):
-            raise ValueError(
-                f"T_range must be a nonempty tuple of positive integers, got {self.T_range}"
-            )
+        if not self.T_range:
+            raise ValueError("scenario needs at least one horizon")
+        for T in self.T_range:
+            _check_count("T", T, 1)
 
 
 @dataclass(frozen=True)

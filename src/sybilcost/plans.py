@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .law import ZERO_COORDINATION, CoordinationModel, _check_count, _check_positive
+from .law import ZERO_COORDINATION, CoordinationModel, _check_count, _check_positive, _quotient
 from .resources import ResourceSpec, carry_over
 
 __all__ = [
@@ -185,8 +185,8 @@ def plan_feasible(plan: AllocationPlan, scenario: OracleScenario) -> bool:
     need = scenario.target * low
     # The sums over the last k windows are kept exactly, in units of 1/scale
     # (every finite float is a dyadic rational), and each is rounded to a
-    # float once.  An infinite value counts 2**1024 floats, so a sum holding
-    # it rounds to inf.
+    # float once by `law._quotient`.  An infinite value counts 2**1024 floats,
+    # so a sum holding it rounds to inf.
     scale = max([value.as_integer_ratio()[1] for row in (plan.acquisitions, *plan.identities)
                  for value in row if value < math.inf], default=1)
 
@@ -195,12 +195,6 @@ def plan_feasible(plan: AllocationPlan, scenario: OracleScenario) -> bool:
             return scale << 1024
         numerator, denominator = value.as_integer_ratio()
         return numerator * (scale // denominator)
-
-    def rounded(total: int) -> float:
-        try:
-            return total / scale
-        except OverflowError:
-            return math.inf
 
     bought = [units(value) for value in plan.acquisitions]
     aggregates = [sum(map(units, row)) for row in plan.identities]
@@ -212,8 +206,8 @@ def plan_feasible(plan: AllocationPlan, scenario: OracleScenario) -> bool:
         if any(value > cap for value in row) or reached < need:
             return False
         alive += bought[t]
-        spent = (1.0 - alpha) * rounded(before)
-        if rounded(alive) < (spent + rounded(aggregates[t])) * low:
+        spent = (1.0 - alpha) * _quotient(before, scale)
+        if _quotient(alive, scale) < (spent + _quotient(aggregates[t], scale)) * low:
             return False
         before += aggregates[t]
         if t >= k - 1:

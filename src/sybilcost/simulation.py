@@ -57,8 +57,9 @@ class ScenarioConfig:
     spec: ResourceSpec
 
     def __post_init__(self) -> None:
-        for field in ("n_honest", "m", "s"):
-            law._check_count(field, getattr(self, field))
+        # The honest count is n, as in `influence_share` and on the command line.
+        for name, value in (("n", self.n_honest), ("m", self.m), ("s", self.s)):
+            law._check_count(name, value)
         law._check_count("T", self.T, 1)
 
 

@@ -119,15 +119,26 @@ def test_scenario_requires_positive_parameters():
         CalibrationScenario(name="bad", r_min=1.0, s_tiers=(("a", 10),), T_range=(0,))
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [({"s_tiers": ()}, "at least one tier"), ({"T_range": ()}, "at least one horizon")],
+)
+def test_scenario_needs_a_tier_and_a_horizon(fields, message):
+    with pytest.raises(ValueError, match=message):
+        CalibrationScenario(**{**dict(name="bad", r_min=1.0, s_tiers=(("a", 10),), T_range=(1,)),
+                               **fields})
+
+
 @pytest.mark.parametrize("field", ["r_min", "supply_reference", "s_tiers", "T_range"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_scenario_numbers_must_be_finite(field, value):
     # Tier sizes and horizons are integer counts: the bad number goes inside the tuple.
     wrapped = {"s_tiers": (("a", value),), "T_range": (value,)}.get(field, value)
     fields = {**dict(name="bad", r_min=1.0, s_tiers=(("a", 10),), T_range=(1,)), field: wrapped}
+    # `law._check_count` names a tier size s and a horizon T.
     message = {
-        "s_tiers": "s_tiers sizes must be positive integers",
-        "T_range": "T_range must be a nonempty tuple of positive integers",
+        "s_tiers": "^s must be an integer at least 1",
+        "T_range": "^T must be an integer at least 1",
     }.get(field, f"{field} must be finite and positive")
     with pytest.raises(ValueError, match=message):
         CalibrationScenario(**fields)

@@ -799,6 +799,25 @@ def test_out_of_range_numbers_are_a_one_line_usage_error(capsys, command, flag, 
     assert err.count("\n") == 1
 
 
+# The library checks the honest count under the flag's name, n, for both commands.
+@pytest.mark.parametrize("command", ["simulate", "fig3"])
+def test_a_negative_honest_count_is_named_n(capsys, command):
+    code, out, err = run_cli(capsys, *_VALID_ARGV[command], "--n", "-1")
+    assert (code, out, err) == (cli.EXIT_USAGE, "", "error: n must be a nonnegative integer, got -1\n")
+
+
+# The comma-list options share one message form; each value is checked by the library.
+@pytest.mark.parametrize(
+    "flag, value, kind",
+    [("--s", "1,x", "integers"), ("--rmin", "abc", "numbers"),
+     ("--coord", "zero,foo", "coordination kinds")],
+)
+def test_comma_lists_share_one_message(capsys, flag, value, kind):
+    code, out, err = run_cli(capsys, "sweep", "--s", "1", "--T", "1", "--rmin", "1", flag, value)
+    message = f"error: argument {flag}: expected comma-separated {kind}, got {value!r}\n"
+    assert (code, out, err) == (cli.EXIT_USAGE, "", message)
+
+
 @pytest.mark.parametrize("command", sorted(_VALID_ARGV))
 def test_the_out_of_range_cases_start_from_valid_invocations(capsys, command):
     code, _, _ = run_cli(capsys, *_VALID_ARGV[command])

@@ -155,6 +155,49 @@ def test_no_tuple_is_built_from_a_generator():
     assert not sites, f"tuple(<generator>) at {', '.join(sorted(sites))}"
 
 
+# `law` owns two rules that a module might restate: a quotient rounded to inf
+# past the float range (`law._quotient`) and the integer-count rule
+# (`law._check_count`).  An `except OverflowError` or a `type(...) is int`
+# anywhere else is a second copy, except in `cli.dispatch`, which turns every
+# refusal into one `error:` line, and `specfiles._has_type`, which checks JSON types.
+RULE_EXEMPT = {("cli.py", "dispatch"), ("specfiles.py", "_has_type")}
+
+
+def _restated_rules(path):
+    """(rule, "file:line") for each OverflowError handler and `type(...) is int` in a module."""
+    name = path.relative_to(SRC / "sybilcost").as_posix()
+    tree = ast.parse(path.read_text(), str(path))
+    exempt = {id(node) for function in ast.walk(tree)
+              if isinstance(function, ast.FunctionDef) and (name, function.name) in RULE_EXEMPT
+              for node in ast.walk(function)}
+    sites = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(isinstance(kind, ast.Name) and kind.id == "OverflowError" for kind in kinds):
+                sites.append(("overflow", f"{name}:{node.lineno}"))
+        if (
+            isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Call)
+            and isinstance(node.left.func, ast.Name)
+            and node.left.func.id == "type"
+            and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+            and any(isinstance(right, ast.Name) and right.id == "int" for right in node.comparators)
+        ):
+            sites.append(("count", f"{name}:{node.lineno}"))
+    return sites
+
+
+def test_each_rule_that_law_owns_is_written_only_there():
+    owner = SRC / "sybilcost" / "law.py"
+    # The walk finds both rules in their owner, so finding none elsewhere means something.
+    assert {rule for rule, _ in _restated_rules(owner)} == {"overflow", "count"}
+    copies = [site for path in MODULE_PATHS if path != owner for _, site in _restated_rules(path)]
+    assert not copies, f"a rule that `law` owns is restated at {', '.join(sorted(copies))}"
+
+
 def _module_name(command):
     return "sybilcost.commands." + command.replace("-", "_")
 

@@ -526,10 +526,23 @@ def _slack(*weighted):
     return sum(Fraction(abs(weight)) * Fraction(math.ulp(value)) / 2 for weight, value in weighted)
 
 
-@pytest.mark.parametrize("r_min", [0.5, 1.0, 0.7])
-def test_oracle_minima_separate_the_scaling_classes(r_min):
-    # Zero coordination, s <= 4.  Each statement is exact on a dyadic threshold;
-    # on 0.7 it holds within the rounding of the minima it combines.
+# Thresholds over six orders of magnitude, under each coordination overhead: the
+# amortization holds regardless of protocol design.  The zero-overhead cases keep
+# their bare threshold ids.
+THEOREM_CASES = [
+    pytest.param(r_min, coordination,
+                 id=str(r_min) if coordination is law.ZERO_COORDINATION
+                 else f"{r_min}-{coordination.value}")
+    for coordination in law.CoordinationModel
+    for r_min in (0.5, 1.0, 0.7, 2.0 ** -10, 2.0 ** 10)
+]
+
+
+@pytest.mark.parametrize("r_min, coordination", THEOREM_CASES)
+def test_oracle_minima_separate_the_scaling_classes(r_min, coordination):
+    # s <= 4.  Each statement is made on C - h(s, T), with h exact.  It is exact
+    # on a dyadic threshold; on 0.7 it holds within the rounding of the minima
+    # it combines.
     r, alpha = Fraction(r_min), Fraction(1, 2)
     specs = {
         "par": dataclasses.replace(STAKE, r_min=r_min),
@@ -543,13 +556,18 @@ def test_oracle_minima_separate_the_scaling_classes(r_min):
         "partial": lambda T: r * ((1 - alpha) * T + alpha),
         "reuse": lambda T: r * -(-T // 3),
     }
-    C = {
-        (name, s, T): min_cost(OracleScenario(s=s, T=T, spec=spec)).min_cost
+    M = {
+        (name, s, T): min_cost(OracleScenario(s=s, T=T, spec=spec,
+                                              coordination=coordination)).min_cost
         for name, spec in specs.items()
         for s in range(5)
         for T in THEOREM_HORIZONS
     }
-    dyadic = r_min in (0.5, 1.0)
+
+    def C(name, s, T):
+        return Fraction(M[name, s, T]) - Fraction(coordination.evaluate(s, T))
+
+    dyadic = r_min != 0.7
     misses = []
 
     def check(label, got, exact, *weighted):
@@ -559,16 +577,15 @@ def test_oracle_minima_separate_the_scaling_classes(r_min):
     for s in range(1, 5):
         for T in THEOREM_HORIZONS:
             # Parallelizable stock is flat in T, so C = o(sT).
-            check(("flat", s, T), Fraction(C["par", s, T]), Fraction(C["par", s, 1]),
-                  (1, C["par", s, T]), (1, C["par", s, 1]))
+            check(("flat", s, T), C("par", s, T), C("par", s, 1),
+                  (1, M["par", s, T]), (1, M["par", s, 1]))
             # Delta(s, T) per class: r_min, r_min * T (so C = Omega(sT)), and in between.
             for name, unit in per_unit.items():
-                upper, lower = C[name, s, T], C[name, s - 1, T]
-                check((name, s, T), Fraction(upper) - Fraction(lower), unit(T),
-                      (1, upper), (1, lower))
+                check((name, s, T), C(name, s, T) - C(name, s - 1, T), unit(T),
+                      (1, M[name, s, T]), (1, M[name, s - 1, T]))
             # The two classes' costs are in the exact ratio T.
-            check(("ratio", s, T), Fraction(C["bnd", s, T]), T * Fraction(C["par", s, T]),
-                  (1, C["bnd", s, T]), (T, C["par", s, T]))
+            check(("ratio", s, T), C("bnd", s, T), T * C("par", s, T),
+                  (1, M["bnd", s, T]), (T, M["par", s, T]))
     assert misses == []
 
 

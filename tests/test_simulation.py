@@ -102,7 +102,9 @@ def test_config_validation():
 @pytest.mark.parametrize("value", [2.5, 2.0, True])
 def test_config_counts_must_be_integers(field, value):
     fields = {**dict(n_honest=1, m=1, s=2, T=2), field: value}
-    with pytest.raises(ValueError, match=f"^{field} must be"):
+    # The honest count is checked as n, the name the paper and `influence_share` give it.
+    label = "n" if field == "n_honest" else field
+    with pytest.raises(ValueError, match=f"^{label} must be"):
         ScenarioConfig(spec=STAKE, **fields)
 
 
