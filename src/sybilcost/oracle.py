@@ -7,15 +7,15 @@ a finite grid of per-identity allocations (`plans.PlanGrid`) up to the rate
 limit tau, then combines windows through the cheapest acquisition schedule
 under the resource's carry-over rule: the (alpha, k) pair that
 `resources.carry_over` reads from the spec's property flags.  The closed form
-it is checked against is `law.cost_carry_over` at that rule, and
-`verify_bounds` reads its floor and the name of each bound from the spec's
-fields on its own.  Plan cost is monotone in each window's aggregate
-allocation under every carry-over rule, so the grid optimum is always a
-uniform plan built from the best single-window configuration and the search
-is exact over all grid plans despite never materializing the cross-window
-product.  The minimum is priced by `law`'s exact per-identity sum, rounded to
-a float once.  Results come with a witness plan, which `verify_bounds` checks
-for feasibility under `plans`' accounting and against the closed-form bounds.
+it is checked against is `law.cost_carry_over` at that rule, and the floor in
+`verify_bounds` reads alpha and k from the spec's fields on its own.  Plan
+cost is monotone in each window's aggregate allocation under every carry-over
+rule, so the grid optimum is always a uniform plan built from the best
+single-window configuration and the search is exact over all grid plans
+despite never materializing the cross-window product.  The minimum is priced
+by `law`'s exact per-identity sum, rounded to a float once.  Results come with
+a witness plan, which `verify_bounds` checks for feasibility under `plans`'
+accounting and against the closed-form bounds.
 """
 
 from __future__ import annotations
@@ -190,6 +190,14 @@ def closed_form(scenario: OracleScenario) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Each floor check's name and what its detail calls the floor, by semantics.
+_FLOOR_CHECKS = {
+    AllocationSemantics.WINDOW_LOCAL: ("flow-lower-bound", "renewal floor"),
+    AllocationSemantics.PARTIAL_TRANSFER: ("partial-transfer-floor", "identity-bound floor"),
+    AllocationSemantics.BOUNDED_REUSE: ("renewal-floor", "k-renewal floor"),
+}
+
+
 @dataclass(frozen=True)
 class VerificationCheck:
     name: str
@@ -212,15 +220,14 @@ def verify_bounds(result: OracleResult, scenario: OracleScenario) -> Verificatio
     The closed form is the ceiling on reusable stock and the exact value of
     window-local flow.  Every other rule has the one floor
     s * T * r_min * ((1 - alpha) + alpha / k): the alpha share bought once
-    per k windows, the rest every window.  It reads alpha and k, and which
-    bound applies, from the spec's own fields, not from `carry_over`, so it
-    checks the rule the search priced with.  The ceiling and the exact value
-    assume a grid that holds r_min; on a step that does not divide it, the
-    grid's lowest active level is above r_min and its optimum can exceed the
-    law.  Each comparison allows FEASIBILITY_EPS relative to the values it
-    compares, so the report is the same in any unit.  Violations come back as
-    failed checks in the report rather than as exceptions, so callers can
-    render them.
+    per k windows, the rest every window.  It reads alpha and k from the
+    spec's own fields, not from `carry_over`, so it checks the rule the search
+    priced with.  The ceiling and the exact value assume a grid that holds
+    r_min; on a step that does not divide it, the grid's lowest active level
+    is above r_min and its optimum can exceed the law.  Each comparison allows
+    FEASIBILITY_EPS relative to the values it compares, so the report is the
+    same in any unit.  Violations come back as failed checks in the report
+    rather than as exceptions, so callers can render them.
     """
     checks: list[VerificationCheck] = []
     spec = scenario.spec
@@ -249,16 +256,8 @@ def verify_bounds(result: OracleResult, scenario: OracleScenario) -> Verificatio
     if s == 0:
         return VerificationReport(tuple(checks))
 
-    alpha = float(spec.identity_transferable) if spec.alpha is None else spec.alpha
-    k = (T if spec.temporally_reusable else 1) if spec.k is None else spec.k
-    # The override the spec sets names the bound.  With neither, stock that is
-    # reusable and transferable has the law as its ceiling, and any other
-    # stock is renewed every window, where the law is exact.
-    if spec.alpha is not None:
-        name, floor = "partial-transfer-floor", "identity-bound floor"
-    elif spec.k is not None:
-        name, floor = "renewal-floor", "k-renewal floor"
-    elif spec.temporally_reusable and spec.identity_transferable:
+    semantics = allocation_semantics(spec)
+    if semantics is AllocationSemantics.REUSABLE:
         ceiling_value = closed_form(scenario)
         checks.append(
             VerificationCheck(
@@ -268,9 +267,11 @@ def verify_bounds(result: OracleResult, scenario: OracleScenario) -> Verificatio
             )
         )
         return VerificationReport(tuple(checks))
-    else:
-        name, floor = "flow-lower-bound", "renewal floor"
+
+    alpha = float(spec.identity_transferable) if spec.alpha is None else spec.alpha
+    k = (T if spec.temporally_reusable else 1) if spec.k is None else spec.k
     floor_value = s * T * spec.r_min * ((1.0 - alpha) + alpha / k)
+    name, floor = _FLOOR_CHECKS[semantics]
     checks.append(
         VerificationCheck(
             name,
@@ -278,7 +279,7 @@ def verify_bounds(result: OracleResult, scenario: OracleScenario) -> Verificatio
             f"minimum {result.min_cost} vs {floor} {floor_value}",
         )
     )
-    if name == "flow-lower-bound":
+    if semantics is AllocationSemantics.WINDOW_LOCAL:
         tight_value = closed_form(scenario)
         checks.append(
             VerificationCheck(

@@ -117,16 +117,8 @@ def test_scenario_requires_positive_parameters():
         CalibrationScenario(name="bad", r_min=1.0, s_tiers=(("a", 0),), T_range=(1,))
     with pytest.raises(ValueError):
         CalibrationScenario(name="bad", r_min=1.0, s_tiers=(("a", 10),), T_range=(0,))
-
-
-@pytest.mark.parametrize(
-    "fields, message",
-    [({"s_tiers": ()}, "at least one tier"), ({"T_range": ()}, "at least one horizon")],
-)
-def test_scenario_needs_a_tier_and_a_horizon(fields, message):
-    with pytest.raises(ValueError, match=message):
-        CalibrationScenario(**{**dict(name="bad", r_min=1.0, s_tiers=(("a", 10),), T_range=(1,)),
-                               **fields})
+    with pytest.raises(ValueError, match="at least one horizon"):
+        CalibrationScenario(name="bad", r_min=1.0, s_tiers=(("a", 10),), T_range=())
 
 
 @pytest.mark.parametrize("field", ["r_min", "supply_reference", "s_tiers", "T_range"])
