@@ -27,14 +27,12 @@ budget exceeded.
 
 OUTPUT_DIR_ENV = "SYBILCOST_OUT"
 
-_COORDINATION = tuple([model.value for model in law.CoordinationModel])
-
 # Each sweep preset's (s, T, r_min, coordination) axes.
 _SWEEP_PRESETS: dict[str, tuple[tuple, tuple, tuple, tuple]] = {
     # Normalized-ratio decay in s at a fixed horizon.
-    "fig1": (tuple(range(1, 1001)), (100,), (1.0,), ("linear",)),
+    "fig1": (tuple(range(1, 1001)), (100,), (1.0,), (law.LINEAR_COORDINATION,)),
     # Totals and ratios against the horizon for three thresholds.
-    "fig2": ((10,), tuple(range(1, 201)), (0.5, 1.0, 2.0), ("linear",)),
+    "fig2": ((10,), tuple(range(1, 201)), (0.5, 1.0, 2.0), (law.LINEAR_COORDINATION,)),
 }
 
 
@@ -72,7 +70,11 @@ def _comma_list(item, kind: str):
 
 _int_list = _comma_list(int, "integers")
 _float_list = _comma_list(float, "numbers")
-_coord_list = _comma_list(lambda name: law.CoordinationModel(name).value, "coordination kinds")
+_coord_list = _comma_list(law.CoordinationModel, "coordination kinds")
+
+# --coord converts each name to its member, so `law.CoordinationModel` refuses a
+# bad name; --help lists the names as `choices` would.
+_COORD_METAVAR = "{" + ",".join([model.value for model in law.CoordinationModel]) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--rmin", type=float, required=True)
     sub.add_argument("--alpha", type=float, default=None)
     sub.add_argument("--k", type=int, default=None)
-    sub.add_argument("--coord", choices=_COORDINATION, default=None, help="default: zero")
+    sub.add_argument("--coord", type=law.CoordinationModel, metavar=_COORD_METAVAR, help="default: zero")
     sub.add_argument("--format", choices=("csv", "json"), default="json")
     sub.add_argument("--out", default=None)
 
@@ -130,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--grid-step", type=float, default=None)
     # None stands for oracle.DEFAULT_PLAN_CEILING, so building the parser loads no oracle.
     sub.add_argument("--ceiling", type=int, default=None)
-    sub.add_argument("--coord", choices=_COORDINATION, default="zero")
+    sub.add_argument("--coord", type=law.CoordinationModel, metavar=_COORD_METAVAR, default="zero")
     sub.add_argument("--out", default=None)
 
     sub = subparsers.add_parser("simulate", parents=[common, fmt], help="window-by-window share trace")
@@ -153,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="emit calibration figure panels as CSV")
     sub.add_argument("scenario", choices=("eth", "btc"))
     sub.add_argument("--law", choices=("par", "bnd", "both"), default="both")
-    sub.add_argument("--coord", choices=_COORDINATION, default=None,
+    sub.add_argument("--coord", type=law.CoordinationModel, metavar=_COORD_METAVAR,
                      help="default: zero for eth totals, linear for btc ratios")
     sub.add_argument("--out", default=None, help=f"output directory (default: ${OUTPUT_DIR_ENV} or '.')")
 

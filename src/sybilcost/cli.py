@@ -152,6 +152,10 @@ def dispatch(argv: list[str] | None = None) -> int:
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        # The frames that held the failed allocation's data are gone by now.
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main() -> None:

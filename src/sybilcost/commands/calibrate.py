@@ -4,19 +4,21 @@ import argparse
 
 from .. import calibration, cli, law
 
-# Per scenario: its default coordination and the (file, metric) of its left and
-# right panels: staking totals and ratios, mining ratios and marginal costs.
+# Per scenario: its constructor, its default coordination and the (file, metric)
+# of its left and right panels: staking totals and ratios, mining ratios and
+# marginal costs.
 _CALIBRATIONS = {
-    "eth": ("zero", (("fig4-left.csv", "total"), ("fig4-right.csv", "normalized"))),
-    "btc": ("linear", (("fig5-left.csv", "normalized"), ("fig5-right.csv", "marginal"))),
+    "eth": (calibration.eth_scenario, law.ZERO_COORDINATION,
+            (("fig4-left.csv", "total"), ("fig4-right.csv", "normalized"))),
+    "btc": (calibration.btc_tiers, law.LINEAR_COORDINATION,
+            (("fig5-left.csv", "normalized"), ("fig5-right.csv", "marginal"))),
 }
 
 
 def run(args: argparse.Namespace) -> int:
-    scenario = calibration.eth_scenario() if args.scenario == "eth" else calibration.btc_tiers()
-    default_coord, panels = _CALIBRATIONS[args.scenario]
-    coordination = law.CoordinationModel(args.coord or default_coord)
-    series = calibration.run_calibration(scenario, law=args.law, coordination=coordination)
+    make_scenario, default_coord, panels = _CALIBRATIONS[args.scenario]
+    scenario = make_scenario()
+    series = calibration.run_calibration(scenario, law=args.law, coordination=args.coord or default_coord)
 
     def panel(metric: str) -> str:
         columns = {f"{metric}_{one.law}_{one.tier}": one.reports for one in series}

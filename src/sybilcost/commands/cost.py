@@ -4,7 +4,7 @@ import argparse
 from dataclasses import asdict
 
 from .. import cli, costs
-from ..law import CoordinationModel
+from ..law import ZERO_COORDINATION
 
 
 def run(args: argparse.Namespace) -> int:
@@ -19,7 +19,7 @@ def run(args: argparse.Namespace) -> int:
         raise ValueError("--k applies only to --class bounded-reuse")
     if args.coord is not None and law in ("bnd", "bounded-reuse"):
         raise ValueError("--coord applies only to --class par, hybrid or partial")
-    coordination = CoordinationModel(args.coord or "zero")
+    coordination = args.coord or ZERO_COORDINATION
 
     row: dict[str, object] = {
         "law": law, "s": args.s, "T": args.T, "r_min": args.rmin, "alpha": args.alpha

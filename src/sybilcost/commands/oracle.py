@@ -4,14 +4,12 @@ import argparse
 import sys
 from dataclasses import asdict
 
-from .. import cli, law, oracle, plans
+from .. import cli, oracle, plans
 
 
 def run(args: argparse.Namespace) -> int:
     spec = cli._resolve_spec(args.spec)
-    scenario = plans.OracleScenario(
-        s=args.s, T=args.T, spec=spec, coordination=law.CoordinationModel(args.coord)
-    )
+    scenario = plans.OracleScenario(s=args.s, T=args.T, spec=spec, coordination=args.coord)
     ceiling = plans.DEFAULT_PLAN_CEILING if args.ceiling is None else args.ceiling
     grid = plans.PlanGrid.for_scenario(scenario, step=args.grid_step, ceiling=ceiling)
     # verify_bounds compares with the law at r_min itself, so the grid must hold r_min.
@@ -25,7 +23,7 @@ def run(args: argparse.Namespace) -> int:
     report = oracle.verify_bounds(result, scenario)
     payload = {
         "meta": cli._meta(args),
-        "scenario": {"spec": spec.name, "s": args.s, "T": args.T, "coordination": args.coord},
+        "scenario": {"spec": spec.name, "s": args.s, "T": args.T, "coordination": args.coord.value},
         **asdict(result),
         "verification": {"passed": report.passed, **asdict(report)},
     }

@@ -7,15 +7,15 @@ from .. import cli, costs, law
 from ..arguments import _SWEEP_PRESETS
 
 
-def _sweep_row(point: tuple[int, int, float, str]) -> dict[str, object]:
-    s, T, r_min, coord_name = point
-    par = costs.cost_parallelizable(s, T, r_min, law.CoordinationModel(coord_name))
+def _sweep_row(point: tuple[int, int, float, law.CoordinationModel]) -> dict[str, object]:
+    s, T, r_min, coord = point
+    par = costs.cost_parallelizable(s, T, r_min, coord)
     bnd = costs.cost_throughput_bounded(s, T, r_min)
     return {
         "s": s,
         "T": T,
         "r_min": r_min,
-        "coord": coord_name,
+        "coord": coord.value,
         "total_par": par.total,
         "normalized_par": par.normalized,
         "marginal_par": par.marginal,
@@ -32,7 +32,7 @@ def run(args: argparse.Namespace) -> int:
     law refuses a threshold that is not positive in the row that holds it,
     before any byte is written.
     """
-    preset = _SWEEP_PRESETS.get(args.preset, (None, None, None, ("zero",)))
+    preset = _SWEEP_PRESETS.get(args.preset, (None, None, None, (law.ZERO_COORDINATION,)))
     flags = (args.s, args.T, args.rmin, args.coord)
     axes = [preset_axis if flag is None else flag for preset_axis, flag in zip(preset, flags)]
     s_values, T_values, r_min_values, _kinds = axes

@@ -39,11 +39,15 @@ def influence_share(m: int, s: int, n: int) -> float:
     """
     for name, value in (("m", m), ("s", s), ("n", n)):
         law._check_count(name, value)
-    active = min(m, s)
-    denominator = active + n
-    if denominator == 0:
+    if min(m, s) + n == 0:
         raise ValueError("share is undefined with no active identities and no honest validators")
-    return active / denominator
+    return _share(m, s, n)
+
+
+def _share(m: int, s: int, n: int) -> float:
+    # `influence_share` without its checks, for callers that made them already.
+    active = min(m, s)
+    return active / (active + n)
 
 
 @dataclass(frozen=True)
@@ -147,4 +151,4 @@ def non_amplification_experiment(m_range, s_values, n: int) -> Iterator[tuple[fl
         )
     # A list per row: tuple() over a generator shrinks a spare-slot tuple, and a freed
     # shrunk tuple joins its size's free list without having taken from it.
-    return (tuple([min(m, s) / (min(m, s) + n) for s in s_tuple]) for m in m_values)
+    return (tuple([_share(m, s, n) for s in s_tuple]) for m in m_values)

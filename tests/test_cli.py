@@ -98,15 +98,29 @@ COORD_COMMANDS = {
 
 @pytest.mark.parametrize("command", sorted(COORD_COMMANDS))
 def test_coord_accepts_exactly_the_coordination_model_values(capsys, command):
+    # The parser hands each command members, never names; only oracle has a default.
     parser = cli.build_parser()
+    default = law.ZERO_COORDINATION if command == "oracle" else None
+    assert parser.parse_args(COORD_COMMANDS[command]).coord is default
     for model in law.CoordinationModel:
         args = parser.parse_args([*COORD_COMMANDS[command], "--coord", model.value])
-        assert args.coord in (model.value, (model.value,))
+        assert args.coord in (model, (model,))
+    # The enum refuses a name, in argparse's words for a bad typed value (as for `--s x`).
+    refusal = ("expected comma-separated coordination kinds, got {!r}" if command == "sweep"
+               else "invalid CoordinationModel value: {!r}")
     for name in ("quadratic", "LINEAR_SUM", "Linear"):
         code, out, err = run_cli(capsys, *COORD_COMMANDS[command], "--coord", name)
-        assert code == cli.EXIT_USAGE, name
-        assert out == ""
-        assert err.startswith("error: argument --coord:") and err.count("\n") == 1
+        message = f"error: argument --coord: {refusal.format(name)}\n"
+        assert (code, out, err) == (cli.EXIT_USAGE, "", message), name
+
+
+def test_running_out_of_memory_is_a_one_line_error(capsys, monkeypatch):
+    def run(config):
+        raise MemoryError
+
+    monkeypatch.setattr("sybilcost.simulation.run", run)
+    result = run_cli(capsys, "simulate", "--spec", "pos-stake", "--s", "1", "--n", "1", "--T", "1")
+    assert result == (cli.EXIT_USAGE, "", "error: out of memory\n")
 
 
 def test_cost_csv_format(capsys):
@@ -583,8 +597,8 @@ def test_sweep_csv_streams_within_a_small_multiple_of_its_text():
         return cli._table_text("csv", map(sweep._sweep_row, itertools.product(*axes)))
 
     # Built before tracing: itertools.product materializes its inputs.
-    axes = (tuple(range(1, 20_001)), (100,), (1.0,), ("linear",))
-    sweep_text(((1,), (1,), (1.0,), ("zero",)))  # warm caches
+    axes = (tuple(range(1, 20_001)), (100,), (1.0,), (law.LINEAR_COORDINATION,))
+    sweep_text(((1,), (1,), (1.0,), (law.ZERO_COORDINATION,)))  # warm caches
     tracemalloc.start()
     try:
         text = sweep_text(axes)

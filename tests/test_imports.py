@@ -198,6 +198,19 @@ def test_each_rule_that_law_owns_is_written_only_there():
     assert not copies, f"a rule that `law` owns is restated at {', '.join(sorted(copies))}"
 
 
+# The parser turns every --coord name into its member, so a command module that
+# calls `CoordinationModel(...)` converts a name a second time.
+def test_no_command_converts_a_coordination_name():
+    sites = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "sybilcost" / "commands").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CoordinationModel"
+    ]
+    assert not sites, f"a command converts a coordination name at {', '.join(sites)}"
+
+
 def _module_name(command):
     return "sybilcost.commands." + command.replace("-", "_")
 
