@@ -30,6 +30,7 @@ _EXPORTS = {
     "law": (
         "CoordinationModel",
         "CostReport",
+        "PlanBudgetExceeded",
     ),
     "oracle": (
         "OracleResult",
@@ -39,7 +40,6 @@ _EXPORTS = {
     "plans": (
         "AllocationPlan",
         "OracleScenario",
-        "PlanBudgetExceeded",
         "PlanGrid",
         "plan_cost",
         "plan_feasible",

@@ -130,8 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--s", type=int, required=True)
     sub.add_argument("--T", type=int, required=True)
     sub.add_argument("--grid-step", type=float, default=None)
-    # None stands for oracle.DEFAULT_PLAN_CEILING, so building the parser loads no oracle.
-    sub.add_argument("--ceiling", type=int, default=None)
+    sub.add_argument("--ceiling", type=int, default=law.DEFAULT_PLAN_CEILING)
     sub.add_argument("--coord", type=law.CoordinationModel, metavar=_COORD_METAVAR, default="zero")
     sub.add_argument("--out", default=None)
 

@@ -1,7 +1,8 @@
 """The `sybilcost` entry point: dispatch, exit codes and the one atomic writer.
 
 `arguments` holds what the command line accepts and the help text; `dispatch`
-imports the one module under `commands` that `args.command` names and runs it.
+imports the one module under `commands` that `args.command` names, runs it,
+and prints a refusal as one `error:` line: exit 3 past the plan ceiling, else 1.
 Emitted bytes are deterministic, and every file goes through `_write_text`,
 which writes a scratch file and renames it, so a failed write never leaves a
 partial dataset.  The command modules look these helpers up on this module at
@@ -25,6 +26,7 @@ from typing import Iterable
 # never load it.
 from . import resources
 from .arguments import OUTPUT_DIR_ENV, build_parser
+from .law import PlanBudgetExceeded
 
 __all__ = [
     "EXIT_BUDGET",
@@ -149,9 +151,9 @@ def dispatch(argv: list[str] | None = None) -> int:
         args = _shared_parser().parse_args(argv)
         command = importlib.import_module(f".commands.{args.command.replace('-', '_')}", __package__)
         return command.run(args)
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError, PlanBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_BUDGET if isinstance(exc, PlanBudgetExceeded) else EXIT_USAGE
     except MemoryError:
         # The frames that held the failed allocation's data are gone by now.
         print("error: out of memory", file=sys.stderr)

@@ -16,6 +16,9 @@ _CALIBRATIONS = {
 
 
 def run(args: argparse.Namespace) -> int:
+    # The throughput-bounded law takes no coordination, so --coord is refused as `cost` refuses it.
+    if args.coord is not None and args.law == "bnd":
+        raise ValueError("--coord applies only to --law par or both")
     make_scenario, default_coord, panels = _CALIBRATIONS[args.scenario]
     scenario = make_scenario()
     series = calibration.run_calibration(scenario, law=args.law, coordination=args.coord or default_coord)

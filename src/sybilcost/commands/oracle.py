@@ -1,7 +1,6 @@
 """`sybilcost oracle`: the grid minimum of one scenario, its witness and its bound checks."""
 
 import argparse
-import sys
 from dataclasses import asdict
 
 from .. import cli, oracle, plans
@@ -10,16 +9,11 @@ from .. import cli, oracle, plans
 def run(args: argparse.Namespace) -> int:
     spec = cli._resolve_spec(args.spec)
     scenario = plans.OracleScenario(s=args.s, T=args.T, spec=spec, coordination=args.coord)
-    ceiling = plans.DEFAULT_PLAN_CEILING if args.ceiling is None else args.ceiling
-    grid = plans.PlanGrid.for_scenario(scenario, step=args.grid_step, ceiling=ceiling)
+    grid = plans.PlanGrid.for_scenario(scenario, step=args.grid_step, ceiling=args.ceiling)
     # verify_bounds compares with the law at r_min itself, so the grid must hold r_min.
     if not grid.holds(spec.r_min):
         raise ValueError(f"--grid-step {grid.step} does not divide r_min {spec.r_min} of {spec.name!r}")
-    try:
-        result = oracle.min_cost(scenario, grid=grid)
-    except plans.PlanBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return cli.EXIT_BUDGET
+    result = oracle.min_cost(scenario, grid=grid)
     report = oracle.verify_bounds(result, scenario)
     payload = {
         "meta": cli._meta(args),

@@ -12,7 +12,8 @@ window by window.  The named regimes, composition and crossover are in
 alone.  Degenerate targets cost nothing: C(0, T) = C(s, 0) = 0 by convention.
 The input rules that every module checks its arguments with (counts,
 thresholds and the carry-over bounds) are written once here, in
-`_check_count`, `_check_positive` and `_check_rule`.
+`_check_count`, `_check_positive` and `_check_rule`, and so is the plan
+ceiling, `DEFAULT_PLAN_CEILING`, past which a run raises `PlanBudgetExceeded`.
 """
 
 from __future__ import annotations
@@ -24,11 +25,20 @@ from enum import Enum
 __all__ = [
     "CoordinationModel",
     "CostReport",
+    "DEFAULT_PLAN_CEILING",
     "LINEAR_COORDINATION",
+    "PlanBudgetExceeded",
     "ZERO_COORDINATION",
     "acquisition_schedule",
     "cost_carry_over",
 ]
+
+
+DEFAULT_PLAN_CEILING = 10_000_000
+
+
+class PlanBudgetExceeded(RuntimeError):
+    """A run would scan, or its witness or trace hold, more than the plan ceiling allows."""
 
 
 def _check_count(name: str, value: int, least: int = 0) -> None:

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# The plan ceiling and its refusal are `law`'s; they are this module's names too.
+from .law import DEFAULT_PLAN_CEILING, PlanBudgetExceeded
 from .law import ZERO_COORDINATION, CoordinationModel, _check_count, _check_positive, _quotient
 from .resources import ResourceSpec, carry_over
 
@@ -30,11 +32,6 @@ __all__ = [
 
 FEASIBILITY_EPS = 1e-9
 _EPS_RATIO = FEASIBILITY_EPS.as_integer_ratio()
-DEFAULT_PLAN_CEILING = 10_000_000
-
-
-class PlanBudgetExceeded(RuntimeError):
-    """The search would scan, or its witness hold, more than the grid's ceiling allows."""
 
 
 @dataclass(frozen=True)

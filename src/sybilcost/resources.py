@@ -48,7 +48,8 @@ class ResourceSpec:
     ``temporally_reusable`` is ``None`` exactly when ``k`` bounds reuse to a
     finite number of consecutive windows, and ``identity_transferable`` is
     ``None`` exactly when ``alpha`` limits transfer to a fraction of the
-    allocation.  A spec carries the boolean or its override, never both.
+    allocation.  A spec carries the boolean or its override, never both, and
+    both booleans default to ``None``, so a spec with an override names only it.
     ``tau`` (the per-channel rate limit) is present exactly when the resource
     is flagged throughput-bounded, and a throughput-bounded resource is
     necessarily window-local and non-transferable.
@@ -57,8 +58,8 @@ class ResourceSpec:
     name: str
     divisible: bool
     additive_influence: bool
-    temporally_reusable: bool | None
-    identity_transferable: bool | None
+    temporally_reusable: bool | None = None
+    identity_transferable: bool | None = None
     throughput_bounded: bool = False
     r_min: float = 1.0
     tau: float | None = None

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import law
 from .resources import ResourceSpec, carry_over
@@ -97,7 +97,9 @@ def run(config: ScenarioConfig) -> SimTrace:
     front for reusable stock, (1, T).  The total is `law.cost_carry_over` at
     that rule, the law's exactly rounded sum, not the float sum of the rows.  A
     resource with no carry-over rule, or a scenario with no participants,
-    raises ValueError.
+    raises ValueError, and a trace whose T rows hold more values than
+    `law.DEFAULT_PLAN_CEILING` raises `law.PlanBudgetExceeded` before any row
+    is built.
     """
     spec = config.spec
     alpha, k = carry_over(spec, config.T)
@@ -106,6 +108,11 @@ def run(config: ScenarioConfig) -> SimTrace:
     active = min(channels, config.s)
     adversary = active * spec.r_min
     total = (active + config.n_honest) * spec.r_min
+    size = config.T * len(fields(WindowRow))
+    if size > law.DEFAULT_PLAN_CEILING:
+        raise law.PlanBudgetExceeded(
+            f"a trace of {size} values exceeds the ceiling of {law.DEFAULT_PLAN_CEILING}"
+        )
     schedule = law.acquisition_schedule(alpha, k, config.T, adversary)
     rows = [
         WindowRow(

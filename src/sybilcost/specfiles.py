@@ -1,9 +1,9 @@
 """Resource specs as JSON: one spec or a list of specs per file.
 
-`spec_from_dict` checks each field's JSON type before it builds the
-`resources.ResourceSpec`, whose own checks then apply, and `load_specs` reads
-a file into specs.  Only a command given a spec file, not a preset name,
-loads this module.
+Its keys are `resources.ResourceSpec`'s fields, typed by their annotations.
+`spec_from_dict` checks each field's JSON type before it builds the spec, whose
+own checks then apply, and `load_specs` reads a file into specs.  Only a
+command given a spec file, not a preset name, loads this module.
 """
 
 from __future__ import annotations
@@ -11,24 +11,16 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, get_args, get_type_hints
 
 from .resources import ResourceSpec
 
 __all__ = ["load_specs", "spec_from_dict"]
 
-# Each field's JSON type, and whether it may be null.
-_FIELD_TYPES: dict[str, tuple[type, bool]] = {
-    "name": (str, False),
-    "divisible": (bool, False),
-    "additive_influence": (bool, False),
-    "temporally_reusable": (bool, True),
-    "identity_transferable": (bool, True),
-    "throughput_bounded": (bool, False),
-    "r_min": (float, False),
-    "tau": (float, True),
-    "alpha": (float, True),
-    "k": (int, True),
+# Each field's JSON type, and whether it may be null, from its annotation `X` or `X | None`.
+_FIELD_TYPES = {
+    name: ((get_args(hint) or (hint,))[0], type(None) in get_args(hint))
+    for name, hint in get_type_hints(ResourceSpec).items()
 }
 _TYPE_NAMES = {str: "a string", bool: "true or false", float: "a finite number", int: "an integer"}
 
@@ -46,14 +38,14 @@ def spec_from_dict(data: Mapping[str, object]) -> ResourceSpec:
     unknown = set(data) - set(_FIELD_TYPES)
     if unknown:
         raise ValueError(f"unknown resource fields: {sorted(unknown)}")
+    kwargs = {}
     for key, value in data.items():
         expected, nullable = _FIELD_TYPES[key]
         if not (_has_type(value, expected) or (nullable and value is None)):
             kind = _TYPE_NAMES[expected]
             raise ValueError(f"resource field {key!r} must be {kind}, got {value!r}")
-    kwargs = {key: data[key] for key in _FIELD_TYPES if key in data}
-    kwargs.setdefault("temporally_reusable", None)
-    kwargs.setdefault("identity_transferable", None)
+        # A JSON integer in a float field is that float, so `2` and `2.0` load one spec.
+        kwargs[key] = float(value) if expected is float and value is not None else value
     try:
         return ResourceSpec(**kwargs)
     except TypeError as exc:

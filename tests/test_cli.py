@@ -87,6 +87,14 @@ def test_cost_rejects_coord_for_a_law_without_overhead(capsys, law, coord):
     assert err == "error: --coord applies only to --class par, hybrid or partial\n"
 
 
+@pytest.mark.parametrize("coord", ["zero", "linear"])
+def test_calibrate_rejects_coord_for_the_bounded_law_alone(tmp_path, capsys, coord):
+    code, out, err = run_cli(capsys, "calibrate", "eth", "--law", "bnd", "--coord", coord,
+                             "--out", str(tmp_path))
+    assert (code, out, err) == (cli.EXIT_USAGE, "", "error: --coord applies only to --law par or both\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # Each command that takes --coord, with its other arguments.
 COORD_COMMANDS = {
     "cost": ("cost", "--class", "par", "--s", "3", "--T", "4", "--rmin", "1"),
@@ -317,6 +325,23 @@ def test_oracle_refuses_a_huge_horizon_at_once_in_one_line(capsys, s):
     assert elapsed < 1.0
 
 
+def test_simulate_refuses_a_huge_horizon_at_once_in_one_line(capsys):
+    # Its T rows of six values would hold 6 * 10^8 values.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "simulate", "--spec", "pos-stake", "--s", "1", "--n", "1",
+                             "--T", "100000000")
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (cli.EXIT_BUDGET, "")
+    assert err == "error: a trace of 600000000 values exceeds the ceiling of 10000000\n"
+    assert elapsed < 1.0
+
+
+def test_oracle_ceiling_defaults_to_the_plan_ceiling():
+    parser = cli.build_parser()
+    args = parser.parse_args(["oracle", "--spec", "pos-stake", "--s", "1", "--T", "1"])
+    assert args.ceiling == law.DEFAULT_PLAN_CEILING
+
+
 def test_oracle_grid_too_fine_to_count_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "oracle", "--spec", "pos-stake", "--s", "2", "--T", "3",
                            "--grid-step", "5e-324")
@@ -478,6 +503,35 @@ def test_output_env_var_roots_every_dataset_file(tmp_path, capsys, monkeypatch):
     assert runpy.run_path(str(script))["main"](["--out", "datasets"]) == 0
     assert len(list((base / "datasets").iterdir())) == 9
     assert list(cwd.iterdir()) == []
+
+
+# Specs whose float fields are written as JSON integers: r_min with tau, and with alpha.
+INTEGER_SPECS = {
+    "tau": {"name": "channel-file", "divisible": True, "additive_influence": True,
+            "temporally_reusable": False, "identity_transferable": False,
+            "throughput_bounded": True, "r_min": 2, "tau": 4},
+    "alpha": {"name": "partial-file", "divisible": True, "additive_influence": True,
+              "temporally_reusable": True, "r_min": 2, "alpha": 1},
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_SPECS))
+def test_an_integer_in_a_float_field_prints_what_its_float_twin_prints(tmp_path, capsys, name):
+    data = INTEGER_SPECS[name]
+    twin = {key: float(value) if key in ("r_min", "tau", "alpha") else value
+            for key, value in data.items()}
+    outputs = []
+    for stem, spec in (("integer", data), ("float", twin)):
+        path = tmp_path / f"{stem}.json"
+        path.write_text(json.dumps(spec))
+        outputs.append([
+            run_cli(capsys, *argv, "--spec", str(path))
+            for argv in (("oracle", "--s", "2", "--T", "3"),
+                         ("simulate", "--s", "2", "--n", "3", "--T", "4"),
+                         ("classify",))
+        ])
+    assert outputs[0] == outputs[1]
+    assert [code for code, _out, _err in outputs[0]] == [cli.EXIT_OK] * 3
 
 
 def test_calibrate_eth_writes_both_panels(tmp_path, capsys):

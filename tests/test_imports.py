@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from sybilcost import arguments
+from sybilcost.resources import ResourceSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -209,6 +211,31 @@ def test_no_command_converts_a_coordination_name():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CoordinationModel"
     ]
     assert not sites, f"a command converts a coordination name at {', '.join(sites)}"
+
+
+# `cli.dispatch` turns every refusal into its one `error:` line and exit code, the
+# plan ceiling's exit 3 among them, so a command module catches nothing.
+def test_no_command_catches_an_exception():
+    sites = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "sybilcost" / "commands").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Try)
+    ]
+    assert not sites, f"a command catches an exception at {', '.join(sites)}"
+
+
+# The spec-file format is `ResourceSpec`'s fields and annotations, so `specfiles`
+# names no field: a string that is a field's name would restate the dataclass.
+def test_the_spec_reader_names_no_field():
+    names = {field.name for field in dataclasses.fields(ResourceSpec)}
+    path = SRC / "sybilcost" / "specfiles.py"
+    sites = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Constant) and node.value in names
+    ]
+    assert not sites, f"the spec reader names a field at {', '.join(sites)}"
 
 
 def _module_name(command):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sybilcost import costs, law, oracle, resources, verification
+from sybilcost import costs, law, oracle, plans, resources, verification
 from sybilcost.oracle import (
     AllocationPlan,
     AllocationSemantics,
@@ -85,6 +85,13 @@ def test_device_witness_respects_channel_capacity():
     result = min_cost(OracleScenario(s=3, T=2, spec=DEVICE))
     for window in result.witness.identities:
         assert all(value <= DEVICE.tau for value in window)
+
+
+def test_the_plan_ceiling_and_its_refusal_are_laws_own():
+    # `plans` and `oracle` re-export them, and the benchmark tracer reads `oracle`'s.
+    assert plans.PlanBudgetExceeded is oracle.PlanBudgetExceeded is law.PlanBudgetExceeded
+    assert plans.DEFAULT_PLAN_CEILING == law.DEFAULT_PLAN_CEILING == 10_000_000
+    assert PlanGrid.for_scenario(OracleScenario(s=1, T=1, spec=STAKE)).ceiling == law.DEFAULT_PLAN_CEILING
 
 
 def test_plan_budget_ceiling_is_enforced():

@@ -176,6 +176,21 @@ def test_spec_round_trips_through_dict():
     assert again == spec
 
 
+@pytest.mark.parametrize("spec", TAXONOMY, ids=lambda spec: spec.name)
+def test_every_preset_round_trips_through_a_spec_file(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(asdict(spec)))
+    assert specfiles.load_specs(path) == (spec,)
+
+
+def test_spec_from_dict_reads_an_integer_in_a_float_field_as_that_float():
+    data = {"name": "stake-file", "divisible": True, "additive_influence": True,
+            "temporally_reusable": True, "identity_transferable": True, "r_min": 2}
+    spec = specfiles.spec_from_dict(data)
+    assert spec == specfiles.spec_from_dict({**data, "r_min": 2.0})
+    assert type(spec.r_min) is float
+
+
 def test_spec_from_dict_rejects_unknown_keys():
     data = asdict(preset("pos-stake"))
     data["color"] = "red"

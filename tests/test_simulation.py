@@ -33,6 +33,17 @@ def test_share_undefined_without_any_participants():
         influence_share(m=0, s=0, n=0)
 
 
+def test_a_trace_past_the_plan_ceiling_is_refused_before_its_schedule(monkeypatch):
+    # Each row holds six values, so a ceiling of 60 admits ten windows, read at call time.
+    monkeypatch.setattr(law, "DEFAULT_PLAN_CEILING", 60)
+    assert len(run(ScenarioConfig(n_honest=1, m=0, s=1, T=10, spec=STAKE)).per_window) == 10
+    calls = []
+    monkeypatch.setattr(law, "acquisition_schedule", lambda *args: calls.append(args))
+    with pytest.raises(law.PlanBudgetExceeded, match="a trace of 66 values exceeds the ceiling of 60"):
+        run(ScenarioConfig(n_honest=1, m=0, s=1, T=11, spec=STAKE))
+    assert calls == []
+
+
 def test_throughput_run_renews_cost_every_window():
     config = ScenarioConfig(n_honest=200, m=50, s=400, T=10, spec=DEVICE)
     trace = run(config)
