@@ -3,10 +3,12 @@
 `arguments` holds what the command line accepts and the help text; `dispatch`
 imports the one module under `commands` that `args.command` names, runs it,
 and prints a refusal as one `error:` line: exit 3 past the plan ceiling, else 1.
-Emitted bytes are deterministic, and every file goes through `_write_text`,
-which writes a scratch file and renames it, so a failed write never leaves a
-partial dataset.  The command modules look these helpers up on this module at
-call time, so replacing one here reaches every command.
+Emitted bytes are deterministic.  Every file goes through `_write_with`, which
+runs a writer on a scratch file and renames it, so a failed write never leaves
+a partial dataset.  Tables and JSON documents stream into that scratch file row
+by row; on stdout they are written once, after the last row, so a refusal part
+way prints nothing there.  The command modules look these helpers up on this
+module at call time, so replacing one here reaches every command.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, TextIO
 
-# csv is imported by the CSV branch of `_table_text`, so the other commands
+# csv is imported by the CSV branch of `_write_table`, so the other commands
 # never load it.
 from . import resources
 from .arguments import OUTPUT_DIR_ENV, build_parser
@@ -49,28 +51,31 @@ EXIT_BUDGET = 3
 # ---------------------------------------------------------------------------
 
 
-def _json_text(payload: object) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+def _write_json(handle: TextIO, payload: object) -> None:
+    json.dump(payload, handle, sort_keys=True, indent=2, allow_nan=False)
+    handle.write("\n")
 
 
-def _table_text(fmt: str, rows: Iterable[dict[str, object]], /, **payload: object) -> str:
-    """A table of row dicts as CSV, or as the JSON object of the keyword arguments.
+def _write_table(
+    handle: TextIO, fmt: str, rows: Iterable[dict[str, object]], /, **payload: object
+) -> None:
+    """Write a table of row dicts as CSV, or as the JSON object of the keyword arguments.
 
-    `rows` may be any iterable, such as a generator: CSV writes one row at a
-    time, so the table never exists as row dicts all at once.  The CSV header
-    is the first row's keys, and a None cell is left empty.  The JSON object
-    names the rows itself, so it can hold them under any key; a payload value
-    that is `rows` itself is listed there.  Both formats refuse a non-finite
-    number.
+    `rows` may be any iterable, such as a generator: each row is written as it
+    comes, so the table never exists as row dicts or as text all at once.  The
+    CSV header is the first row's keys, and a None cell is left empty.  The
+    JSON object names the rows itself, so it can hold them under any key; a
+    payload value that is `rows` itself is listed there.  Both formats refuse a
+    non-finite number, which may come after some rows are written.
     """
     if fmt == "json":
-        return _json_text(
-            {key: list(rows) if value is rows else value for key, value in payload.items()}
+        _write_json(
+            handle, {key: list(rows) if value is rows else value for key, value in payload.items()}
         )
+        return
     import csv
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    writer = csv.writer(handle, lineterminator="\n")
     for index, row in enumerate(rows):
         for key, value in row.items():
             if isinstance(value, float) and not math.isfinite(value):
@@ -78,7 +83,6 @@ def _table_text(fmt: str, rows: Iterable[dict[str, object]], /, **payload: objec
         if index == 0:
             writer.writerow(row)
         writer.writerow(row.values())
-    return buffer.getvalue()
 
 
 def _meta(args: argparse.Namespace) -> dict[str, object]:
@@ -94,8 +98,8 @@ def _resolve_out(path_text: str) -> Path:
     return path
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write through a scratch file of this call's own, then rename it over path.
+def _write_with(path: Path, write: Callable[[TextIO], object]) -> None:
+    """Run `write` on a scratch file of this call's own, then rename it over path.
 
     The scratch name is random and opened exclusively, so a concurrent writer's
     file is never reused or clobbered.
@@ -105,21 +109,27 @@ def _write_text(path: Path, text: str) -> None:
     handle = open(scratch, "x")
     try:
         with handle:
-            handle.write(text)
+            write(handle)
         os.replace(scratch, path)
     except BaseException:
         Path(scratch).unlink(missing_ok=True)
         raise
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _write_text(path: Path, text: str) -> None:
+    _write_with(path, lambda handle: handle.write(text))
+
+
+def _emit(args: argparse.Namespace, write: Callable[[TextIO], object]) -> None:
     out = getattr(args, "out", None)
     if out:
         target = _resolve_out(out)
-        _write_text(target, text)
+        _write_with(target, write)
         print(f"wrote {target}")
     else:
-        sys.stdout.write(text)
+        buffer = io.StringIO()
+        write(buffer)
+        sys.stdout.write(buffer.getvalue())
 
 
 def _resolve_spec(token: str) -> resources.ResourceSpec:

@@ -1,6 +1,7 @@
 """`sybilcost calibrate`: the two calibration panels of one scenario, as CSV files."""
 
 import argparse
+import io
 
 from .. import calibration, cli, law
 
@@ -29,7 +30,9 @@ def run(args: argparse.Namespace) -> int:
             {"T": T, **{name: getattr(reports[index], metric) for name, reports in columns.items()}}
             for index, T in enumerate(scenario.T_range)
         )
-        return cli._table_text("csv", rows)
+        buffer = io.StringIO()
+        cli._write_table(buffer, "csv", rows)
+        return buffer.getvalue()
 
     # Both panels are built before either is written, so a failure writes neither.
     texts = [(name, panel(metric)) for name, metric in panels]

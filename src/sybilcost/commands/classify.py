@@ -14,5 +14,5 @@ def run(args: argparse.Namespace) -> int:
         "resource_class": outcome.resource_class.value,
         "reasons": list(outcome.reasons),
     }
-    cli._emit(args, cli._json_text(payload))
+    cli._emit(args, lambda handle: cli._write_json(handle, payload))
     return cli.EXIT_OK

@@ -21,5 +21,5 @@ def run(args: argparse.Namespace) -> int:
         **asdict(result),
         "verification": {"passed": report.passed, **asdict(report)},
     }
-    cli._emit(args, cli._json_text(payload))
+    cli._emit(args, lambda handle: cli._write_json(handle, payload))
     return cli.EXIT_OK if report.passed else cli.EXIT_VERIFICATION

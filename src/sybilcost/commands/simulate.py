@@ -13,8 +13,7 @@ def run(args: argparse.Namespace) -> int:
     config = simulation.ScenarioConfig(n_honest=args.n, m=args.m or 0, s=args.s, T=args.T, spec=spec)
     trace = simulation.run(config)
     rows = (asdict(row) for row in trace.per_window)
-    text = cli._table_text(
-        args.format, rows, meta=cli._meta(args), total_cost=trace.total_cost, windows=rows
-    )
-    cli._emit(args, text)
+    cli._emit(args, lambda handle: cli._write_table(
+        handle, args.format, rows, meta=cli._meta(args), total_cost=trace.total_cost, windows=rows
+    ))
     return cli.EXIT_OK

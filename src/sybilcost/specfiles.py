@@ -13,6 +13,7 @@ import math
 from pathlib import Path
 from typing import Mapping, get_args, get_type_hints
 
+from . import law
 from .resources import ResourceSpec
 
 __all__ = ["load_specs", "spec_from_dict"]
@@ -27,7 +28,9 @@ _TYPE_NAMES = {str: "a string", bool: "true or false", float: "a finite number",
 
 def _has_type(value: object, expected: type) -> bool:
     if expected is float:
-        return type(value) is int or (type(value) is float and math.isfinite(value))
+        if type(value) is int:
+            value = law._quotient(value, 1)  # the nearest float, or inf past the float range
+        return type(value) is float and math.isfinite(value)
     if expected is int:
         return type(value) is int
     return isinstance(value, expected)

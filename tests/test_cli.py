@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import os
@@ -19,6 +20,13 @@ def run_cli(capsys, *argv):
     code = cli.dispatch(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _table(fmt, rows, **payload):
+    """What `cli._write_table` writes, as one string."""
+    buffer = io.StringIO()
+    cli._write_table(buffer, fmt, rows, **payload)
+    return buffer.getvalue()
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):
@@ -464,6 +472,20 @@ def test_fig3_rejects_a_repeated_identity_count(capsys):
     assert err == "error: s_values must not repeat an identity count, got [400, 400]\n"
 
 
+def test_fig3_warns_before_it_says_what_it_wrote(tmp_path, monkeypatch):
+    both = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", both)
+    monkeypatch.setattr(sys, "stderr", both)
+    target = tmp_path / "fig3.csv"
+    code = cli.dispatch(["fig3", "--s-values", "5,10", "--m-min", "1", "--m-max", "20",
+                         "--out", str(target)])
+    assert code == cli.EXIT_OK
+    assert both.getvalue() == (
+        "warning: identity counts do not all exceed the channel range; share columns may differ\n"
+        f"wrote {target}\n"
+    )
+
+
 def test_fig3_respects_out_file(tmp_path, capsys):
     target = tmp_path / "fig3.csv"
     code, out, _ = run_cli(capsys, "fig3", "--out", str(target))
@@ -534,6 +556,14 @@ def test_an_integer_in_a_float_field_prints_what_its_float_twin_prints(tmp_path,
     assert [code for code, _out, _err in outputs[0]] == [cli.EXIT_OK] * 3
 
 
+def test_a_spec_integer_past_the_float_range_is_refused_by_its_field(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(INTEGER_SPECS["alpha"], r_min=10**400)))
+    code, out, err = run_cli(capsys, "classify", "--spec", str(path))
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == f"error: resource field 'r_min' must be a finite number, got {10**400!r}\n"
+
+
 def test_calibrate_eth_writes_both_panels(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "calibrate", "eth", "--out", str(tmp_path))
     assert code == cli.EXIT_OK
@@ -570,16 +600,16 @@ def test_calibrate_default_directory_comes_from_env(tmp_path, capsys, monkeypatc
 
 
 def test_calibrate_writes_no_panel_when_one_fails(tmp_path, capsys, monkeypatch):
-    table_text = cli._table_text
+    write_table = cli._write_table
     calls = []
 
     def fail_second(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args[1])
         if len(calls) == 2:
             raise ValueError("second panel failed")
-        return table_text(*args, **kwargs)
+        return write_table(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_table_text", fail_second)
+    monkeypatch.setattr(cli, "_write_table", fail_second)
     code, out, err = run_cli(capsys, "calibrate", "btc", "--out", str(tmp_path))
     assert (code, out, err) == (cli.EXIT_USAGE, "", "error: second panel failed\n")
     assert list(tmp_path.iterdir()) == []
@@ -641,27 +671,32 @@ def test_sweep_json_format(capsys):
 
 def test_csv_from_a_generator_matches_csv_from_a_list():
     rows = [{"m": m, "share": m / 7, "note": None if m % 2 else "even"} for m in range(1, 6)]
-    text = cli._table_text("csv", rows)
-    assert cli._table_text("csv", (dict(row) for row in rows)) == text
+    text = _table("csv", rows)
+    assert _table("csv", (dict(row) for row in rows)) == text
     assert text.splitlines()[:2] == ["m,share,note", "1,0.14285714285714285,"]
 
 
-def test_sweep_csv_streams_within_a_small_multiple_of_its_text():
-    def sweep_text(axes):
-        return cli._table_text("csv", map(sweep._sweep_row, itertools.product(*axes)))
+def test_sweep_csv_streams_within_a_small_multiple_of_its_text(tmp_path):
+    target = tmp_path / "sweep.csv"
+
+    def write_sweep(axes):
+        rows = map(sweep._sweep_row, itertools.product(*axes))
+        cli._write_with(target, lambda handle: cli._write_table(handle, "csv", rows))
 
     # Built before tracing: itertools.product materializes its inputs.
     axes = (tuple(range(1, 20_001)), (100,), (1.0,), (law.LINEAR_COORDINATION,))
-    sweep_text(((1,), (1,), (1.0,), (law.ZERO_COORDINATION,)))  # warm caches
+    write_sweep(((1,), (1,), (1.0,), (law.ZERO_COORDINATION,)))  # warm caches
     tracemalloc.start()
     try:
-        text = sweep_text(axes)
+        write_sweep(axes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert text.count("\n") == 20_001
-    # Listing the rows as dicts before writing them peaks above 8 x the text.
-    assert peak < 4 * len(text)
+    size = target.stat().st_size
+    assert target.read_text().count("\n") == 20_001
+    # Streamed, the peak is about 0.11 x the file: the copy of the s axis that
+    # product() makes.  Building the text before writing it peaks at 2.9 x.
+    assert peak < 0.2 * size
 
 
 def test_fig3_streams_within_a_small_multiple_of_its_text(tmp_path, capsys):
@@ -677,14 +712,33 @@ def test_fig3_streams_within_a_small_multiple_of_its_text(tmp_path, capsys):
     size = target.stat().st_size
     assert code == cli.EXIT_OK
     assert size > 1_000_000
-    # Building every row before writing the first peaks above 5 x the text.
+    # Streamed, the peak is about 0.14 x the file.  Building the text before
+    # writing it peaks at 3 x, and every row before the first, above 5 x.
+    assert peak < 0.25 * size
+
+
+def test_the_oracle_witness_streams_within_a_small_multiple_of_its_text(tmp_path, capsys):
+    # The payload holds the witness's T rows, so what streaming saves is the text.
+    target = tmp_path / "oracle.json"
+    run_cli(capsys, "oracle", "--spec", "pos-stake", "--s", "3", "--T", "3", "--out", str(target))
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(capsys, "oracle", "--spec", "pos-stake", "--s", "3", "--T", "20000",
+                             "--out", str(target))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = target.stat().st_size
+    assert code == cli.EXIT_OK
+    assert size > 500_000
+    # Streamed, the peak is about 2.1 x the file; building the text first, 8.6 x.
     assert peak < 4 * size
 
 
 def test_non_finite_cell_mid_stream_writes_no_file(tmp_path, capsys):
     rows = ({"s": s, "total": 1e308 * s} for s in (1, 2, 3))
     with pytest.raises(ValueError, match="non-finite value inf in column 'total'"):
-        cli._table_text("csv", rows)
+        _table("csv", rows)
     # (s=2, r_min=1e308) overflows in the middle of the grid.
     target = tmp_path / "sweep.csv"
     code, _, err = run_cli(capsys, "sweep", "--s", "1,2,3", "--T", "1", "--rmin", "1,1e308",
@@ -692,6 +746,65 @@ def test_non_finite_cell_mid_stream_writes_no_file(tmp_path, capsys):
     assert code == cli.EXIT_USAGE
     assert err.startswith("error: non-finite value inf")
     assert list(tmp_path.iterdir()) == []
+
+
+# (s=2, r_min=1e308) overflows part way through the grid: CSV refuses the row as
+# it comes, and JSON refuses it after the "meta" key is written.
+OVERFLOWING_SWEEP = ("sweep", "--s", "1,2,3", "--T", "1", "--rmin", "1,1e308")
+FORMATS = pytest.mark.parametrize("fmt", [(), ("--format", "json")], ids=["csv", "json"])
+
+
+@FORMATS
+def test_a_refusal_part_way_prints_nothing_on_stdout(capsys, fmt):
+    code, out, err = run_cli(capsys, *OVERFLOWING_SWEEP, *fmt)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
+@FORMATS
+def test_a_refusal_part_way_leaves_neither_the_file_nor_its_scratch(tmp_path, capsys, fmt):
+    code, out, err = run_cli(capsys, *OVERFLOWING_SWEEP, *fmt, "--out", str(tmp_path / "sweep.out"))
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def _without_out(argv):
+    """ARGV with its `--out PATH` pair, if any, taken out."""
+    if "--out" not in argv:
+        return list(argv)
+    index = argv.index("--out")
+    return [*argv[:index], *argv[index + 2:]]
+
+
+# Each README command that writes one document: not `calibrate`, whose --out
+# names a directory, nor one crossover threshold, which prints a bare number.
+README_COMMANDS = [
+    line.split("#")[0].split()[1:]
+    for line in (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    if line.startswith("sybilcost ")
+]
+ONE_DOCUMENT_COMMANDS = [
+    _without_out(argv) for argv in README_COMMANDS
+    if argv[0] not in ("calibrate", "verify-all") and (argv[0] != "crossover" or "--table" in argv)
+]
+
+
+def test_the_readme_names_eight_one_document_commands():
+    assert sorted({argv[0] for argv in ONE_DOCUMENT_COMMANDS}) == [
+        "classify", "cost", "crossover", "fig3", "oracle", "simulate", "sweep", "taxonomy",
+    ]
+
+
+@pytest.mark.parametrize("argv", ONE_DOCUMENT_COMMANDS, ids=" ".join)
+def test_a_file_holds_the_bytes_stdout_prints(tmp_path, capsys, argv):
+    code, printed, err = run_cli(capsys, *argv)
+    assert (code, err) == (cli.EXIT_OK, "")
+    target = tmp_path / "out"
+    assert run_cli(capsys, *argv, "--out", str(target)) == (cli.EXIT_OK, f"wrote {target}\n", "")
+    assert target.read_bytes() == printed.encode()
 
 
 def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):

@@ -238,6 +238,41 @@ def test_the_spec_reader_names_no_field():
     assert not sites, f"the spec reader names a field at {', '.join(sites)}"
 
 
+def _calls(path):
+    """(enclosing function or None, call node) for each call in a module."""
+    tree = ast.parse(path.read_text(), str(path))
+    owner = {id(node): function.name for function in ast.walk(tree)
+             if isinstance(function, ast.FunctionDef) for node in ast.walk(function)}
+    return [(owner.get(id(node)), node) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+
+# `cli._write_with` writes every file through a scratch file it renames, so no
+# other code opens or writes a file itself.
+def test_the_cli_sink_is_the_only_code_that_opens_a_file():
+    sites = [
+        (path.relative_to(SRC / "sybilcost").as_posix(), function)
+        for path in MODULE_PATHS
+        for function, call in _calls(path)
+        if getattr(call.func, "id", getattr(call.func, "attr", None))
+        in ("open", "write_text", "write_bytes")
+    ]
+    assert sites == [("cli.py", "_write_with")]
+
+
+# `cli._write_table` and `cli._write_json` own the output formats, so a command
+# module hands them its rows or payload and serializes nothing itself.
+def test_no_command_serializes_its_own_output():
+    sites = [
+        f"{path.name}:{call.lineno}"
+        for path in sorted((SRC / "sybilcost" / "commands").glob("*.py"))
+        for _function, call in _calls(path)
+        if isinstance(call.func, ast.Attribute)
+        and (getattr(call.func.value, "id", None), call.func.attr)
+        in (("json", "dumps"), ("json", "dump"), ("csv", "writer"))
+    ]
+    assert not sites, f"a command serializes its output at {', '.join(sites)}"
+
+
 def _module_name(command):
     return "sybilcost.commands." + command.replace("-", "_")
 
