@@ -62,6 +62,7 @@ class CalibrationScenario:
 
     ``supply_reference``, when set, is the whole network in the units a cost
     is counted in (tokens, or hash-rate units), so a cost reads as a multiple of it.
+    ``coordination`` is the overhead the parallelizable law prices by default.
     """
 
     name: str
@@ -69,6 +70,7 @@ class CalibrationScenario:
     s_tiers: tuple[tuple[str, int], ...]
     T_range: tuple[int, ...]
     supply_reference: float | None = None
+    coordination: CoordinationModel = ZERO_COORDINATION
 
     def __post_init__(self) -> None:
         _check_positive("r_min", self.r_min)
@@ -121,37 +123,36 @@ def btc_tiers() -> CalibrationScenario:
         s_tiers=tiers,
         T_range=BTC_T_RANGE,
         supply_reference=float(BTC_NETWORK_UNITS),
+        coordination=CoordinationModel.LINEAR_SUM,
     )
 
 
 def run_calibration(
     scenario: CalibrationScenario,
     law: str = "both",
-    coordination: CoordinationModel = ZERO_COORDINATION,
+    coordination: CoordinationModel | None = None,
 ) -> tuple[CalibrationSeries, ...]:
     """Price every tier under the selected cost law(s) across the horizon range.
 
     The parallelizable law prices a tier as a one-time stake or hardware
     acquisition; the throughput-bounded law prices the counterfactual where
-    the same influence must be re-bought every window.  Coordination applies
-    to the parallelizable law only (the renewal law is already tight).
+    the same influence must be re-bought every window.  Coordination, the
+    scenario's own when None, applies to the parallelizable law only (the
+    renewal law is already tight), so law 'bnd' refuses one.
     """
     if law not in ("par", "bnd", "both"):
         raise ValueError(f"law must be 'par', 'bnd', or 'both', got {law!r}")
+    if coordination is not None and law == "bnd":
+        raise ValueError("coordination applies only to law 'par' or 'both'")
+    coordination = coordination or scenario.coordination
     selected = LAWS if law == "both" else (law,)
     series = []
     for tier, s in scenario.s_tiers:
         for one_law in selected:
-            if one_law == "par":
-                reports = tuple(
-                    [
-                        cost_parallelizable(s, T, scenario.r_min, coordination)
-                        for T in scenario.T_range
-                    ]
-                )
-            else:
-                reports = tuple(
-                    [cost_throughput_bounded(s, T, scenario.r_min) for T in scenario.T_range]
-                )
+            reports = tuple([
+                cost_parallelizable(s, T, scenario.r_min, coordination) if one_law == "par"
+                else cost_throughput_bounded(s, T, scenario.r_min)
+                for T in scenario.T_range
+            ])
             series.append(CalibrationSeries(tier=tier, s=s, law=one_law, reports=reports))
     return tuple(series)

@@ -52,7 +52,8 @@ EXIT_BUDGET = 3
 
 
 def _write_json(handle: TextIO, payload: object) -> None:
-    json.dump(payload, handle, sort_keys=True, indent=2, allow_nan=False)
+    # `vars` writes a dataclass as its fields where it stands, so no result is copied first.
+    json.dump(payload, handle, sort_keys=True, indent=2, allow_nan=False, default=vars)
     handle.write("\n")
 
 

@@ -3,26 +3,22 @@
 import argparse
 import io
 
-from .. import calibration, cli, law
+from .. import calibration, cli
 
-# Per scenario: its constructor, its default coordination and the (file, metric)
-# of its left and right panels: staking totals and ratios, mining ratios and
-# marginal costs.
+# Per scenario: its constructor and the (file, metric) of its left and right
+# panels: staking totals and ratios, mining ratios and marginal costs.
 _CALIBRATIONS = {
-    "eth": (calibration.eth_scenario, law.ZERO_COORDINATION,
+    "eth": (calibration.eth_scenario,
             (("fig4-left.csv", "total"), ("fig4-right.csv", "normalized"))),
-    "btc": (calibration.btc_tiers, law.LINEAR_COORDINATION,
+    "btc": (calibration.btc_tiers,
             (("fig5-left.csv", "normalized"), ("fig5-right.csv", "marginal"))),
 }
 
 
 def run(args: argparse.Namespace) -> int:
-    # The throughput-bounded law takes no coordination, so --coord is refused as `cost` refuses it.
-    if args.coord is not None and args.law == "bnd":
-        raise ValueError("--coord applies only to --law par or both")
-    make_scenario, default_coord, panels = _CALIBRATIONS[args.scenario]
+    make_scenario, panels = _CALIBRATIONS[args.scenario]
     scenario = make_scenario()
-    series = calibration.run_calibration(scenario, law=args.law, coordination=args.coord or default_coord)
+    series = calibration.run_calibration(scenario, law=args.law, coordination=args.coord)
 
     def panel(metric: str) -> str:
         columns = {f"{metric}_{one.law}_{one.tier}": one.reports for one in series}

@@ -1,7 +1,6 @@
 """`sybilcost cost`: one closed-form law's report."""
 
 import argparse
-from dataclasses import asdict
 
 from .. import cli, costs
 from ..law import ZERO_COORDINATION
@@ -38,7 +37,7 @@ def run(args: argparse.Namespace) -> int:
         else:
             report = costs.cost_bounded_reuse(args.s, args.T, args.rmin, args.k)
         row["k"] = args.k
-        row.update(asdict(report))
+        row.update(vars(report))
     # JSON leaves out an unused alpha or k; CSV keeps its empty cell.
     payload = {
         key: value for key, value in row.items() if value is not None or key not in ("alpha", "k")

@@ -1,7 +1,6 @@
 """`sybilcost oracle`: the grid minimum of one scenario, its witness and its bound checks."""
 
 import argparse
-from dataclasses import asdict
 
 from .. import cli, oracle, plans
 
@@ -18,8 +17,8 @@ def run(args: argparse.Namespace) -> int:
     payload = {
         "meta": cli._meta(args),
         "scenario": {"spec": spec.name, "s": args.s, "T": args.T, "coordination": args.coord.value},
-        **asdict(result),
-        "verification": {"passed": report.passed, **asdict(report)},
+        **vars(result),
+        "verification": {"passed": report.passed, **vars(report)},
     }
     cli._emit(args, lambda handle: cli._write_json(handle, payload))
     return cli.EXIT_OK if report.passed else cli.EXIT_VERIFICATION

@@ -13,7 +13,7 @@ alone.  Degenerate targets cost nothing: C(0, T) = C(s, 0) = 0 by convention.
 The input rules that every module checks its arguments with (counts,
 thresholds and the carry-over bounds) are written once here, in
 `_check_count`, `_check_positive` and `_check_rule`, and so is the plan
-ceiling, `DEFAULT_PLAN_CEILING`, past which a run raises `PlanBudgetExceeded`.
+ceiling, `DEFAULT_PLAN_CEILING`, past which `_check_rows` refuses a T-row result.
 """
 
 from __future__ import annotations
@@ -39,6 +39,13 @@ DEFAULT_PLAN_CEILING = 10_000_000
 
 class PlanBudgetExceeded(RuntimeError):
     """A run would scan, or its witness or trace hold, more than the plan ceiling allows."""
+
+
+def _check_rows(what: str, T: int, width: int, ceiling: int | None = None) -> None:
+    """Refuse `what`, T rows of `width` values, past the ceiling (`DEFAULT_PLAN_CEILING` if None)."""
+    size, limit = T * width, DEFAULT_PLAN_CEILING if ceiling is None else ceiling
+    if size > limit:
+        raise PlanBudgetExceeded(f"{what} of {size} values exceeds the ceiling of {limit}")
 
 
 def _check_count(name: str, value: int, least: int = 0) -> None:

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .law import _exact, _quotient, acquisition_schedule, cost_carry_over
+from .law import _check_rows, _exact, _quotient, acquisition_schedule, cost_carry_over
 # The plan model and the grid live in `plans`; the names used here are also
 # this module's attributes, where `verify_bounds` and the benchmark tracer look
 # them up.
@@ -159,11 +159,7 @@ def min_cost(scenario: OracleScenario, grid: PlanGrid | None = None) -> OracleRe
         units, _active, descending = best
         fielded = tuple([value * step for value in descending if value])
     # The witness holds T rows of allocations and T acquisitions.
-    size = T * (len(fielded) + 1)
-    if size > effective_grid.ceiling:
-        raise PlanBudgetExceeded(
-            f"a witness of {size} values exceeds the ceiling of {effective_grid.ceiling}"
-        )
+    _check_rows("a witness", T, len(fielded) + 1, effective_grid.ceiling)
     acquisitions = acquisition_schedule(alpha, k, T, units * step)
     witness = AllocationPlan(T, (fielded,) * T, acquisitions)
     # The law's exact sum prices one grid step at the rule (alpha, k), times `units`.

@@ -184,8 +184,8 @@ def plan_feasible(plan: AllocationPlan, scenario: OracleScenario) -> bool:
     # (every finite float is a dyadic rational), and each is rounded to a
     # float once by `law._quotient`.  An infinite value counts 2**1024 floats,
     # so a sum holding it rounds to inf.
-    scale = max([value.as_integer_ratio()[1] for row in (plan.acquisitions, *plan.identities)
-                 for value in row if value < math.inf], default=1)
+    scale = max((value.as_integer_ratio()[1] for row in (plan.acquisitions, *plan.identities)
+                 for value in row if value < math.inf), default=1)
 
     def units(value: float) -> int:
         if value == math.inf:

@@ -108,11 +108,7 @@ def run(config: ScenarioConfig) -> SimTrace:
     active = min(channels, config.s)
     adversary = active * spec.r_min
     total = (active + config.n_honest) * spec.r_min
-    size = config.T * len(fields(WindowRow))
-    if size > law.DEFAULT_PLAN_CEILING:
-        raise law.PlanBudgetExceeded(
-            f"a trace of {size} values exceeds the ceiling of {law.DEFAULT_PLAN_CEILING}"
-        )
+    law._check_rows("a trace", config.T, len(fields(WindowRow)))
     schedule = law.acquisition_schedule(alpha, k, config.T, adversary)
     rows = [
         WindowRow(

@@ -15,7 +15,7 @@ import math
 from dataclasses import replace
 
 from . import costs, law, oracle
-from .plans import FEASIBILITY_EPS, AllocationPlan, OracleScenario
+from .plans import AllocationPlan, OracleScenario
 from .resources import preset
 
 __all__ = ["verify_all"]
@@ -104,7 +104,7 @@ def verify_all() -> list[tuple[str, int, list[str]]]:
                     cost = oracle.plan_cost(plan, scenario)
                     at = (s, j, r_min)
                     partition.check(feasible, "re-partition infeasible s={} j={} r_min={}", *at)
-                    partition.check(math.isclose(cost, par_min[key], rel_tol=FEASIBILITY_EPS),
+                    partition.check(cost == par_min[key],
                                     "re-partition cost drift s={} j={} r_min={}", *at)
 
     for (r_min, s, T), par in par_min.items():

@@ -81,6 +81,24 @@ def test_series_reproduce_cost_engine_outputs_exactly():
             assert report == expected
 
 
+def test_a_scenario_carries_its_own_coordination():
+    assert eth_scenario().coordination is law.ZERO_COORDINATION
+    assert btc_tiers().coordination is law.LINEAR_COORDINATION
+    explicit = run_calibration(btc_tiers(), law="par", coordination=law.LINEAR_COORDINATION)
+    assert run_calibration(btc_tiers(), law="par") == explicit
+    zero = run_calibration(btc_tiers(), law="par", coordination=law.ZERO_COORDINATION)
+    assert zero != explicit
+
+
+@pytest.mark.parametrize("coordination", list(law.CoordinationModel), ids=lambda model: model.value)
+def test_the_bounded_law_refuses_a_coordination(coordination):
+    # The renewal law takes none; the scenario's own is simply not applied to it.
+    with pytest.raises(ValueError, match="^coordination applies only to law 'par' or 'both'$"):
+        run_calibration(eth_scenario(), law="bnd", coordination=coordination)
+    series = run_calibration(btc_tiers(), law="bnd")
+    assert {one.law for one in series} == {"bnd"}
+
+
 def test_law_filter():
     series = run_calibration(eth_scenario(), law="par")
     assert {one.law for one in series} == {"par"}
