@@ -4,11 +4,13 @@
 Each mutant replaces one text that occurs exactly once in one file under
 src/sybilcost/.  For each, the tree is copied to a temporary directory and
 patched there, never in the checkout, and these checks run one subprocess at
-a time until one fails: tests/test_oracle.py, tests/test_oracle_scan.py,
-tests/test_uniform_plan.py and `python -m sybilcost.cli verify-all`.  A mutant
-is killed by the first check that fails, and survives if all pass.  The
-unmutated copy must pass them all first.  Every mutant is run, and the kill
-table goes to stdout.  The exit code is 0 only when every mutant is killed.
+a time: tests/test_oracle.py, tests/test_oracle_scan.py and
+tests/test_uniform_plan.py until one fails, then `python -m sybilcost.cli
+verify-all` always.  A mutant is killed by the first check that fails, and
+survives if all pass; the "verify-all alone" column says whether verify-all
+fails on it, whatever the tests did.  The unmutated copy must pass them all
+first.  Every mutant is run, and the kill table goes to stdout.  The exit
+code is 0 only when every mutant is killed.
 
     python scripts/mutants.py   # a few minutes
 """
@@ -52,34 +54,40 @@ MUTANTS = (
      "type(value) is not int or value < least", "type(value) is not int or value < 0"),
     ("threshold-check-admits-zero", "law.py",
      "math.isfinite(value) and value > 0", "math.isfinite(value) and value >= 0"),
+    ("bounded-reuse-k-minus-1", "resources.py",
+     "else spec.k", "else max(1, spec.k - 1)"),
+    ("partial-transfer-alpha-halved", "resources.py",
+     "else spec.alpha", "else spec.alpha / 2"),
 )
 
 TESTS = ("tests/test_oracle.py", "tests/test_oracle_scan.py", "tests/test_uniform_plan.py")
 TIMEOUT_S = 600
 
 
-def _checks():
-    """(label, argv) of each check, in the order they run."""
+def _failure(tree, label, argv):
+    """None if the check passes in TREE, else the failing test's id or the check's label."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return f"{label} (timed out after {TIMEOUT_S} s)"
+    if proc.returncode == 0:
+        return None
+    failed = re.search(r"^FAILED (\S+)", proc.stdout, re.MULTILINE)
+    return failed.group(1) if failed else f"{label} (exit {proc.returncode})"
+
+
+def _failures(tree):
+    """(the first check to fail in TREE, verify-all's failure), each None if none fails.
+
+    The test files run until one fails; verify-all runs whatever they did.
+    """
     pytest = [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider",
               "--hypothesis-seed=0"]
-    return [(path, [*pytest, path]) for path in TESTS] + [
-        ("verify-all", [sys.executable, "-m", "sybilcost.cli", "verify-all"])
-    ]
-
-
-def _first_failure(tree):
-    """The first check that fails in TREE, as the failing test's id or the check's label."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    for label, argv in _checks():
-        try:
-            proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True,
-                                  timeout=TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            return f"{label} (timed out after {TIMEOUT_S} s)"
-        if proc.returncode != 0:
-            failed = re.search(r"^FAILED (\S+)", proc.stdout, re.MULTILINE)
-            return failed.group(1) if failed else f"{label} (exit {proc.returncode})"
-    return None
+    tests = next(filter(None, (_failure(tree, path, [*pytest, path]) for path in TESTS)), None)
+    verify = _failure(tree, "verify-all", [sys.executable, "-m", "sybilcost.cli", "verify-all"])
+    return tests or verify, verify
 
 
 def _copy_tree(target):
@@ -103,7 +111,7 @@ def main():
     with tempfile.TemporaryDirectory(prefix="sybilcost-mutants-") as scratch:
         base = Path(scratch) / "base"
         _copy_tree(base)
-        failure = _first_failure(base)
+        failure, _ = _failures(base)
         if failure is not None:
             print(f"the unmutated tree fails {failure}; no mutant was run", file=sys.stderr)
             return 1
@@ -112,17 +120,20 @@ def main():
             tree = Path(scratch) / name
             _copy_tree(tree)
             _patch(tree, file, old, new)
-            killer = _first_failure(tree)
-            rows.append((name, file, "killed" if killer else "SURVIVED", killer or "-"))
+            killer, verify = _failures(tree)
+            rows.append((name, file, "killed" if killer else "SURVIVED", killer or "-",
+                         "killed" if verify else "survived"))
             print(f"{name}: {rows[-1][2]}", file=sys.stderr, flush=True)
             shutil.rmtree(tree)
 
-    widths = [max(len(row[i]) for row in [("mutant", "file", "result", "killed by"), *rows])
-              for i in range(4)]
-    for row in [("mutant", "file", "result", "killed by"), *rows]:
+    header = ("mutant", "file", "result", "killed by", "verify-all alone")
+    widths = [max(len(row[i]) for row in [header, *rows]) for i in range(len(header))]
+    for row in [header, *rows]:
         print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
     survivors = sum(row[2] == "SURVIVED" for row in rows)
-    print(f"{len(rows) - survivors} of {len(rows)} killed")
+    alone = sum(row[4] == "killed" for row in rows)
+    print(f"{len(rows) - survivors} of {len(rows)} killed;"
+          f" verify-all alone kills {alone} of {len(rows)}")
     return 1 if survivors else 0
 
 

@@ -85,11 +85,12 @@ class CoordinationModel(Enum):
     ZERO = "zero"
     LINEAR_SUM = "linear"
 
-    def evaluate(self, s: int, T: int) -> float:
+    def evaluate(self, s: int, T: int) -> int:
+        """h(s, T) as an exact integer, so a sum with it is rounded once, after the sum."""
         _check_counts(s, T)
         if self is CoordinationModel.LINEAR_SUM and s >= 1 and T >= 1:
-            return float(s + T)
-        return 0.0
+            return s + T
+        return 0
 
 
 ZERO_COORDINATION = CoordinationModel.ZERO
@@ -158,14 +159,11 @@ def _report(s: int, T: int, parts: _Parts, coordination: CoordinationModel) -> C
     if s == 0 or T == 0:
         return CostReport(s, T, 0.0, 0.0, 0.0, 0.0, 0.0, None)
     stock, flow, scale = _exact(T, parts)
-    overhead = coordination.evaluate(s, T)
-    # h takes whole-number values, so int() keeps each one exact.
-    h = int(overhead)
+    h = coordination.evaluate(s, T)
     total = s * (stock + flow) + h * scale
-    step = h - int(coordination.evaluate(s - 1, T))
-    marginal = stock + flow + step * scale
+    marginal = stock + flow + (h - coordination.evaluate(s - 1, T)) * scale
     return CostReport(s, T, _quotient(total, scale), _quotient(s * stock, scale),
-                      _quotient(s * flow, scale), overhead, _quotient(marginal, scale),
+                      _quotient(s * flow, scale), float(h), _quotient(marginal, scale),
                       _quotient(total, scale * s * T))
 
 

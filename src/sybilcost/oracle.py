@@ -6,11 +6,11 @@ scans, in integer units of the grid step, every way of filling one window from
 a finite grid of per-identity allocations (`plans.PlanGrid`) up to the rate
 limit tau, then combines windows through the cheapest acquisition schedule
 under the resource's carry-over rule: the (alpha, k) pair that
-`resources.carry_over` reads from the spec's property flags.  The closed form
-it is checked against is `law.cost_carry_over` at that rule, and the floor in
-`verify_bounds` reads alpha and k from the spec's fields on its own.  Plan
-cost is monotone in each window's aggregate allocation under every carry-over
-rule, so the grid optimum is always a uniform plan built from the best
+`resources.carry_over` reads from the spec's property flags.  `verify_bounds`
+reads alpha and k from the spec's fields on its own and checks the minimum
+against `law.cost_carry_over` and the floor at that rule.  Plan cost is
+monotone in each window's aggregate allocation under every carry-over rule,
+so the grid optimum is always a uniform plan built from the best
 single-window configuration and the search is exact over all grid plans
 despite never materializing the cross-window product.  The minimum is priced
 by `law`'s exact per-identity sum, rounded to a float once.  Results come with
@@ -49,7 +49,6 @@ __all__ = [
     "VerificationCheck",
     "VerificationReport",
     "allocation_semantics",
-    "closed_form",
     "min_cost",
     "verify_bounds",
 ]
@@ -164,21 +163,9 @@ def min_cost(scenario: OracleScenario, grid: PlanGrid | None = None) -> OracleRe
     witness = AllocationPlan(T, (fielded,) * T, acquisitions)
     # The law's exact sum prices one grid step at the rule (alpha, k), times `units`.
     stock, flow, scale = _exact(T, ((step, alpha, k),))
-    overhead = int(scenario.coordination.evaluate(s, T))
+    overhead = scenario.coordination.evaluate(s, T)
     total = _quotient(units * (stock + flow) + overhead * scale, scale)
     return OracleResult(total, witness, examined, effective_grid)
-
-
-def closed_form(scenario: OracleScenario) -> float:
-    """The closed-form cost the grid optimum is checked against.
-
-    `law.cost_carry_over` at the spec's carry-over rule, with the
-    scenario's coordination overhead h(s, T), which every plan the search
-    prices pays.
-    """
-    s, T, spec = scenario.s, scenario.T, scenario.spec
-    alpha, k = carry_over(spec, T)
-    return cost_carry_over(s, T, spec.r_min, alpha, k, scenario.coordination).total
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +200,18 @@ class VerificationReport:
 def verify_bounds(result: OracleResult, scenario: OracleScenario) -> VerificationReport:
     """Compare a search result against the closed-form bounds for its regime.
 
-    The closed form is the ceiling on reusable stock and the exact value of
-    window-local flow.  Every other rule has the one floor
-    s * T * r_min * ((1 - alpha) + alpha / k): the alpha share bought once
-    per k windows, the rest every window.  It reads alpha and k from the
-    spec's own fields, not from `carry_over`, so it checks the rule the search
-    priced with.  The ceiling and the exact value assume a grid that holds
-    r_min; on a step that does not divide it, the grid's lowest active level
-    is above r_min and its optimum can exceed the law.  Each comparison allows
-    FEASIBILITY_EPS relative to the values it compares, so the report is the
-    same in any unit.  Violations come back as failed checks in the report
-    rather than as exceptions, so callers can render them.
+    The law `cost_carry_over`, priced once with the scenario's coordination,
+    is the ceiling on reusable stock and the exact value of window-local flow.
+    Every other rule has the one floor s * T * r_min * ((1 - alpha) + alpha / k):
+    the alpha share bought once per k windows, the rest every window.  The law
+    and the floor read alpha and k from the spec's own fields, not from
+    `carry_over`, so they check the rule the search priced with.  The ceiling
+    and the exact value assume a grid that holds r_min; on a step that does
+    not divide it, the grid's lowest active level is above r_min and its
+    optimum can exceed the law.  Each comparison allows FEASIBILITY_EPS
+    relative to the values it compares, so the report is the same in any
+    unit.  Violations come back as failed checks in the report rather than as
+    exceptions, so callers can render them.
     """
     checks: list[VerificationCheck] = []
     spec = scenario.spec
@@ -252,20 +240,20 @@ def verify_bounds(result: OracleResult, scenario: OracleScenario) -> Verificatio
     if s == 0:
         return VerificationReport(tuple(checks))
 
+    alpha = float(spec.identity_transferable) if spec.alpha is None else spec.alpha
+    k = (T if spec.temporally_reusable else 1) if spec.k is None else spec.k
+    law_value = cost_carry_over(s, T, spec.r_min, alpha, k, scenario.coordination).total
     semantics = allocation_semantics(spec)
     if semantics is AllocationSemantics.REUSABLE:
-        ceiling_value = closed_form(scenario)
         checks.append(
             VerificationCheck(
                 "stock-upper-bound",
-                result.min_cost <= ceiling_value * (1.0 + FEASIBILITY_EPS),
-                f"minimum {result.min_cost} vs one-shot stock cost {ceiling_value}",
+                result.min_cost <= law_value * (1.0 + FEASIBILITY_EPS),
+                f"minimum {result.min_cost} vs one-shot stock cost {law_value}",
             )
         )
         return VerificationReport(tuple(checks))
 
-    alpha = float(spec.identity_transferable) if spec.alpha is None else spec.alpha
-    k = (T if spec.temporally_reusable else 1) if spec.k is None else spec.k
     floor_value = s * T * spec.r_min * ((1.0 - alpha) + alpha / k)
     name, floor = _FLOOR_CHECKS[semantics]
     checks.append(
@@ -276,12 +264,11 @@ def verify_bounds(result: OracleResult, scenario: OracleScenario) -> Verificatio
         )
     )
     if semantics is AllocationSemantics.WINDOW_LOCAL:
-        tight_value = closed_form(scenario)
         checks.append(
             VerificationCheck(
                 "tight-plan-value",
-                math.isclose(result.min_cost, tight_value, rel_tol=FEASIBILITY_EPS),
-                f"minimum {result.min_cost} vs tight renewal cost {tight_value}",
+                math.isclose(result.min_cost, law_value, rel_tol=FEASIBILITY_EPS),
+                f"minimum {result.min_cost} vs tight renewal cost {law_value}",
             )
         )
     return VerificationReport(tuple(checks))

@@ -2,11 +2,12 @@
 
 `verify_all` searches every closed-form regime with the oracle on small
 instances (thresholds, targets and horizons up to 4) and checks each minimum
-against its closed form and bounds, then checks the laws' marginals,
-horizon independence, partition invariance, monotonicity and the sign of the
-stock/renewal crossover.  It calls the search and the plan accounting
-through the `oracle` module, so a wrapper or patch on an `oracle` attribute
-sees every call.
+against its bounds and its named `costs` law, priced at the alpha or k the
+grid built, not read back through `resources.carry_over`; then it checks the
+laws' marginals, horizon independence, partition invariance, monotonicity
+and the sign of the stock/renewal crossover.  It calls the search and the
+plan accounting through the `oracle` module, so a wrapper or patch on an
+`oracle` attribute sees every call.
 """
 
 from __future__ import annotations
@@ -51,10 +52,9 @@ class _Group:
             self.failures.append(description.format(*fields))
 
 
-def _search(label: str, scenario: OracleScenario, group: _Group) -> float:
-    """Search one instance, check it against its closed form and bounds, return its minimum."""
+def _search(label: str, scenario: OracleScenario, expected: float, group: _Group) -> float:
+    """Search one instance, check its minimum against `expected` and its bounds, return it."""
     result = oracle.min_cost(scenario)
-    expected = oracle.closed_form(scenario)
     s, T, r_min = scenario.s, scenario.T, scenario.spec.r_min
     group.check(result.min_cost == expected, "{} s={} T={} r_min={}: oracle {} != {}",
                 label, s, T, r_min, result.min_cost, expected)
@@ -79,20 +79,22 @@ def verify_all() -> list[tuple[str, int, list[str]]]:
         for s in _VERIFY_TARGETS:
             for T in _VERIFY_HORIZONS:
                 key = (r_min, s, T)
-                par_min[key] = _search("par", OracleScenario(s, T, par_spec), equivalence)
-                bnd_min[key] = _search("bnd", OracleScenario(s, T, bnd_spec), equivalence)
+                par = costs.cost_parallelizable(s, T, r_min).total
+                bnd = costs.cost_throughput_bounded(s, T, r_min).total
+                par_min[key] = _search("par", OracleScenario(s, T, par_spec), par, equivalence)
+                bnd_min[key] = _search("bnd", OracleScenario(s, T, bnd_spec), bnd, equivalence)
                 # The intermediate regimes are the stake resource with its
-                # transfer cut to an alpha share or its reuse to k windows.
-                specs = [
-                    replace(par_spec, name=f"partial-a{a}", identity_transferable=None, alpha=a)
-                    for a in (0.0, 0.5, 1.0)
-                ]
-                specs += [
-                    replace(par_spec, name=f"bounded-k{k}", temporally_reusable=None, k=k)
-                    for k in sorted({1, 2, T})
-                ]
-                for spec in specs:
-                    _search(spec.name, OracleScenario(s, T, spec), intermediate)
+                # transfer cut to an alpha share or its reuse to k windows,
+                # each checked against its named law at the alpha or k built here.
+                for a in (0.0, 0.5, 1.0):
+                    spec = replace(par_spec, name=f"partial-a{a}", identity_transferable=None,
+                                   alpha=a)
+                    law_cost = costs.cost_partial_transferability(s, T, r_min, a).model_cost
+                    _search(spec.name, OracleScenario(s, T, spec), law_cost, intermediate)
+                for k in sorted({1, 2, T}):
+                    spec = replace(par_spec, name=f"bounded-k{k}", temporally_reusable=None, k=k)
+                    law_cost = costs.cost_bounded_reuse(s, T, r_min, k).total
+                    _search(spec.name, OracleScenario(s, T, spec), law_cost, intermediate)
                 if T != 2:
                     continue
                 # The same stock split among any j <= s identities is feasible at the same cost.

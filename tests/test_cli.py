@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from sybilcost import cli, law, oracle, plans, resources
+from sybilcost import cli, costs, law, oracle, plans, resources
 from sybilcost.commands import sweep
 
 
@@ -899,14 +899,13 @@ def test_verify_all_passes(capsys):
 
 
 def test_verify_all_reports_a_failing_group(capsys, monkeypatch):
-    closed_form = oracle.closed_form
+    cost_bounded_reuse = costs.cost_bounded_reuse
 
-    def off_by_one_for_bounded_reuse(scenario):
-        semantics = oracle.allocation_semantics(scenario.spec)
-        bump = 1.0 if semantics is oracle.AllocationSemantics.BOUNDED_REUSE else 0.0
-        return closed_form(scenario) + bump
+    def off_by_one(s, T, r_min, k):
+        report = cost_bounded_reuse(s, T, r_min, k)
+        return replace(report, total=report.total + 1.0)
 
-    monkeypatch.setattr(oracle, "closed_form", off_by_one_for_bounded_reuse)
+    monkeypatch.setattr(costs, "cost_bounded_reuse", off_by_one)
     code, out, _ = run_cli(capsys, "verify-all")
     lines = out.splitlines()
     assert code == cli.EXIT_VERIFICATION

@@ -308,6 +308,20 @@ def test_governance_hybrid_rounds_the_exact_sum_once(coordination):
                     assert report.normalized == float((stock + flow + h) / (s * T)), case
 
 
+def test_linear_coordination_past_two_to_the_53_is_summed_exactly():
+    # h(s, T) = s + T is an exact integer, so the total and the marginal are
+    # each rounded once, after the sum: a float h read 3.0 and 4.0 as marginals.
+    s = 2**53 + 2
+    assert LINEAR_COORDINATION.evaluate(s, 1) == s + 1
+    report = cost_carry_over(s, 1, 1.0, 1.0, None, LINEAR_COORDINATION)
+    assert report.total == float(2 * s + 1)
+    assert report.marginal == 2.0
+    hybrid = governance_hybrid(s, 1, 1.0, 1.0, LINEAR_COORDINATION)
+    assert hybrid.total == float(3 * s + 1)
+    assert hybrid.marginal == 3.0
+    assert report.coordination == hybrid.coordination == float(s + 1)
+
+
 @given(st.integers(min_value=2, max_value=300), DYADIC_R)
 def test_crossover_matches_law_intersection(T, r_min):
     threshold = crossover(T, r_min)

@@ -14,7 +14,6 @@ from sybilcost.oracle import (
     AllocationSemantics,
     OracleScenario,
     allocation_semantics,
-    closed_form,
     min_cost,
     plan_cost,
     plan_feasible,
@@ -221,7 +220,9 @@ def test_flag_table_gives_each_combination_its_rule_law_and_scaling():
             for T in (1, 2, 3):
                 scenario = OracleScenario(s, T, spec)
                 result = min_cost(scenario)
-                assert result.min_cost == closed_form(scenario), (spec, s, T)
+                rule = resources.carry_over(spec, T)
+                expected = law.cost_carry_over(s, T, spec.r_min, *rule, scenario.coordination)
+                assert result.min_cost == expected.total, (spec, s, T)
                 assert verify_bounds(result, scenario).passed, (spec, s, T)
                 minima[s, T] = result.min_cost
         # o(sT) exactly when all four properties hold: flat in T.  Otherwise
@@ -252,7 +253,9 @@ def mixed_spec(**overrides):
 def test_mixed_specs_pay_every_window(overrides):
     scenario = OracleScenario(s=3, T=4, spec=mixed_spec(**overrides))
     result = min_cost(scenario)
-    assert result.min_cost == closed_form(scenario) == 12.0
+    rule = resources.carry_over(scenario.spec, 4)
+    assert result.min_cost == law.cost_carry_over(3, 4, 1.0, *rule, scenario.coordination).total
+    assert result.min_cost == 12.0
     assert verify_bounds(result, scenario).passed
 
 
@@ -513,14 +516,16 @@ def test_oracle_agrees_with_renewal_law(s, T, r_min):
 def test_closed_form_is_each_semantics_law(spec, law):
     for s, T in ((0, 2), (2, 3), (3, 4)):
         scenario = OracleScenario(s=s, T=T, spec=spec)
-        assert closed_form(scenario) == law(s, T) == min_cost(scenario).min_cost
+        assert law(s, T) == min_cost(scenario).min_cost
 
 
 @pytest.mark.parametrize("spec", [STAKE, DEVICE, partial_spec(0.5), bounded_spec(2)])
 def test_closed_form_carries_the_overhead_every_plan_pays(spec):
     scenario = OracleScenario(s=2, T=3, spec=spec, coordination=law.LINEAR_COORDINATION)
-    free = dataclasses.replace(scenario, coordination=law.ZERO_COORDINATION)
-    assert closed_form(scenario) == closed_form(free) + 5.0 == min_cost(scenario).min_cost
+    rule = resources.carry_over(spec, 3)
+    linear = law.cost_carry_over(2, 3, spec.r_min, *rule, law.LINEAR_COORDINATION).total
+    free = law.cost_carry_over(2, 3, spec.r_min, *rule, law.ZERO_COORDINATION).total
+    assert linear == free + 5.0 == min_cost(scenario).min_cost
 
 
 # --- the abstract's separation, read from oracle minima alone ---------------
@@ -594,6 +599,29 @@ def test_oracle_minima_separate_the_scaling_classes(r_min, coordination):
             check(("ratio", s, T), C("bnd", s, T), T * C("par", s, T),
                   (1, M["bnd", s, T]), (T, M["par", s, T]))
     assert misses == []
+
+
+def _k_minus_one(spec, T):
+    alpha, k = resources.carry_over(spec, T)
+    return alpha, k if spec.k is None else max(1, spec.k - 1)
+
+
+def _alpha_halved(spec, T):
+    alpha, k = resources.carry_over(spec, T)
+    return alpha if spec.alpha is None else spec.alpha / 2, k
+
+
+@pytest.mark.parametrize(
+    "misread, failed", [(_k_minus_one, 60), (_alpha_halved, 72)], ids=["k-minus-1", "alpha-halved"]
+)
+def test_verify_all_catches_a_misread_carry_over_rule(monkeypatch, misread, failed):
+    # The search reads its rule through `oracle.carry_over`; verify_all prices
+    # each law at the alpha or k its grid built, so a misread rule cannot
+    # shift both sides together.
+    monkeypatch.setattr(oracle, "carry_over", misread)
+    groups = {name: (count, len(failures)) for name, count, failures in verification.verify_all()}
+    assert groups.pop("intermediate-regimes") == (528, failed)
+    assert all(failures == 0 for _count, failures in groups.values())
 
 
 def test_verify_bounds_passes_on_witnesses():

@@ -26,12 +26,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sybilcost import law, oracle, plans, resources, verification
+from sybilcost import costs, law, oracle, plans, resources, verification
 from sybilcost.oracle import (
     FEASIBILITY_EPS,
     AllocationPlan,
     OracleScenario,
-    closed_form,
     min_cost,
     plan_feasible,
     verify_bounds,
@@ -309,12 +308,25 @@ def bounded(r_min, k):
 NON_DYADIC_THRESHOLDS = [0.1, 0.3, 0.7, 1.1]
 # Where the closed form rounds once, so it must equal the oracle exactly.
 # Partial transfer does only at alpha in {0, 1}, where one share is zero.
+# Each is a spec builder and its named law, at the alpha or k the builder sets.
 ONE_ROUNDING_SPECS = {
-    "reusable": stake,
-    "window-local": lambda r_min: device(r_min, r_min),
-    "partial-transfer-a0": lambda r_min: partial(r_min, 0.0),
-    "partial-transfer-a1": lambda r_min: partial(r_min, 1.0),
-    "bounded-reuse": lambda r_min: bounded(r_min, 2),
+    "reusable": (stake, lambda s, T, r_min: costs.cost_parallelizable(s, T, r_min).total),
+    "window-local": (
+        lambda r_min: device(r_min, r_min),
+        lambda s, T, r_min: costs.cost_throughput_bounded(s, T, r_min).total,
+    ),
+    "partial-transfer-a0": (
+        lambda r_min: partial(r_min, 0.0),
+        lambda s, T, r_min: costs.cost_partial_transferability(s, T, r_min, 0.0).model_cost,
+    ),
+    "partial-transfer-a1": (
+        lambda r_min: partial(r_min, 1.0),
+        lambda s, T, r_min: costs.cost_partial_transferability(s, T, r_min, 1.0).model_cost,
+    ),
+    "bounded-reuse": (
+        lambda r_min: bounded(r_min, 2),
+        lambda s, T, r_min: costs.cost_bounded_reuse(s, T, r_min, 2).total,
+    ),
 }
 
 
@@ -326,12 +338,13 @@ def assert_bounds_pass(result, scenario):
 @pytest.mark.parametrize("semantics", ONE_ROUNDING_SPECS)
 @pytest.mark.parametrize("r_min", NON_DYADIC_THRESHOLDS)
 def test_non_dyadic_thresholds_meet_the_closed_form_exactly(semantics, r_min):
-    spec = ONE_ROUNDING_SPECS[semantics](r_min)
+    build, cost = ONE_ROUNDING_SPECS[semantics]
+    spec = build(r_min)
     for s in range(1, 5):
         for T in range(1, 5):
             scenario = OracleScenario(s, T, spec)
             result = min_cost(scenario)
-            assert result.min_cost == closed_form(scenario), (s, T)
+            assert result.min_cost == cost(s, T, r_min), (s, T)
             assert_bounds_pass(result, scenario)
 
 
@@ -352,7 +365,8 @@ def test_partial_transfer_is_its_exact_total_rounded_once(alpha, r_min):
                 assert result.min_cost == float(exact), (s, T)
                 assert_bounds_pass(result, scenario)
                 # The law sums the same exact rational and rounds it once.
-                assert closed_form(scenario) == float(exact), (s, T)
+                law_cost = costs.cost_partial_transferability(s, T, r_min, alpha, coordination)
+                assert law_cost.model_cost == float(exact), (s, T)
 
 
 def test_a_total_past_the_float_range_is_infinite():
