@@ -27,12 +27,12 @@ budget exceeded.
 
 OUTPUT_DIR_ENV = "SYBILCOST_OUT"
 
-# Each sweep preset's (s, T, r_min, coordination) axes.
-_SWEEP_PRESETS: dict[str, tuple[tuple, tuple, tuple, tuple]] = {
+# Each sweep preset's (s, T, r_min, coordination) axes; only `sweep` walks a range.
+_SWEEP_PRESETS: dict[str, tuple] = {
     # Normalized-ratio decay in s at a fixed horizon.
-    "fig1": (tuple(range(1, 1001)), (100,), (1.0,), (law.LINEAR_COORDINATION,)),
+    "fig1": (range(1, 1001), (100,), (1.0,), (law.LINEAR_COORDINATION,)),
     # Totals and ratios against the horizon for three thresholds.
-    "fig2": ((10,), tuple(range(1, 201)), (0.5, 1.0, 2.0), (law.LINEAR_COORDINATION,)),
+    "fig2": ((10,), range(1, 201), (0.5, 1.0, 2.0), (law.LINEAR_COORDINATION,)),
 }
 
 

@@ -26,7 +26,6 @@ from typing import Callable, Iterable, TextIO
 
 # csv is imported by the CSV branch of `_write_table`, so the other commands
 # never load it.
-from . import resources
 from .arguments import OUTPUT_DIR_ENV, build_parser
 from .law import PlanBudgetExceeded
 
@@ -131,22 +130,6 @@ def _emit(args: argparse.Namespace, write: Callable[[TextIO], object]) -> None:
         buffer = io.StringIO()
         write(buffer)
         sys.stdout.write(buffer.getvalue())
-
-
-def _resolve_spec(token: str) -> resources.ResourceSpec:
-    try:
-        return resources.preset(token)
-    except ValueError:
-        pass
-    path = Path(token)
-    if path.exists():
-        from .specfiles import load_specs  # only a spec file loads the JSON reader
-
-        specs = load_specs(path)
-        if len(specs) != 1:
-            raise ValueError(f"spec file {token!r} must contain exactly one spec, found {len(specs)}")
-        return specs[0]
-    raise ValueError(f"{token!r} is neither a built-in preset nor a spec file")
 
 
 @functools.cache

@@ -6,7 +6,7 @@ from .. import cli, resources
 
 
 def run(args: argparse.Namespace) -> int:
-    spec = cli._resolve_spec(args.spec)
+    spec = resources.resolve(args.spec)
     outcome = resources.classify(spec)
     payload = {
         "meta": cli._meta(args),

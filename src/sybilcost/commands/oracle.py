@@ -2,11 +2,11 @@
 
 import argparse
 
-from .. import cli, oracle, plans
+from .. import cli, oracle, plans, resources
 
 
 def run(args: argparse.Namespace) -> int:
-    spec = cli._resolve_spec(args.spec)
+    spec = resources.resolve(args.spec)
     scenario = plans.OracleScenario(s=args.s, T=args.T, spec=spec, coordination=args.coord)
     grid = plans.PlanGrid.for_scenario(scenario, step=args.grid_step, ceiling=args.ceiling)
     # verify_bounds compares with the law at r_min itself, so the grid must hold r_min.

@@ -3,11 +3,11 @@
 import argparse
 from dataclasses import asdict
 
-from .. import cli, simulation
+from .. import cli, resources, simulation
 
 
 def run(args: argparse.Namespace) -> int:
-    spec = cli._resolve_spec(args.spec)
+    spec = resources.resolve(args.spec)
     if args.m is not None and not spec.throughput_bounded:
         raise ValueError("--m applies only to a throughput-bounded spec")
     config = simulation.ScenarioConfig(n_honest=args.n, m=args.m or 0, s=args.s, T=args.T, spec=spec)

@@ -11,6 +11,7 @@ the plans and the grid, and counts in exact rationals what the grid holds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -184,8 +185,8 @@ def plan_feasible(plan: AllocationPlan, scenario: OracleScenario) -> bool:
     # (every finite float is a dyadic rational), and each is rounded to a
     # float once by `law._quotient`.  An infinite value counts 2**1024 floats,
     # so a sum holding it rounds to inf.
-    scale = max((value.as_integer_ratio()[1] for row in (plan.acquisitions, *plan.identities)
-                 for value in row if value < math.inf), default=1)
+    values = itertools.chain(plan.acquisitions, itertools.chain.from_iterable(plan.identities))
+    scale = max((value.as_integer_ratio()[1] for value in values if value < math.inf), default=1)
 
     def units(value: float) -> int:
         if value == math.inf:
@@ -193,21 +194,20 @@ def plan_feasible(plan: AllocationPlan, scenario: OracleScenario) -> bool:
         numerator, denominator = value.as_integer_ratio()
         return numerator * (scale // denominator)
 
-    bought = [units(value) for value in plan.acquisitions]
-    aggregates = [sum(map(units, row)) for row in plan.identities]
-    # alive: the purchases of windows t - k + 1 .. t; before: the aggregates
-    # of windows t - k + 1 .. t - 1.
+    # alive: the purchases of windows t - k + 1 .. t; before: the aggregates of
+    # windows t - k + 1 .. t - 1, each read from the plan, which is not copied.
     alive = before = 0
     for t, row in enumerate(plan.identities):
         reached = sum(value for value in row if value >= active)
         if any(value > cap for value in row) or reached < need:
             return False
-        alive += bought[t]
+        alive += units(plan.acquisitions[t])
+        aggregate = sum(map(units, row))
         spent = (1.0 - alpha) * _quotient(before, scale)
-        if _quotient(alive, scale) < (spent + _quotient(aggregates[t], scale)) * low:
+        if _quotient(alive, scale) < (spent + _quotient(aggregate, scale)) * low:
             return False
-        before += aggregates[t]
+        before += aggregate
         if t >= k - 1:
-            alive -= bought[t - k + 1]
-            before -= aggregates[t - k + 1]
+            alive -= units(plan.acquisitions[t - k + 1])
+            before -= sum(map(units, plan.identities[t - k + 1]))
     return True

@@ -7,14 +7,15 @@ on top, determine how cheaply influence backed by the resource can be
 concentrated.  This module provides the property flags, the classification
 into the two extremal scaling classes plus the intermediate and unclassified
 buckets, the carry-over rule between windows that the flags imply (`law`
-prices it), and a built-in taxonomy of concrete resource types.  Spec files
-are read by `specfiles`.
+prices it), a built-in taxonomy of concrete resource types, and `resolve`, the
+spec a `--spec` token names; it loads `specfiles` only for a spec file.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from enum import Enum
+from pathlib import Path
 
 from .law import _check_positive, _check_rule
 
@@ -27,6 +28,7 @@ __all__ = [
     "classify",
     "is_parallelizable",
     "preset",
+    "resolve",
     "scaling_label",
     "taxonomy_rows",
 ]
@@ -242,6 +244,20 @@ def preset(name: str) -> ResourceSpec:
     except KeyError:
         known = ", ".join(sorted(_PRESETS))
         raise ValueError(f"unknown preset {name!r}; known presets: {known}") from None
+
+
+def resolve(token: str) -> ResourceSpec:
+    """The spec a `--spec` token names: a built-in preset, else the one spec of that JSON file."""
+    if token in _PRESETS:
+        return _PRESETS[token]
+    if not Path(token).exists():
+        raise ValueError(f"{token!r} is neither a built-in preset nor a spec file")
+    from .specfiles import load_specs  # only a spec file loads the JSON reader
+
+    specs = load_specs(token)
+    if len(specs) != 1:
+        raise ValueError(f"spec file {token!r} must contain exactly one spec, found {len(specs)}")
+    return specs[0]
 
 
 def scaling_label(spec: ResourceSpec) -> str:

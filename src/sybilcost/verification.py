@@ -71,6 +71,7 @@ def verify_all() -> list[tuple[str, int, list[str]]]:
     """
     groups = {group: _Group() for group in _VERIFY_GROUPS}
     equivalence, marginal, horizon, partition, monotone, intermediate, sign = groups.values()
+    linear = law.LINEAR_COORDINATION
     par_min: dict[tuple[float, int, int], float] = {}
     bnd_min: dict[tuple[float, int, int], float] = {}
     for r_min in _VERIFY_THRESHOLDS:
@@ -83,14 +84,14 @@ def verify_all() -> list[tuple[str, int, list[str]]]:
                 bnd = costs.cost_throughput_bounded(s, T, r_min).total
                 par_min[key] = _search("par", OracleScenario(s, T, par_spec), par, equivalence)
                 bnd_min[key] = _search("bnd", OracleScenario(s, T, bnd_spec), bnd, equivalence)
-                # The intermediate regimes are the stake resource with its
-                # transfer cut to an alpha share or its reuse to k windows,
-                # each checked against its named law at the alpha or k built here.
+                # The intermediate regimes are the stake resource with its transfer
+                # cut to an alpha share (under linear coordination, so h(s, T) is
+                # checked) or its reuse to k windows, each against its named law.
                 for a in (0.0, 0.5, 1.0):
                     spec = replace(par_spec, name=f"partial-a{a}", identity_transferable=None,
                                    alpha=a)
-                    law_cost = costs.cost_partial_transferability(s, T, r_min, a).model_cost
-                    _search(spec.name, OracleScenario(s, T, spec), law_cost, intermediate)
+                    law_cost = costs.cost_partial_transferability(s, T, r_min, a, linear).model_cost
+                    _search(spec.name, OracleScenario(s, T, spec, linear), law_cost, intermediate)
                 for k in sorted({1, 2, T}):
                     spec = replace(par_spec, name=f"bounded-k{k}", temporally_reusable=None, k=k)
                     law_cost = costs.cost_bounded_reuse(s, T, r_min, k).total
@@ -133,7 +134,7 @@ def verify_all() -> list[tuple[str, int, list[str]]]:
             continue
         top = math.ceil(threshold)
         for s in [*range(1, math.floor(threshold)), *range(top + 1, top + 11)]:
-            par = costs.cost_parallelizable(s, T, r_min, law.LINEAR_COORDINATION).total
+            par = costs.cost_parallelizable(s, T, r_min, linear).total
             bnd = costs.cost_throughput_bounded(s, T, r_min).total
             side, passed = ("below", bnd < par) if s < threshold else ("above", bnd > par)
             sign.check(passed, "sign {} crossover fails at s={} T={} r_min={}", side, s, T, r_min)

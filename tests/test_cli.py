@@ -230,14 +230,15 @@ def test_classify_rejects_multi_spec_files(tmp_path, capsys):
         asdict(resources.preset("device-bound")),
     ]
     path.write_text(json.dumps(payload))
-    code, _, err = run_cli(capsys, "classify", "--spec", str(path))
-    assert code == cli.EXIT_USAGE
-    assert "exactly one" in err
+    code, out, err = run_cli(capsys, "classify", "--spec", str(path))
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == f"error: spec file {str(path)!r} must contain exactly one spec, found 2\n"
 
 
 def test_classify_unknown_spec(capsys):
-    code, _, err = run_cli(capsys, "classify", "--spec", "no-such-thing")
-    assert code == cli.EXIT_USAGE
+    code, out, err = run_cli(capsys, "classify", "--spec", "no-such-thing")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: 'no-such-thing' is neither a built-in preset nor a spec file\n"
 
 
 def test_oracle_json_payload(capsys):

@@ -80,9 +80,7 @@ def test_modules_load_on_first_use():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["after_package"] == []
-    assert report["after_cli"] == [
-        "sybilcost.arguments", "sybilcost.cli", "sybilcost.law", "sybilcost.resources",
-    ]
+    assert report["after_cli"] == ["sybilcost.arguments", "sybilcost.cli", "sybilcost.law"]
     assert report["all"] == PUBLIC_NAMES
     assert report["same_object"] is True
     assert report["star"] == sorted(report["all"])
@@ -415,22 +413,22 @@ print(json.dumps([code, [name for name in loaded if name.startswith("sybilcost.c
                   [name for name in loaded if name.count(".") == 1]]))
 """
 
-# Every command loads these: the parser names the coordination models, and
-# `cli` resolves spec names.
-CLI_MODULES = {"arguments", "cli", "commands", "law", "resources"}
-# What each command loads besides: only `oracle` and `verify-all` search, and
-# `taxonomy`, `classify`, `oracle`, `simulate` and `fig3` price no regime law.
+# Every command loads these: the parser names the coordination models.
+CLI_MODULES = {"arguments", "cli", "commands", "law"}
+# What each command loads besides: only `oracle` and `verify-all` search,
+# `taxonomy`, `classify`, `oracle`, `simulate` and `fig3` price no regime law,
+# and `cost`, `crossover`, `calibrate` and `sweep` read no resource spec.
 LIBRARY_MODULES = {
     "calibrate": {"calibration", "costs"},
-    "classify": set(),
+    "classify": {"resources"},
     "cost": {"costs"},
     "crossover": {"costs"},
-    "fig3": {"simulation"},
-    "oracle": {"oracle", "plans"},
-    "simulate": {"simulation"},
+    "fig3": {"resources", "simulation"},
+    "oracle": {"oracle", "plans", "resources"},
+    "simulate": {"resources", "simulation"},
     "sweep": {"costs"},
-    "taxonomy": set(),
-    "verify-all": {"costs", "oracle", "plans", "verification"},
+    "taxonomy": {"resources"},
+    "verify-all": {"costs", "oracle", "plans", "resources", "verification"},
 }
 
 
@@ -473,4 +471,4 @@ def test_a_spec_file_loads_the_spec_reader(tmp_path):
     }))
     code, _commands, library = _loaded_by(["classify", "--spec", str(spec)], tmp_path)
     assert code == 0
-    assert library == CLI_MODULES | {"specfiles"}
+    assert library == CLI_MODULES | {"resources", "specfiles"}

@@ -624,6 +624,15 @@ def test_verify_all_catches_a_misread_carry_over_rule(monkeypatch, misread, fail
     assert all(failures == 0 for _count, failures in groups.values())
 
 
+def test_verify_all_catches_a_plan_cost_without_coordination(monkeypatch):
+    # The partial-transfer instances are searched under linear coordination, so a
+    # witness priced without h(s, T) misses its minimum once per instance.
+    monkeypatch.setattr(oracle, "plan_cost", lambda plan, scenario: sum(plan.acquisitions))
+    groups = {name: (count, len(failures)) for name, count, failures in verification.verify_all()}
+    assert groups.pop("intermediate-regimes") == (528, 144)
+    assert all(failures == 0 for _count, failures in groups.values())
+
+
 def test_verify_bounds_passes_on_witnesses():
     for spec in (STAKE, DEVICE, partial_spec(0.5), bounded_spec(2)):
         scenario = OracleScenario(s=2, T=3, spec=spec)

@@ -86,8 +86,30 @@ def test_taxonomy_has_seven_presets():
 
 
 def test_preset_unknown_name():
-    with pytest.raises(ValueError):
+    known = "device-bound, human-participation, pos-stake, pow-energy, pow-hardware, " \
+        "rate-limited, social-graph"
+    with pytest.raises(ValueError) as refused:
         preset("quantum-foam")
+    assert str(refused.value) == f"unknown preset 'quantum-foam'; known presets: {known}"
+
+
+def test_resolve_reads_a_preset_name_before_a_file_of_that_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pos-stake").write_text(json.dumps(asdict(preset("device-bound"))))
+    assert resources.resolve("pos-stake") is preset("pos-stake")
+    (tmp_path / "spec.json").write_text(json.dumps(asdict(preset("device-bound"))))
+    assert resources.resolve("spec.json") == preset("device-bound")
+
+
+def test_resolve_refuses_an_unknown_token_and_a_file_of_many_specs(tmp_path):
+    with pytest.raises(ValueError) as refused:
+        resources.resolve("quantum-foam")
+    assert str(refused.value) == "'quantum-foam' is neither a built-in preset nor a spec file"
+    path = tmp_path / "specs.json"
+    path.write_text(json.dumps([asdict(spec) for spec in resources.TAXONOMY]))
+    with pytest.raises(ValueError) as refused:
+        resources.resolve(str(path))
+    assert str(refused.value) == f"spec file {str(path)!r} must contain exactly one spec, found 7"
 
 
 def test_classes_are_mutually_exclusive_over_all_flag_combinations():
