@@ -44,7 +44,11 @@ MUTANTS = (
     ("plan-feasible-ignores-tau", "plans.py",
      "cap = math.inf if spec.tau is None else", "cap = math.inf if True else"),
     ("search-target-strict", "oracle.py",
-     "if sum(combo[first:]) < need:", "if sum(combo[first:]) <= need:"),
+     "if reached < need:", "if reached <= need:"),
+    ("search-skips-threshold-level", "oracle.py",
+     "range(lo, hi + 1)", "range(lo + 1, hi + 1)"),
+    ("search-drops-zero-level", "oracle.py",
+     "(0, *range(lo, hi + 1))", "(*range(lo, hi + 1),)"),
     ("plan-cost-drops-coordination", "plans.py",
      "return sum(plan.acquisitions) + scenario.coordination.evaluate(scenario.s, scenario.T)",
      "return sum(plan.acquisitions)"),

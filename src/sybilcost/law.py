@@ -200,6 +200,8 @@ def acquisition_schedule(alpha: float, k: int, T: int, aggregate: float) -> tupl
     and in between the (1 - alpha) share the previous window spent, rounded once.
     """
     # One window of the aggregate under (alpha, None): its flow is the spent share.
-    part = ((aggregate, alpha, None),)
-    spent = _report(1, 1, part, ZERO_COORDINATION).flow if math.isfinite(aggregate) else math.inf
+    spent = math.inf
+    if math.isfinite(aggregate):
+        _stock, flow, scale = _exact(1, ((aggregate, alpha, None),))
+        spent = _quotient(flow, scale)
     return tuple([aggregate if window % k == 0 else spent for window in range(T)])

@@ -2,10 +2,13 @@
 
 Influence is additive: an identity at or above the activation threshold r_min
 contributes its allocation, and one below it contributes nothing.  The oracle
-scans, in integer units of the grid step, every way of filling one window from
-a finite grid of per-identity allocations (`plans.PlanGrid`) up to the rate
-limit tau, then combines windows through the cheapest acquisition schedule
-under the resource's carry-over rule: the (alpha, k) pair that
+scans, in integer units of the grid step, every way of filling one window with
+per-identity allocations from a finite grid (`plans.PlanGrid`), each zero or
+an active level up to the rate limit tau: a level below r_min costs without
+adding influence, so no optimum holds one.  The plan ceiling bounds the grid's
+configuration count, not the fewer configurations the scan visits.  The
+oracle then combines windows through the cheapest acquisition schedule under
+the resource's carry-over rule: the (alpha, k) pair that
 `resources.carry_over` reads from the spec's property flags.  `verify_bounds`
 reads alpha and k from the spec's fields on its own and checks the minimum
 against `law.cost_carry_over` and the floor at that rule.  Plan cost is
@@ -20,7 +23,6 @@ accounting and against the closed-form bounds.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -85,9 +87,10 @@ def allocation_semantics(spec: ResourceSpec) -> AllocationSemantics:
 class OracleResult:
     """Minimum plan cost on the grid, with the witness that attains it.
 
-    ``plans_examined`` is the grid's configuration count: configurations with
-    an identity over the rate limit tau are ruled out without being
-    enumerated.
+    ``plans_examined`` is the grid's configuration count, which the plan
+    ceiling bounds: configurations with an identity over the rate limit tau,
+    or at a level strictly between zero and r_min, are ruled out without
+    being enumerated.
     """
 
     min_cost: float
@@ -120,13 +123,17 @@ def _best_window_config(
     hi = grid.level_count() - 1
     if spec.tau is not None:
         hi = min(hi, _floor_units(spec.tau, 1, step))
+    # Each identity holds zero or an active level.  A level strictly between
+    # them costs without adding influence, and zeroing it lowers the aggregate
+    # at the same active count, so no best configuration holds one.  The scan
+    # visits fewer configurations than the grid's count, which the ceiling
+    # bounds, and a configuration's sum is both its aggregate and its reach.
     best: _ConfigKey | None = None
-    for combo in itertools.combinations_with_replacement(range(hi + 1), m):
-        # Combos are nondecreasing, so the active identities are a suffix.
-        first = bisect.bisect_left(combo, lo)
-        if sum(combo[first:]) < need:
+    for combo in itertools.combinations_with_replacement((0, *range(lo, hi + 1)), m):
+        reached = sum(combo)
+        if reached < need:
             continue
-        key: _ConfigKey = (sum(combo), m - first, combo[::-1])
+        key: _ConfigKey = (reached, m - combo.count(0), combo[::-1])
         if best is None or key < best:
             best = key
     return best, configuration_count
@@ -138,7 +145,8 @@ def min_cost(scenario: OracleScenario, grid: PlanGrid | None = None) -> OracleRe
     Ties between equally cheap configurations resolve toward fewer active
     identities, then lexicographically on the descending allocation tuple,
     so results are deterministic.  Raises PlanBudgetExceeded before
-    scanning a grid whose configuration count exceeds the ceiling, and
+    scanning a grid whose configuration count exceeds the ceiling (a bound
+    on the grid, not on the fewer configurations the scan visits), and
     before building a witness whose T allocation rows and T acquisitions
     hold more than the ceiling's count of values (so an empty attack is
     bounded too); raises ValueError when no grid configuration can reach the

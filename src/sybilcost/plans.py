@@ -136,6 +136,10 @@ class PlanGrid:
     def configuration_count(self) -> int:
         """Number of per-window allocation multisets the grid admits, counted up to the ceiling.
 
+        The oracle's ceiling bounds this count: the grid, not the fewer
+        multisets its scan visits, which skips levels over the rate limit
+        and levels strictly between zero and the threshold.
+
         C(n + m - 1, m), for n levels and m identities, is built up as
         C(b + i, i) for i = 1 .. r, where r is the smaller of m and n - 1.
         Each partial count is at least the one before and at least 2^i, so

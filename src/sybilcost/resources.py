@@ -250,7 +250,7 @@ def resolve(token: str) -> ResourceSpec:
     """The spec a `--spec` token names: a built-in preset, else the one spec of that JSON file."""
     if token in _PRESETS:
         return _PRESETS[token]
-    if not Path(token).exists():
+    if not Path(token).is_file():  # "" reads as ".", a directory
         raise ValueError(f"{token!r} is neither a built-in preset nor a spec file")
     from .specfiles import load_specs  # only a spec file loads the JSON reader
 

@@ -235,10 +235,12 @@ def test_classify_rejects_multi_spec_files(tmp_path, capsys):
     assert err == f"error: spec file {str(path)!r} must contain exactly one spec, found 2\n"
 
 
-def test_classify_unknown_spec(capsys):
-    code, out, err = run_cli(capsys, "classify", "--spec", "no-such-thing")
-    assert (code, out) == (cli.EXIT_USAGE, "")
-    assert err == "error: 'no-such-thing' is neither a built-in preset nor a spec file\n"
+def test_classify_unknown_spec(tmp_path, capsys):
+    # An empty token names the current directory; neither it nor any directory is a spec file.
+    for token in ("no-such-thing", "", str(tmp_path)):
+        code, out, err = run_cli(capsys, "classify", "--spec", token)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == f"error: {token!r} is neither a built-in preset nor a spec file\n"
 
 
 def test_oracle_json_payload(capsys):
