@@ -62,6 +62,8 @@ MUTANTS = (
      "else spec.k", "else max(1, spec.k - 1)"),
     ("partial-transfer-alpha-halved", "resources.py",
      "else spec.alpha", "else spec.alpha / 2"),
+    ("bnd-priced-from-stake-window", "verification.py",
+     '_search("bnd", device,', '_search("bnd", stake,'),
 )
 
 TESTS = ("tests/test_oracle.py", "tests/test_oracle_scan.py", "tests/test_uniform_plan.py")

@@ -1,24 +1,17 @@
 """Minimum-cost search over discretized allocation plans.
 
 Influence is additive: an identity at or above the activation threshold r_min
-contributes its allocation, and one below it contributes nothing.  The oracle
-scans, in integer units of the grid step, every way of filling one window with
-per-identity allocations from a finite grid (`plans.PlanGrid`), each zero or
-an active level up to the rate limit tau: a level below r_min costs without
-adding influence, so no optimum holds one.  The plan ceiling bounds the grid's
-configuration count, not the fewer configurations the scan visits.  The
-oracle then combines windows through the cheapest acquisition schedule under
-the resource's carry-over rule: the (alpha, k) pair that
-`resources.carry_over` reads from the spec's property flags.  `verify_bounds`
-reads alpha and k from the spec's fields on its own and checks the minimum
-against `law.cost_carry_over` and the floor at that rule.  Plan cost is
-monotone in each window's aggregate allocation under every carry-over rule,
-so the grid optimum is always a uniform plan built from the best
-single-window configuration and the search is exact over all grid plans
-despite never materializing the cross-window product.  The minimum is priced
-by `law`'s exact per-identity sum, rounded to a float once.  Results come with
-a witness plan, which `verify_bounds` checks for feasibility under `plans`'
-accounting and against the closed-form bounds.
+contributes its allocation, and one below it contributes nothing.
+`best_window` scans, in integer units of the step, the ways of filling one
+window on a finite grid (`plans.PlanGrid`); it reads s, r_min, tau and the
+grid, and nothing else.  `price` repeats that window over T windows, bought
+under the spec's carry-over rule (alpha, k) from `resources.carry_over` and
+with the coordination h(s, T), as `law`'s exact sum rounded once.  Plan cost
+is monotone in each window's aggregate under every rule, so the grid optimum
+is a uniform plan of the best window, and `min_cost`, the price of
+`best_window`, is exact over all grid plans without the cross-window product.
+`verify_bounds` checks the witness under `plans`' accounting, and the minimum
+against `law.cost_carry_over` and the floor at the spec's own alpha and k.
 """
 
 from __future__ import annotations
@@ -50,8 +43,11 @@ __all__ = [
     "OracleResult",
     "VerificationCheck",
     "VerificationReport",
+    "Window",
     "allocation_semantics",
+    "best_window",
     "min_cost",
+    "price",
     "verify_bounds",
 ]
 
@@ -85,13 +81,7 @@ def allocation_semantics(spec: ResourceSpec) -> AllocationSemantics:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Minimum plan cost on the grid, with the witness that attains it.
-
-    ``plans_examined`` is the grid's configuration count, which the plan
-    ceiling bounds: configurations with an identity over the rate limit tau,
-    or at a level strictly between zero and r_min, are ruled out without
-    being enumerated.
-    """
+    """Minimum plan cost on the grid and its witness; ``plans_examined`` is the window's count."""
 
     min_cost: float
     witness: AllocationPlan
@@ -99,27 +89,38 @@ class OracleResult:
     grid: PlanGrid
 
 
-# A window configuration is kept as (aggregate, active count, allocations in
-# descending order), all in grid units; tuple comparison gives the
-# deterministic tie-break.
-_ConfigKey = tuple[int, int, tuple[int, ...]]
+@dataclass(frozen=True)
+class Window:
+    """One window's best ``key``: (aggregate, active count, descending allocations) in grid
+    units, whose tuple order is the tie-break.  ``configuration_count`` is ``grid``'s, which
+    the plan ceiling bounds, or 0 for the empty window at s = 0, where no grid is counted.
+    """
+
+    key: tuple[int, int, tuple[int, ...]]
+    configuration_count: int
+    grid: PlanGrid
 
 
-def _best_window_config(
-    scenario: OracleScenario, grid: PlanGrid
-) -> tuple[_ConfigKey | None, int]:
+def best_window(s: int, spec: ResourceSpec, grid: PlanGrid) -> Window:
+    """The grid's cheapest window reaching s identities of influence at r_min, capped at tau.
+
+    Raises PlanBudgetExceeded before scanning a grid whose configuration count
+    exceeds the ceiling, and ValueError when no configuration reaches the target.
+    """
+    if s == 0:
+        return Window((0, 0, ()), 0, grid)
     configuration_count = grid.configuration_count()
     if configuration_count > grid.ceiling:
         raise PlanBudgetExceeded(
             f"at least {configuration_count} window configurations"
             f" exceed the ceiling of {grid.ceiling}"
         )
-    spec, step, m = scenario.spec, grid.step, grid.max_identities
+    step, m = grid.step, grid.max_identities
     # In grid units, within the grid's tolerance: the lowest active level,
     # the target, and the highest level the rate limit admits, so no level
     # over tau is enumerated.  floor(-x) = -ceil(x) gives the first two.
     lo = -_floor_units(spec.r_min, -1, step)
-    need = -_floor_units(spec.r_min, -scenario.s, step)
+    need = -_floor_units(spec.r_min, -s, step)
     hi = grid.level_count() - 1
     if spec.tau is not None:
         hi = min(hi, _floor_units(spec.tau, 1, step))
@@ -128,52 +129,45 @@ def _best_window_config(
     # at the same active count, so no best configuration holds one.  The scan
     # visits fewer configurations than the grid's count, which the ceiling
     # bounds, and a configuration's sum is both its aggregate and its reach.
-    best: _ConfigKey | None = None
+    best = None
     for combo in itertools.combinations_with_replacement((0, *range(lo, hi + 1)), m):
         reached = sum(combo)
         if reached < need:
             continue
-        key: _ConfigKey = (reached, m - combo.count(0), combo[::-1])
+        key = (reached, m - combo.count(0), combo[::-1])
         if best is None or key < best:
             best = key
-    return best, configuration_count
+    if best is None:
+        raise ValueError("no feasible window configuration on this grid")
+    return Window(best, configuration_count, grid)
 
 
-def min_cost(scenario: OracleScenario, grid: PlanGrid | None = None) -> OracleResult:
-    """Minimum plan cost on the grid, exact and rounded once, with a witness plan.
+def price(window: Window, scenario: OracleScenario) -> OracleResult:
+    """The window in each of T windows, priced exactly and rounded once, with its witness.
 
-    Ties between equally cheap configurations resolve toward fewer active
-    identities, then lexicographically on the descending allocation tuple,
-    so results are deterministic.  Raises PlanBudgetExceeded before
-    scanning a grid whose configuration count exceeds the ceiling (a bound
-    on the grid, not on the fewer configurations the scan visits), and
-    before building a witness whose T allocation rows and T acquisitions
-    hold more than the ceiling's count of values (so an empty attack is
-    bounded too); raises ValueError when no grid configuration can reach the
-    per-window influence target.
+    Raises PlanBudgetExceeded before building a witness of more values than the ceiling.
     """
     s, T = scenario.s, scenario.T
     alpha, k = carry_over(scenario.spec, T)
-    effective_grid = grid if grid is not None else PlanGrid.for_scenario(scenario)
-    step = effective_grid.step
-    if s == 0:
-        fielded: tuple[float, ...] = ()
-        units, examined = 0, 0
-    else:
-        best, examined = _best_window_config(scenario, effective_grid)
-        if best is None:
-            raise ValueError("no feasible window configuration on this grid")
-        units, _active, descending = best
-        fielded = tuple([value * step for value in descending if value])
+    step = window.grid.step
+    units, _active, descending = window.key
+    fielded = tuple([value * step for value in descending if value])
     # The witness holds T rows of allocations and T acquisitions.
-    _check_rows("a witness", T, len(fielded) + 1, effective_grid.ceiling)
+    _check_rows("a witness", T, len(fielded) + 1, window.grid.ceiling)
     acquisitions = acquisition_schedule(alpha, k, T, units * step)
     witness = AllocationPlan(T, (fielded,) * T, acquisitions)
     # The law's exact sum prices one grid step at the rule (alpha, k), times `units`.
     stock, flow, scale = _exact(T, ((step, alpha, k),))
     overhead = scenario.coordination.evaluate(s, T)
     total = _quotient(units * (stock + flow) + overhead * scale, scale)
-    return OracleResult(total, witness, examined, effective_grid)
+    return OracleResult(total, witness, window.configuration_count, window.grid)
+
+
+def min_cost(scenario: OracleScenario, grid: PlanGrid | None = None) -> OracleResult:
+    """Minimum plan cost on the grid (by default `PlanGrid.for_scenario`), with a witness plan."""
+    carry_over(scenario.spec, scenario.T)  # a spec with no rule is refused before the scan
+    effective_grid = grid if grid is not None else PlanGrid.for_scenario(scenario)
+    return price(best_window(scenario.s, scenario.spec, effective_grid), scenario)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ instances (thresholds, targets and horizons up to 4) and checks each minimum
 against its bounds and its named `costs` law, priced at the alpha or k the
 grid built, not read back through `resources.carry_over`; then it checks the
 laws' marginals, horizon independence, partition invariance, monotonicity
-and the sign of the stock/renewal crossover.  It calls the search and the
-plan accounting through the `oracle` module, so a wrapper or patch on an
-`oracle` attribute sees every call.
+and the sign of the stock/renewal crossover.  It searches the stake and the
+device window once per (r_min, s) and prices each at every horizon and rule.
+It calls `best_window`, `price` and `plan_feasible` through the `oracle`
+module, so a wrapper or patch on an `oracle` attribute sees every call.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from dataclasses import replace
 
 from . import costs, law, oracle
-from .plans import AllocationPlan, OracleScenario
+from .plans import AllocationPlan, OracleScenario, PlanGrid
 from .resources import preset
 
 __all__ = ["verify_all"]
@@ -52,9 +53,10 @@ class _Group:
             self.failures.append(description.format(*fields))
 
 
-def _search(label: str, scenario: OracleScenario, expected: float, group: _Group) -> float:
-    """Search one instance, check its minimum against `expected` and its bounds, return it."""
-    result = oracle.min_cost(scenario)
+def _search(label: str, window: oracle.Window, scenario: OracleScenario, expected: float,
+            group: _Group) -> float:
+    """Price one instance, check its minimum against `expected` and its bounds, return it."""
+    result = oracle.price(window, scenario)
     s, T, r_min = scenario.s, scenario.T, scenario.spec.r_min
     group.check(result.min_cost == expected, "{} s={} T={} r_min={}: oracle {} != {}",
                 label, s, T, r_min, result.min_cost, expected)
@@ -78,12 +80,17 @@ def verify_all() -> list[tuple[str, int, list[str]]]:
         par_spec = replace(preset("pos-stake"), name=f"stake-r{r_min}", r_min=r_min)
         bnd_spec = replace(preset("device-bound"), name=f"device-r{r_min}", r_min=r_min, tau=r_min)
         for s in _VERIFY_TARGETS:
+            # The partial and bounded specs keep the stake spec's r_min, tau and grid.
+            stake, device = [oracle.best_window(s, spec, PlanGrid.for_scenario(
+                OracleScenario(s, 1, spec))) for spec in (par_spec, bnd_spec)]
             for T in _VERIFY_HORIZONS:
                 key = (r_min, s, T)
                 par = costs.cost_parallelizable(s, T, r_min).total
                 bnd = costs.cost_throughput_bounded(s, T, r_min).total
-                par_min[key] = _search("par", OracleScenario(s, T, par_spec), par, equivalence)
-                bnd_min[key] = _search("bnd", OracleScenario(s, T, bnd_spec), bnd, equivalence)
+                scenario = OracleScenario(s, T, par_spec)
+                par_min[key] = _search("par", stake, scenario, par, equivalence)
+                bnd_min[key] = _search("bnd", device, OracleScenario(s, T, bnd_spec), bnd,
+                                       equivalence)
                 # The intermediate regimes are the stake resource with its transfer
                 # cut to an alpha share (under linear coordination, so h(s, T) is
                 # checked) or its reuse to k windows, each against its named law.
@@ -91,15 +98,15 @@ def verify_all() -> list[tuple[str, int, list[str]]]:
                     spec = replace(par_spec, name=f"partial-a{a}", identity_transferable=None,
                                    alpha=a)
                     law_cost = costs.cost_partial_transferability(s, T, r_min, a, linear).model_cost
-                    _search(spec.name, OracleScenario(s, T, spec, linear), law_cost, intermediate)
+                    _search(spec.name, stake, OracleScenario(s, T, spec, linear), law_cost,
+                            intermediate)
                 for k in sorted({1, 2, T}):
                     spec = replace(par_spec, name=f"bounded-k{k}", temporally_reusable=None, k=k)
                     law_cost = costs.cost_bounded_reuse(s, T, r_min, k).total
-                    _search(spec.name, OracleScenario(s, T, spec), law_cost, intermediate)
+                    _search(spec.name, stake, OracleScenario(s, T, spec), law_cost, intermediate)
                 if T != 2:
                     continue
                 # The same stock split among any j <= s identities is feasible at the same cost.
-                scenario = OracleScenario(s, T, par_spec)
                 stock = s * r_min
                 for j in range(1, s + 1):
                     plan = AllocationPlan(T, ((stock / j,) * j,) * T, (stock, 0.0))

@@ -258,7 +258,7 @@ def test_the_cli_sink_is_the_only_code_that_opens_a_file():
 
 
 # `law._check_rows` sizes every result of T rows against the plan ceiling, so the
-# only other budget refusal is the grid count in `oracle._best_window_config`.
+# only other budget refusal is the grid count in `oracle.best_window`.
 def test_the_budget_refusal_is_raised_only_by_its_two_owners():
     sites = {
         (path.relative_to(SRC / "sybilcost").as_posix(), function)
@@ -266,7 +266,7 @@ def test_the_budget_refusal_is_raised_only_by_its_two_owners():
         for function, call in _calls(path)
         if getattr(call.func, "id", getattr(call.func, "attr", None)) == "PlanBudgetExceeded"
     }
-    assert sites == {("law.py", "_check_rows"), ("oracle.py", "_best_window_config")}
+    assert sites == {("law.py", "_check_rows"), ("oracle.py", "best_window")}
 
 
 # `cli._write_table` and `cli._write_json` own the output formats, so a command

@@ -160,6 +160,11 @@ def test_semantics_rejects_unclassifiable_specs():
         allocation_semantics(social)
     with pytest.raises(ValueError):
         min_cost(OracleScenario(s=0, T=1, spec=social))
+    # The rule is checked before the window search, so a grid past the
+    # ceiling still reads as this usage error, not as a budget refusal.
+    scenario = OracleScenario(s=30, T=1, spec=social)
+    with pytest.raises(ValueError, match="no carry-over rule"):
+        min_cost(scenario, PlanGrid.for_scenario(scenario, ceiling=10))
 
 
 def test_semantics_rejects_combined_overrides():
@@ -631,6 +636,30 @@ def test_verify_all_catches_a_plan_cost_without_coordination(monkeypatch):
     groups = {name: (count, len(failures)) for name, count, failures in verification.verify_all()}
     assert groups.pop("intermediate-regimes") == (528, 144)
     assert all(failures == 0 for _count, failures in groups.values())
+
+
+def test_verify_all_searches_each_distinct_window_once(monkeypatch):
+    # A window reads s, r_min, tau and the grid alone, so each (r_min, s) has a
+    # stake and a device window, and its 30 instances are priced from those two.
+    calls = {"best_window": 0, "price": 0}
+    for name in calls:
+        original = getattr(oracle, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(oracle, name, counted)
+    groups = {name: (count, len(failures)) for name, count, failures in verification.verify_all()}
+    assert calls == {"best_window": 24, "price": 360}
+    assert groups == {
+        "closed-form-equivalence": (192, 0),
+        "marginal-separation": (96, 0),
+        "horizon-independence": (36, 0),
+        "partition-invariance": (60, 0),
+        "monotonicity": (108, 0),
+        "intermediate-regimes": (528, 0),
+        "crossover-sign": (155, 0),
+    }
 
 
 def test_verify_bounds_passes_on_witnesses():

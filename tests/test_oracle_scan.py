@@ -119,7 +119,7 @@ def test_scan_matches_the_float_reference_on_every_verify_all_instance(r_min):
                 scenario = OracleScenario(s, T, spec)
                 grid = PlanGrid.for_scenario(scenario)
                 expected = reference_best_window(scenario, grid)
-                key, _count = oracle._best_window_config(scenario, grid)
+                key = oracle.best_window(scenario.s, scenario.spec, grid).key
                 assert key == in_units(expected, grid.step)
                 assert min_cost(scenario).witness == reference_witness(scenario, expected)
 
@@ -169,7 +169,7 @@ def test_scan_matches_the_float_reference_on_other_grid_steps(step, r_min):
                     min_cost(scenario, grid)
                 continue
             compared += 1
-            key, _count = oracle._best_window_config(scenario, grid)
+            key = oracle.best_window(scenario.s, scenario.spec, grid).key
             units = in_units(expected, step)
             assert key[:2] == units[:2]
             if key != units:
@@ -243,7 +243,7 @@ def test_arithmetic_solver_matches_the_scan():
         if grid.configuration_count() > SOLVER_SCAN_LIMIT:
             continue
         solved = arithmetic_best_window(scenario, grid)
-        key, _count = oracle._best_window_config(scenario, grid)
+        key = oracle.best_window(scenario.s, scenario.spec, grid).key
         assert solved == key, (scenario, grid)
         # The witness `min_cost` would build from the solver's key.
         units, _active, descending = solved
@@ -263,8 +263,9 @@ def test_arithmetic_solver_finds_no_window_where_the_scan_finds_none():
     scenario = OracleScenario(2, 1, spec)
     assert arithmetic_best_window(scenario, PlanGrid(0.5, 2.0, 4)) is not None
     for grid in (PlanGrid(0.5, 2.0, 1), PlanGrid(0.3, 2.0, 4)):
-        key, _count = oracle._best_window_config(scenario, grid)
-        assert arithmetic_best_window(scenario, grid) is key is None
+        with pytest.raises(ValueError, match="no feasible window"):
+            oracle.best_window(scenario.s, spec, grid)
+        assert arithmetic_best_window(scenario, grid) is None
 
 
 def test_repeated_verification_does_not_grow_the_heap():
