@@ -50,9 +50,12 @@ EXIT_BUDGET = 3
 # ---------------------------------------------------------------------------
 
 
+# `vars` writes a dataclass as its fields where it stands, so no result is copied first.
+_JSON_SETTINGS = {"sort_keys": True, "indent": 2, "allow_nan": False, "default": vars}
+
+
 def _write_json(handle: TextIO, payload: object) -> None:
-    # `vars` writes a dataclass as its fields where it stands, so no result is copied first.
-    json.dump(payload, handle, sort_keys=True, indent=2, allow_nan=False, default=vars)
+    json.dump(payload, handle, **_JSON_SETTINGS)
     handle.write("\n")
 
 
@@ -65,13 +68,24 @@ def _write_table(
     comes, so the table never exists as row dicts or as text all at once.  The
     CSV header is the first row's keys, and a None cell is left empty.  The
     JSON object names the rows itself, so it can hold them under any key; a
-    payload value that is `rows` itself is listed there.  Both formats refuse a
-    non-finite number, which may come after some rows are written.
+    payload value that is `rows` itself is listed there, one row at a time, in
+    the bytes `_write_json` would write for the whole list.  Both formats
+    refuse a non-finite number, which may come after some rows are written.
     """
     if fmt == "json":
-        _write_json(
-            handle, {key: list(rows) if value is rows else value for key, value in payload.items()}
-        )
+        # One value at a time; json escapes every newline inside a string, so
+        # each newline the encoder writes is one to indent.
+        encode = json.JSONEncoder(**_JSON_SETTINGS).encode
+        for index, key in enumerate(sorted(payload)):
+            handle.write(("," if index else "{") + "\n  " + encode(key) + ": ")
+            if payload[key] is not rows:
+                handle.write(encode(payload[key]).replace("\n", "\n  "))
+                continue
+            count = 0
+            for count, row in enumerate(rows, 1):
+                handle.write(("," if count > 1 else "[") + "\n    " + encode(row).replace("\n", "\n    "))
+            handle.write("\n  ]" if count else "[]")
+        handle.write("\n}\n" if payload else "{}\n")
         return
     import csv
 

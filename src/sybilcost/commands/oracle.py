@@ -8,7 +8,7 @@ from .. import cli, oracle, plans, resources
 def run(args: argparse.Namespace) -> int:
     spec = resources.resolve(args.spec)
     scenario = plans.OracleScenario(s=args.s, T=args.T, spec=spec, coordination=args.coord)
-    grid = plans.PlanGrid.for_scenario(scenario, step=args.grid_step, ceiling=args.ceiling)
+    grid = plans.PlanGrid.for_window(args.s, spec, step=args.grid_step, ceiling=args.ceiling)
     # verify_bounds compares with the law at r_min itself, so the grid must hold r_min.
     if not grid.holds(spec.r_min):
         raise ValueError(f"--grid-step {grid.step} does not divide r_min {spec.r_min} of {spec.name!r}")

@@ -38,7 +38,8 @@ DEFAULT_PLAN_CEILING = 10_000_000
 
 
 class PlanBudgetExceeded(RuntimeError):
-    """A run would scan, or its witness or trace hold, more than the plan ceiling allows."""
+    """A grid counts more window configurations, or a witness or trace would hold more values,
+    than the plan ceiling allows; the scan itself visits fewer configurations than the grid."""
 
 
 def _check_rows(what: str, T: int, width: int, ceiling: int | None = None) -> None:

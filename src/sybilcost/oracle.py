@@ -101,12 +101,15 @@ class Window:
     grid: PlanGrid
 
 
-def best_window(s: int, spec: ResourceSpec, grid: PlanGrid) -> Window:
+def best_window(s: int, spec: ResourceSpec, grid: PlanGrid | None = None) -> Window:
     """The grid's cheapest window reaching s identities of influence at r_min, capped at tau.
 
-    Raises PlanBudgetExceeded before scanning a grid whose configuration count
-    exceeds the ceiling, and ValueError when no configuration reaches the target.
+    The grid is `PlanGrid.for_window(s, spec)` by default.  Raises PlanBudgetExceeded
+    before scanning a grid whose configuration count exceeds the ceiling, and
+    ValueError when no configuration reaches the target.
     """
+    if grid is None:
+        grid = PlanGrid.for_window(s, spec)
     if s == 0:
         return Window((0, 0, ()), 0, grid)
     configuration_count = grid.configuration_count()
@@ -164,10 +167,9 @@ def price(window: Window, scenario: OracleScenario) -> OracleResult:
 
 
 def min_cost(scenario: OracleScenario, grid: PlanGrid | None = None) -> OracleResult:
-    """Minimum plan cost on the grid (by default `PlanGrid.for_scenario`), with a witness plan."""
+    """Minimum plan cost on the grid (by default `PlanGrid.for_window(s, spec)`), with a witness."""
     carry_over(scenario.spec, scenario.T)  # a spec with no rule is refused before the scan
-    effective_grid = grid if grid is not None else PlanGrid.for_scenario(scenario)
-    return price(best_window(scenario.s, scenario.spec, effective_grid), scenario)
+    return price(best_window(scenario.s, scenario.spec, grid), scenario)
 
 
 # ---------------------------------------------------------------------------

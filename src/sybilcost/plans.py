@@ -88,10 +88,10 @@ def _floor_units(value: float, count: int, step: float) -> int:
 class PlanGrid:
     """Finite allocation grid the search enumerates.
 
-    The default grid steps in half-thresholds from zero up to the larger of
-    the rate limit and the full stock s * r_min, and fields at most s + 2
-    identities per window: enough to express every optimal configuration and
-    the wasteful near-misses around it.
+    The default grid, `for_window`, steps in half-thresholds from zero up to
+    the larger of the rate limit and the full stock s * r_min, and fields at
+    most s + 2 identities per window: enough to express every optimal
+    configuration and the wasteful near-misses around it.
     """
 
     step: float
@@ -109,21 +109,14 @@ class PlanGrid:
         _check_count("ceiling", self.ceiling, 1)
 
     @classmethod
-    def for_scenario(
-        cls,
-        scenario: OracleScenario,
-        step: float | None = None,
+    def for_window(
+        cls, s: int, spec: ResourceSpec, step: float | None = None,
         ceiling: int = DEFAULT_PLAN_CEILING,
     ) -> "PlanGrid":
-        spec = scenario.spec
-        grid_step = step if step is not None else spec.r_min / 2
-        top = max(spec.tau or 0.0, scenario.s * spec.r_min, grid_step)
-        return cls(
-            step=grid_step,
-            max_value=top,
-            max_identities=scenario.s + 2,
-            ceiling=ceiling,
-        )
+        """The default grid for a window of s identities at the spec's r_min and tau."""
+        _check_count("s", s)
+        step = spec.r_min / 2 if step is None else step
+        return cls(step, max(spec.tau or 0.0, s * spec.r_min, step), s + 2, ceiling)
 
     def level_count(self) -> int:
         """Number of allocation levels: 0, step, 2 * step, ... up to max_value."""

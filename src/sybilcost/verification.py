@@ -17,7 +17,7 @@ import math
 from dataclasses import replace
 
 from . import costs, law, oracle
-from .plans import AllocationPlan, OracleScenario, PlanGrid
+from .plans import AllocationPlan, OracleScenario
 from .resources import preset
 
 __all__ = ["verify_all"]
@@ -81,8 +81,7 @@ def verify_all() -> list[tuple[str, int, list[str]]]:
         bnd_spec = replace(preset("device-bound"), name=f"device-r{r_min}", r_min=r_min, tau=r_min)
         for s in _VERIFY_TARGETS:
             # The partial and bounded specs keep the stake spec's r_min, tau and grid.
-            stake, device = [oracle.best_window(s, spec, PlanGrid.for_scenario(
-                OracleScenario(s, 1, spec))) for spec in (par_spec, bnd_spec)]
+            stake, device = [oracle.best_window(s, spec) for spec in (par_spec, bnd_spec)]
             for T in _VERIFY_HORIZONS:
                 key = (r_min, s, T)
                 par = costs.cost_parallelizable(s, T, r_min).total

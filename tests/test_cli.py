@@ -738,6 +738,31 @@ def test_sweep_csv_streams_within_a_small_multiple_of_its_text(tmp_path):
     assert peak < 0.2 * size
 
 
+def test_sweep_json_streams_within_a_small_multiple_of_its_text(tmp_path):
+    target = tmp_path / "sweep.json"
+
+    def write_sweep(axes):
+        rows = map(sweep._sweep_row, itertools.product(*axes))
+        cli._write_with(target, lambda handle: cli._write_table(
+            handle, "json", rows, meta={"seed": None}, rows=rows
+        ))
+
+    # Built before tracing: itertools.product materializes its inputs.
+    axes = (tuple(range(1, 20_001)), (100,), (1.0,), (law.LINEAR_COORDINATION,))
+    write_sweep(((1,), (1,), (1.0,), (law.ZERO_COORDINATION,)))  # warm caches
+    tracemalloc.start()
+    try:
+        write_sweep(axes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = target.stat().st_size
+    assert len(json.loads(target.read_text())["rows"]) == 20_000
+    # Streamed, the peak is about 0.025 x the file: the copy of the s axis that
+    # product() makes.  Listing the rows before writing them peaks at 1.54 x.
+    assert peak < 0.2 * size
+
+
 def test_fig3_streams_within_a_small_multiple_of_its_text(tmp_path, capsys):
     target = tmp_path / "fig3.csv"
     argv = ["fig3", "--m-max", "20000", "--s-values", "300000,400000,500000", "--out", str(target)]

@@ -90,12 +90,27 @@ def test_the_plan_ceiling_and_its_refusal_are_laws_own():
     # `plans` and `oracle` re-export them, and the benchmark tracer reads `oracle`'s.
     assert plans.PlanBudgetExceeded is oracle.PlanBudgetExceeded is law.PlanBudgetExceeded
     assert plans.DEFAULT_PLAN_CEILING == law.DEFAULT_PLAN_CEILING == 10_000_000
-    assert PlanGrid.for_scenario(OracleScenario(s=1, T=1, spec=STAKE)).ceiling == law.DEFAULT_PLAN_CEILING
+    assert PlanGrid.for_window(1, STAKE).ceiling == law.DEFAULT_PLAN_CEILING
+
+
+@pytest.mark.parametrize(
+    "spec, s, max_value",
+    [(STAKE, 0, 0.5), (STAKE, 1, 1.0), (STAKE, 4, 4.0),
+     (DEVICE, 0, 1.0), (DEVICE, 1, 1.0), (DEVICE, 4, 4.0)],
+)
+def test_the_window_grid_reads_s_and_the_spec(spec, s, max_value):
+    # r_min = 1 and tau None or 1: step r_min / 2, top max(tau, s * r_min, step), s + 2 identities.
+    grid = PlanGrid.for_window(s, spec)
+    assert grid == PlanGrid(step=0.5, max_value=max_value, max_identities=s + 2)
+    assert oracle.best_window(s, spec) == oracle.best_window(s, spec, grid)
+    for bad in (-1, True):
+        with pytest.raises(ValueError, match="s must be a nonnegative integer"):
+            PlanGrid.for_window(bad, spec)
 
 
 def test_plan_budget_ceiling_is_enforced():
     scenario = OracleScenario(s=4, T=2, spec=STAKE)
-    grid = PlanGrid.for_scenario(scenario, ceiling=10)
+    grid = PlanGrid.for_window(4, STAKE, ceiling=10)
     with pytest.raises(PlanBudgetExceeded):
         min_cost(scenario, grid=grid)
 
@@ -164,7 +179,7 @@ def test_semantics_rejects_unclassifiable_specs():
     # ceiling still reads as this usage error, not as a budget refusal.
     scenario = OracleScenario(s=30, T=1, spec=social)
     with pytest.raises(ValueError, match="no carry-over rule"):
-        min_cost(scenario, PlanGrid.for_scenario(scenario, ceiling=10))
+        min_cost(scenario, PlanGrid.for_window(30, social, ceiling=10))
 
 
 def test_semantics_rejects_combined_overrides():
@@ -765,5 +780,5 @@ def test_witnesses_are_always_feasible():
 def test_plans_examined_counts_grid_configurations():
     scenario = OracleScenario(s=2, T=3, spec=STAKE)
     result = min_cost(scenario)
-    grid = PlanGrid.for_scenario(scenario)
+    grid = PlanGrid.for_window(2, STAKE)
     assert result.plans_examined == grid.configuration_count()

@@ -44,12 +44,12 @@ DEVICE = resources.preset("device-bound")
 ENERGY = resources.preset("pow-energy")
 
 
-def reference_best_window(scenario, grid):
+def reference_best_window(s, spec, grid):
     """The float scan: (aggregate, active count, descending allocations) or None."""
     count = int(math.floor(grid.max_value * (1 + FEASIBILITY_EPS) / grid.step)) + 1
     levels = tuple(index * grid.step for index in range(count))
-    target = scenario.target
-    r_min, tau = scenario.spec.r_min, scenario.spec.tau
+    target = s * spec.r_min
+    r_min, tau = spec.r_min, spec.tau
     best = None
     for combo in itertools.combinations_with_replacement(levels, grid.max_identities):
         if tau is not None and combo[-1] > tau * (1 + FEASIBILITY_EPS):
@@ -117,9 +117,9 @@ def test_scan_matches_the_float_reference_on_every_verify_all_instance(r_min):
         for T in verification._VERIFY_HORIZONS:
             for spec in (*window_specs(r_min), *carry_over_specs(r_min, T)):
                 scenario = OracleScenario(s, T, spec)
-                grid = PlanGrid.for_scenario(scenario)
-                expected = reference_best_window(scenario, grid)
-                key = oracle.best_window(scenario.s, scenario.spec, grid).key
+                grid = PlanGrid.for_window(s, spec)
+                expected = reference_best_window(s, spec, grid)
+                key = oracle.best_window(s, spec, grid).key
                 assert key == in_units(expected, grid.step)
                 assert min_cost(scenario).witness == reference_witness(scenario, expected)
 
@@ -132,7 +132,7 @@ def test_level_count_is_the_float_count_it_replaced():
         specs = (stake(r_min), *(device(r_min, tau * r_min) for tau in (1.0, 1.5, 2.5, 3.3)))
         shares = (0.25, 0.3, 0.5, 0.7, 1.0, 0.1, 0.2, 1 / 3)
         for spec, s, share in itertools.product(specs, range(12), shares):
-            grid = PlanGrid.for_scenario(OracleScenario(s, 3, spec), step=share * r_min)
+            grid = PlanGrid.for_window(s, spec, step=share * r_min)
             expected = math.floor(grid.max_value * (1 + FEASIBILITY_EPS) / grid.step) + 1
             assert grid.level_count() == expected
             compared += 1
@@ -160,16 +160,16 @@ def test_scan_matches_the_float_reference_on_other_grid_steps(step, r_min):
     for s in range(1, 6):
         for spec in window_specs(r_min):
             scenario = OracleScenario(s, 3, spec)
-            grid = PlanGrid.for_scenario(scenario, step=step)
+            grid = PlanGrid.for_window(s, spec, step=step)
             if grid.configuration_count() > REFERENCE_SCAN_LIMIT:
                 continue
-            expected = reference_best_window(scenario, grid)
+            expected = reference_best_window(s, spec, grid)
             if expected is None:
                 with pytest.raises(ValueError, match="no feasible window"):
                     min_cost(scenario, grid)
                 continue
             compared += 1
-            key = oracle.best_window(scenario.s, scenario.spec, grid).key
+            key = oracle.best_window(s, spec, grid).key
             units = in_units(expected, step)
             assert key[:2] == units[:2]
             if key != units:
@@ -188,7 +188,7 @@ def test_scan_matches_the_float_reference_on_other_grid_steps(step, r_min):
 # --- the arithmetic window solver ------------------------------------------
 
 
-def arithmetic_best_window(scenario, grid):
+def arithmetic_best_window(s, spec, grid):
     """The scan's best key without enumerating: O(m) in the grid's identity count m.
 
     With j active identities, each in [lo, hi] grid units, the reachable
@@ -199,9 +199,9 @@ def arithmetic_best_window(scenario, grid):
     the other m - j identities with zeros.  lo, need and hi come from
     `_floor_units` exactly as the scan takes them.
     """
-    spec, step, m = scenario.spec, grid.step, grid.max_identities
+    step, m = grid.step, grid.max_identities
     lo = -plans._floor_units(spec.r_min, -1, step)
-    need = -plans._floor_units(spec.r_min, -scenario.s, step)
+    need = -plans._floor_units(spec.r_min, -s, step)
     hi = grid.level_count() - 1
     if spec.tau is not None:
         hi = min(hi, plans._floor_units(spec.tau, 1, step))
@@ -239,11 +239,11 @@ def test_arithmetic_solver_matches_the_scan():
     cases = [(r_min, spec) for r_min in SOLVER_THRESHOLDS for spec in solver_specs(r_min)]
     for (r_min, spec), divisor, s, T in itertools.product(cases, (2, 5), range(1, 6), (1, 3)):
         scenario = OracleScenario(s, T, spec)
-        grid = PlanGrid.for_scenario(scenario, step=r_min / divisor)
+        grid = PlanGrid.for_window(s, spec, step=r_min / divisor)
         if grid.configuration_count() > SOLVER_SCAN_LIMIT:
             continue
-        solved = arithmetic_best_window(scenario, grid)
-        key = oracle.best_window(scenario.s, scenario.spec, grid).key
+        solved = arithmetic_best_window(s, spec, grid)
+        key = oracle.best_window(s, spec, grid).key
         assert solved == key, (scenario, grid)
         # The witness `min_cost` would build from the solver's key.
         units, _active, descending = solved
@@ -260,12 +260,11 @@ def test_arithmetic_solver_matches_the_scan():
 def test_arithmetic_solver_finds_no_window_where_the_scan_finds_none():
     # A rate limit under r_min on the grid, and a target past m identities at tau.
     spec = device(1.0, 1.0)
-    scenario = OracleScenario(2, 1, spec)
-    assert arithmetic_best_window(scenario, PlanGrid(0.5, 2.0, 4)) is not None
+    assert arithmetic_best_window(2, spec, PlanGrid(0.5, 2.0, 4)) is not None
     for grid in (PlanGrid(0.5, 2.0, 1), PlanGrid(0.3, 2.0, 4)):
         with pytest.raises(ValueError, match="no feasible window"):
-            oracle.best_window(scenario.s, spec, grid)
-        assert arithmetic_best_window(scenario, grid) is None
+            oracle.best_window(2, spec, grid)
+        assert arithmetic_best_window(2, spec, grid) is None
 
 
 def test_repeated_verification_does_not_grow_the_heap():
