@@ -54,32 +54,31 @@ EXIT_BUDGET = 3
 _JSON_SETTINGS = {"sort_keys": True, "indent": 2, "allow_nan": False, "default": vars}
 
 
-def _write_json(handle: TextIO, payload: object) -> None:
-    json.dump(payload, handle, **_JSON_SETTINGS)
-    handle.write("\n")
-
-
 def _write_table(
-    handle: TextIO, fmt: str, rows: Iterable[dict[str, object]], /, **payload: object
+    handle: TextIO, fmt: str, rows: Iterable[dict[str, object]] | None, /, **payload: object
 ) -> None:
     """Write a table of row dicts as CSV, or as the JSON object of the keyword arguments.
 
-    `rows` may be any iterable, such as a generator: each row is written as it
-    comes, so the table never exists as row dicts or as text all at once.  The
-    CSV header is the first row's keys, and a None cell is left empty.  The
-    JSON object names the rows itself, so it can hold them under any key; a
-    payload value that is `rows` itself is listed there, one row at a time, in
-    the bytes `_write_json` would write for the whole list.  Both formats
+    The one serializer: a command hands `_emit` its rows and payload, and
+    `_emit` writes them here.  `rows` may be any iterable, such as a generator:
+    each row is written as it comes, so the table never exists as row dicts or
+    as text all at once.  The CSV header is the first row's keys, and a None
+    cell is left empty.  The JSON object names the rows itself, so it can hold
+    them under any key; a payload value that is `rows` itself is listed there,
+    one row at a time, and a document with no rows passes None.  Every other
+    value streams chunk by chunk, as `json.dump` streams it.  Both formats
     refuse a non-finite number, which may come after some rows are written.
     """
     if fmt == "json":
-        # One value at a time; json escapes every newline inside a string, so
-        # each newline the encoder writes is one to indent.
-        encode = json.JSONEncoder(**_JSON_SETTINGS).encode
+        # json escapes every newline inside a string, so each newline the
+        # encoder writes is one to indent.
+        encoder = json.JSONEncoder(**_JSON_SETTINGS)
+        encode = encoder.encode
         for index, key in enumerate(sorted(payload)):
             handle.write(("," if index else "{") + "\n  " + encode(key) + ": ")
-            if payload[key] is not rows:
-                handle.write(encode(payload[key]).replace("\n", "\n  "))
+            if rows is None or payload[key] is not rows:
+                for chunk in encoder.iterencode(payload[key]):
+                    handle.write(chunk.replace("\n", "\n  "))
                 continue
             count = 0
             for count, row in enumerate(rows, 1):
@@ -97,10 +96,6 @@ def _write_table(
         if index == 0:
             writer.writerow(row)
         writer.writerow(row.values())
-
-
-def _meta(args: argparse.Namespace) -> dict[str, object]:
-    return {"seed": getattr(args, "seed", None)}
 
 
 def _resolve_out(path_text: str) -> Path:
@@ -134,15 +129,25 @@ def _write_text(path: Path, text: str) -> None:
     _write_with(path, lambda handle: handle.write(text))
 
 
-def _emit(args: argparse.Namespace, write: Callable[[TextIO], object]) -> None:
+def _emit(
+    args: argparse.Namespace, rows: Iterable[dict[str, object]] | None, /, **payload: object
+) -> None:
+    """Write a command's rows and payload, with its `meta`, to --out or to stdout.
+
+    The format is `args.format`: JSON for a command with no --format, and CSV
+    where --format has no default and is not given (`crossover --table`).
+    Stdout is written once, after the last row.
+    """
+    fmt = getattr(args, "format", "json") or "csv"
+    payload["meta"] = {"seed": getattr(args, "seed", None)}
     out = getattr(args, "out", None)
     if out:
         target = _resolve_out(out)
-        _write_with(target, write)
+        _write_with(target, lambda handle: _write_table(handle, fmt, rows, **payload))
         print(f"wrote {target}")
     else:
         buffer = io.StringIO()
-        write(buffer)
+        _write_table(buffer, fmt, rows, **payload)
         sys.stdout.write(buffer.getvalue())
 
 

@@ -8,11 +8,8 @@ from .. import cli, resources
 def run(args: argparse.Namespace) -> int:
     spec = resources.resolve(args.spec)
     outcome = resources.classify(spec)
-    payload = {
-        "meta": cli._meta(args),
-        "name": spec.name,
-        "resource_class": outcome.resource_class.value,
-        "reasons": list(outcome.reasons),
-    }
-    cli._emit(args, lambda handle: cli._write_json(handle, payload))
+    cli._emit(
+        args, None, name=spec.name, resource_class=outcome.resource_class.value,
+        reasons=list(outcome.reasons),
+    )
     return cli.EXIT_OK

@@ -42,7 +42,5 @@ def run(args: argparse.Namespace) -> int:
     payload = {
         key: value for key, value in row.items() if value is not None or key not in ("alpha", "k")
     }
-    cli._emit(args, lambda handle: cli._write_table(
-        handle, args.format, [row], meta=cli._meta(args), report=payload
-    ))
+    cli._emit(args, [row], report=payload)
     return cli.EXIT_OK

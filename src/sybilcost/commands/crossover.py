@@ -12,9 +12,7 @@ def run(args: argparse.Namespace) -> int:
                 raise ValueError(f"{flag} does not apply to crossover --table")
         table = costs.crossover_table()
         rows = [{"T": T, "r_min": r_min, "s_star": value} for T, r_min, value in table]
-        cli._emit(args, lambda handle: cli._write_table(
-            handle, args.format or "csv", rows, meta=cli._meta(args), rows=rows
-        ))
+        cli._emit(args, rows, rows=rows)
         return cli.EXIT_OK
     if args.T is None or args.rmin is None:
         raise ValueError("crossover needs --table, or both --T and --rmin")

@@ -14,16 +14,14 @@ def run(args: argparse.Namespace) -> int:
         warnings.simplefilter("always")
         shares = simulation.non_amplification_experiment(m_values, args.s_values, args.n)
     share_names = [f"share_s{s}" for s in args.s_values]
-    rows = ({"m": m, **dict(zip(share_names, row))} for m, row in zip(m_values, shares))
 
-    def write(handle):
-        cli._write_table(
-            handle, args.format, rows, meta=cli._meta(args), n=args.n,
-            s_values=list(args.s_values), rows=rows,
-        )
+    def table():
+        for m, row in zip(m_values, shares):
+            yield {"m": m, **dict(zip(share_names, row))}
         # Said once every row is written: a row that raises ends the run with one line.
         for warning in caught:
             print(f"warning: {warning.message}", file=sys.stderr)
 
-    cli._emit(args, write)
+    rows = table()
+    cli._emit(args, rows, n=args.n, s_values=list(args.s_values), rows=rows)
     return cli.EXIT_OK

@@ -14,11 +14,10 @@ def run(args: argparse.Namespace) -> int:
         raise ValueError(f"--grid-step {grid.step} does not divide r_min {spec.r_min} of {spec.name!r}")
     result = oracle.min_cost(scenario, grid=grid)
     report = oracle.verify_bounds(result, scenario)
-    payload = {
-        "meta": cli._meta(args),
-        "scenario": {"spec": spec.name, "s": args.s, "T": args.T, "coordination": args.coord.value},
+    cli._emit(
+        args, None,
+        scenario={"spec": spec.name, "s": args.s, "T": args.T, "coordination": args.coord.value},
         **vars(result),
-        "verification": {"passed": report.passed, **vars(report)},
-    }
-    cli._emit(args, lambda handle: cli._write_json(handle, payload))
+        verification={"passed": report.passed, **vars(report)},
+    )
     return cli.EXIT_OK if report.passed else cli.EXIT_VERIFICATION

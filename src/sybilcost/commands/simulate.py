@@ -15,7 +15,5 @@ def run(args: argparse.Namespace) -> int:
     # `asdict`, not `vars`: on Python 3.11 `vars(row)` makes each WindowRow's attribute
     # dict, which lives as long as the trace (a T = 200,000 CSV peaked 52.6 -> 63.4 MB).
     rows = (asdict(row) for row in trace.per_window)
-    cli._emit(args, lambda handle: cli._write_table(
-        handle, args.format, rows, meta=cli._meta(args), total_cost=trace.total_cost, windows=rows
-    ))
+    cli._emit(args, rows, total_cost=trace.total_cost, windows=rows)
     return cli.EXIT_OK

@@ -43,7 +43,5 @@ def run(args: argparse.Namespace) -> int:
     if min(s_values) < 1 or min(T_values) < 1:
         raise ValueError("sweep targets and horizons must be positive")
     rows = map(_sweep_row, itertools.product(*axes))
-    cli._emit(args, lambda handle: cli._write_table(
-        handle, args.format, rows, meta=cli._meta(args), rows=rows
-    ))
+    cli._emit(args, rows, rows=rows)
     return cli.EXIT_OK

@@ -7,7 +7,5 @@ from .. import cli, resources
 
 def run(args: argparse.Namespace) -> int:
     rows = resources.taxonomy_rows()
-    cli._emit(args, lambda handle: cli._write_table(
-        handle, args.format, rows, meta=cli._meta(args), rows=rows
-    ))
+    cli._emit(args, rows, rows=rows)
     return cli.EXIT_OK

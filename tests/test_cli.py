@@ -1,3 +1,4 @@
+import argparse
 import io
 import itertools
 import json
@@ -267,7 +268,7 @@ ORACLE_SPECS = {
 @pytest.mark.parametrize("coord", list(law.CoordinationModel), ids=lambda model: model.value)
 @pytest.mark.parametrize("name", list(ORACLE_SPECS))
 def test_oracle_json_is_its_results_copied_field_by_field(tmp_path, capsys, name, coord):
-    # `cli._write_json` writes each dataclass as its fields where it stands; the
+    # `cli._write_table` writes each dataclass as its fields where it stands; the
     # bytes must be those of a payload built from `asdict` copies.
     spec, s, T = ORACLE_SPECS[name], 3, 4
     path = tmp_path / "spec.json"
@@ -511,13 +512,14 @@ def test_fig3_rejects_a_repeated_identity_count(capsys):
     assert err == "error: s_values must not repeat an identity count, got [400, 400]\n"
 
 
-def test_fig3_warns_before_it_says_what_it_wrote(tmp_path, monkeypatch):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fig3_warns_before_it_says_what_it_wrote(tmp_path, monkeypatch, fmt):
     both = io.StringIO()
     monkeypatch.setattr(sys, "stdout", both)
     monkeypatch.setattr(sys, "stderr", both)
-    target = tmp_path / "fig3.csv"
+    target = tmp_path / f"fig3.{fmt}"
     code = cli.dispatch(["fig3", "--s-values", "5,10", "--m-min", "1", "--m-max", "20",
-                         "--out", str(target)])
+                         "--format", fmt, "--out", str(target)])
     assert code == cli.EXIT_OK
     assert both.getvalue() == (
         "warning: identity counts do not all exceed the channel range; share columns may differ\n"
@@ -706,6 +708,19 @@ def test_sweep_json_format(capsys):
                         "--coord", "linear", "--format", "json")
     payload = json.loads(out)
     assert payload["rows"][0]["total_par"] == 120.0
+
+
+@pytest.mark.parametrize("value", [(), None], ids=["empty-tuple", "none"])
+def test_a_document_with_no_rows_encodes_every_payload_value(capsys, value):
+    # A document with no rows passes None for them, so no payload value, not even
+    # None or the one empty tuple, is listed as the rows.
+    payload = {"empty": value, "nested": {"inner": value, "list": [value]}, "number": 1.5}
+    expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert _table("json", None, **payload) == expected
+    cli._emit(argparse.Namespace(seed=None), None, **payload)
+    assert capsys.readouterr().out == json.dumps(
+        {"meta": {"seed": None}, **payload}, sort_keys=True, indent=2
+    ) + "\n"
 
 
 def test_csv_from_a_generator_matches_csv_from_a_list():

@@ -269,8 +269,8 @@ def test_the_budget_refusal_is_raised_only_by_its_two_owners():
     assert sites == {("law.py", "_check_rows"), ("oracle.py", "best_window")}
 
 
-# `cli._write_table` and `cli._write_json` own the output formats, so a command
-# module hands them its rows or payload and serializes nothing itself.
+# `cli._write_table` owns the output formats, so a command module hands
+# `cli._emit` its rows and payload and serializes nothing itself.
 def test_no_command_serializes_its_own_output():
     sites = [
         f"{path.name}:{call.lineno}"
@@ -282,6 +282,19 @@ def test_no_command_serializes_its_own_output():
     ]
     assert not sites, f"a command serializes its output at {', '.join(sites)}"
 
+
+
+# One JSON encoder: every document, table or not, is encoded in `cli._write_table`.
+def test_only_the_table_writer_encodes_json():
+    sites = [
+        f"{path.relative_to(SRC / 'sybilcost').as_posix()}:{function}"
+        for path in MODULE_PATHS
+        for function, call in _calls(path)
+        if isinstance(call.func, ast.Attribute)
+        and (getattr(call.func.value, "id", None), call.func.attr)
+        in (("json", "dump"), ("json", "dumps"), ("json", "JSONEncoder"))
+    ]
+    assert sites == ["cli.py:_write_table"]
 
 def _module_name(command):
     return "sybilcost.commands." + command.replace("-", "_")
